@@ -12,10 +12,10 @@ start index.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import FitFailedError
 
@@ -62,6 +62,17 @@ class TriGaussianFit:
         return out
 
 
+def __getattr__(name):
+    # `minimize` resolves on first access: importing scipy.optimize takes
+    # longer than everything else `import bellquench` does, and only the
+    # fits need it.
+    if name == "minimize":
+        global minimize
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _r_squared(y, residual_ss):
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
@@ -75,6 +86,9 @@ def _polish(objective, starts):
     Deterministic: starts are evaluated in order and a strictly lower
     objective is required to displace the incumbent.
     """
+    # looked up on the module, so a wrapper set on bellquench.fit.minimize
+    # is the one called
+    minimize = sys.modules[__name__].minimize
     best = None
     for x0 in starts:
         res = minimize(objective, x0, method="Nelder-Mead",

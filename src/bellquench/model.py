@@ -55,6 +55,8 @@ class ModelParams:
         Power-law fall-off rate of the couplings, > 0.
     h : float
         Dimensionless transverse field.
+
+    Every float must be finite; ValueError otherwise.
     """
 
     N: int
@@ -64,6 +66,9 @@ class ModelParams:
     J: float = 1.0
 
     def __post_init__(self):
+        for name in ("J", "gamma", "alpha", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.N % 2 != 0 or self.N < 4:
             raise ValueError(f"N must be even and >= 4, got {self.N}")
         if self.J <= 0:

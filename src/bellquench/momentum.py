@@ -71,19 +71,32 @@ def modes(params: ModelParams, sector: str = "antiperiodic") -> list[MomentumMod
             for i, phi in enumerate(mode_angles(params.N, sector))]
 
 
-def dispersion(params: ModelParams, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def dispersion(params: ModelParams, phis: np.ndarray,
+               alphas=None) -> tuple[np.ndarray, np.ndarray]:
     """Block amplitudes (a, b) at each angle in `phis`.
 
     a = -sum_r J_r cos(phi r), b = -gamma * sum_r J_r sin(phi r), with
     J_r the Kac-normalized couplings; see the module docstring for the
     sign convention.
+
+    With `alphas`, a sequence of fall-off rates, a and b get one row per
+    rate.  The cos/sin tables over (phi, r) depend only on N, so they
+    are built once and each row is one matrix-vector product: row k is
+    bit for bit dispersion(params.replace(alpha=alphas[k]), phis).
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    j_r = coupling_profile(params)
+    rates = [params.alpha] if alphas is None else list(alphas)
     r = np.arange(1, params.N // 2 + 1, dtype=float)
     phase = np.outer(phis, r)
-    a = -np.cos(phase) @ j_r
-    b = -params.gamma * (np.sin(phase) @ j_r)
+    neg_cos, sin_t = -np.cos(phase), np.sin(phase)
+    a = np.empty((len(rates), phis.size))
+    b = np.empty((len(rates), phis.size))
+    for k, alpha in enumerate(rates):
+        j_r = coupling_profile(params.replace(alpha=float(alpha)))
+        a[k] = neg_cos @ j_r
+        b[k] = -params.gamma * (sin_t @ j_r)
+    if alphas is None:
+        return a[0], b[0]
     return a, b
 
 

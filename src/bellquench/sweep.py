@@ -8,11 +8,25 @@ of each mode is bilinear in initial-side and final-side factors,
     n_z = gy_i * (u_f b_f/L_f^2) + gz_i * (u_f^2/L_f^2),
 
 so every mode sum needed by the correlators factorizes into a few
-(grid x modes) @ (modes x grid) matrix products and a full 601 x 601
-field sweep at N = 512 costs well under a second.  Worker parallelism
+(grid x modes) @ (modes x grid) matrix products.  One kernel,
+_steady_maps, evaluates them over any (rows, cols) block of the grid.
+`sweep` and `sweep_all` run it over the whole grid; worker parallelism
 splits the initial-axis rows into fixed-size chunks whose results are
 written into preallocated slots, so outputs are bitwise identical for
 every worker count.
+
+The threshold B_c is the Bell maximum over the cross-phase cells.
+Under every boundary and cross-line policy those cells form at most
+three rectangles of the grid (_cross_blocks), and `critical_threshold`
+reduces a diagram over exactly those.  `threshold_curve` and
+`threshold_curve_coupling` evaluate the kernel on the rectangles alone
+and never build a diagram: about 44 % of the cells of a 601 x 601
+field grid.  A coupling curve computes the dispersion over its alpha
+axis once and shares it across every h, since only u = a + h depends
+on h.  The curve values agree with critical_threshold(sweep(...)) to
+rounding (the block products have other shapes than the full-grid
+ones).  Each curve point is computed on its own, so curves too are
+identical for every worker count.
 """
 
 from __future__ import annotations
@@ -106,32 +120,25 @@ class ThresholdReport:
 # ---------------------------------------------------------------------------
 # Steady-state engine
 
-def _axis_blocks(params_for, qs, kind):
-    """Dispersion amplitudes (a, b) and u = a + h for each grid value."""
+def _axis_blocks(fixed: ModelParams, qs: np.ndarray, kind: QuenchKind):
+    """Mode angles, then b and u = a + h with one row per grid value."""
+    phis = mode_angles(fixed.N)
     if kind is QuenchKind.FIELD:
-        phis = mode_angles(params_for.N)
-        a, b = dispersion(params_for, phis)
-        a = np.broadcast_to(a, (qs.size, phis.size))
-        b = np.broadcast_to(b, (qs.size, phis.size))
-        u = a + qs[:, None]
-    else:
-        phis = mode_angles(params_for.N)
-        a = np.empty((qs.size, phis.size))
-        b = np.empty((qs.size, phis.size))
-        for k, alpha in enumerate(qs):
-            a[k], b[k] = dispersion(params_for.replace(alpha=float(alpha)), phis)
-        u = a + params_for.h
-    return phis, a, b, u
+        a, b = dispersion(fixed, phis)
+        return phis, np.broadcast_to(b, (qs.size, phis.size)), a + qs[:, None]
+    a, b = dispersion(fixed, phis, alphas=qs)
+    return phis, b, a + fixed.h
 
 
-def _steady_maps(fixed: ModelParams, grid: GridSpec, kind: QuenchKind,
+def _steady_maps(N: int, phis, b, u, blocks=((None, None),),
                  workers: int = 1):
-    """Steady mz, cxx, cyy, czz over the whole (q_i, q_f) grid."""
-    qs = grid.values()
-    phis, _, b, u = _axis_blocks(fixed, qs, kind)
-    n = qs.size
-    N = fixed.N
+    """Steady mz, cxx, cyy, czz over each (rows, cols) block of the grid.
 
+    b and u come from _axis_blocks.  rows and cols select initial and
+    final grid values by index array or slice (None: the whole axis).
+    Yields one (mz, cxx, cyy, czz) per block; the per-value mode
+    factors are computed once and shared by every block.
+    """
     lam = np.hypot(u, b)
     degen_i = lam < 1e-14
     safe = np.where(degen_i, 1.0, lam)
@@ -147,36 +154,41 @@ def _steady_maps(fixed: ModelParams, grid: GridSpec, kind: QuenchKind,
 
     cos_p, sin_p = np.cos(phis), np.sin(phis)
     sum_cos = float(np.sum(cos_p))
-    # j-side factor matrices, pre-weighted by the mode weights
-    f_z_y, f_z_z = (cos_p * ayz).T, (cos_p * azz).T          # for sum cos*nz
-    f_y_y, f_y_z = (sin_p * ayy).T, (sin_p * ayz).T          # for sum sin*ny
-    f_m_y, f_m_z = ayz.T, azz.T                               # for sum nz
+    # j-side factors, pre-weighted by the mode weights, one row per value
+    final = (ayz, azz,                       # for sum nz
+             cos_p * ayz, cos_p * azz,       # for sum cos*nz
+             sin_p * ayy, sin_p * ayz)       # for sum sin*ny
 
-    mz = np.empty((n, n))
-    m_cos = np.empty((n, n))
-    m_sin = np.empty((n, n))
+    for rows, cols in blocks:
+        gy_b, gz_b = (gy, gz) if rows is None else (gy[rows], gz[rows])
+        f_m_y, f_m_z, f_z_y, f_z_z, f_y_y, f_y_z = (
+            (f if cols is None else f[cols]).T for f in final)
+        n_rows, n_cols = gy_b.shape[0], f_m_y.shape[1]
+        mz = np.empty((n_rows, n_cols))
+        m_cos = np.empty((n_rows, n_cols))
+        m_sin = np.empty((n_rows, n_cols))
 
-    def run_chunk(start):
-        stop = min(start + ROW_CHUNK, n)
-        gy_c, gz_c = gy[start:stop], gz[start:stop]
-        mz[start:stop] = (2.0 / N) * (gy_c @ f_m_y + gz_c @ f_m_z)
-        m_cos[start:stop] = gy_c @ f_z_y + gz_c @ f_z_z
-        m_sin[start:stop] = gy_c @ f_y_y + gz_c @ f_y_z
+        def run_chunk(start):
+            stop = min(start + ROW_CHUNK, n_rows)
+            gy_c, gz_c = gy_b[start:stop], gz_b[start:stop]
+            mz[start:stop] = (2.0 / N) * (gy_c @ f_m_y + gz_c @ f_m_z)
+            m_cos[start:stop] = gy_c @ f_z_y + gz_c @ f_z_z
+            m_sin[start:stop] = gy_c @ f_y_y + gz_c @ f_y_z
 
-    starts = range(0, n, ROW_CHUNK)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
-    else:
-        for start in starts:
-            run_chunk(start)
+        starts = range(0, n_rows, ROW_CHUNK)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run_chunk, starts))
+        else:
+            for start in starts:
+                run_chunk(start)
 
-    cxx = (2.0 / N) * (sum_cos - m_cos - m_sin)
-    cyy = (2.0 / N) * (sum_cos - m_cos + m_sin)
-    g1 = (sum_cos - m_cos) / N
-    f1 = m_sin / N
-    czz = mz * mz + 4.0 * (f1 * f1 - g1 * g1)
-    return mz, cxx, cyy, czz
+        cxx = (2.0 / N) * (sum_cos - m_cos - m_sin)
+        cyy = (2.0 / N) * (sum_cos - m_cos + m_sin)
+        g1 = (sum_cos - m_cos) / N
+        f1 = m_sin / N
+        czz = mz * mz + 4.0 * (f1 * f1 - g1 * g1)
+        yield mz, cxx, cyy, czz
 
 
 def _bell_map(cxx, cyy, czz):
@@ -217,11 +229,72 @@ def _phase_codes(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray):
     return code, boundary
 
 
+def _cross_blocks(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray,
+                  boundary: str, cross_lines: str):
+    """The cross-phase cells of a quench grid as (rows, cols) blocks.
+
+    Each policy splits the grid values into two phase classes plus the
+    values on a critical line.  Cross cells pair one class with the
+    other; with boundary="cross" every pair with an endpoint on a line
+    joins them, with "exclude" none does.  So the cross set is the
+    union of at most three rectangles: first class x (second class +
+    lines), second class x (first class + lines), lines x everything.
+    rows and cols are index arrays, or slices where the indices are
+    consecutive.  Raises ThresholdUndefinedError when the set is empty.
+    """
+    if boundary not in ("cross", "exclude"):
+        raise ValueError(f"unknown boundary policy {boundary!r}")
+    if cross_lines == "model":
+        code, line = _phase_codes(kind, fixed, qs)
+    elif cross_lines == "nn_limit":
+        if kind is not QuenchKind.FIELD:
+            raise ValueError("nn_limit lines apply to field diagrams only")
+        code = np.where((qs > -1.0) & (qs < 1.0), 0, 1)
+        line = (np.abs(qs + 1.0) <= BOUNDARY_TOL) | (np.abs(qs - 1.0) <= BOUNDARY_TOL)
+    else:
+        raise ValueError(f"unknown cross_lines policy {cross_lines!r}")
+    first = np.flatnonzero((code == 0) & ~line)
+    second = np.flatnonzero((code == 1) & ~line)
+    if boundary == "exclude":
+        blocks = [(first, second), (second, first)]
+    else:
+        on = np.flatnonzero(line)
+        blocks = [(first, np.union1d(second, on)),
+                  (second, np.union1d(first, on)),
+                  (on, np.arange(qs.size))]
+    blocks = [(_span(rows), _span(cols)) for rows, cols in blocks
+              if rows.size and cols.size]
+    if not blocks:
+        raise ThresholdUndefinedError("phase diagram has no cross-phase cells")
+    return blocks
+
+
+def _span(idx: np.ndarray):
+    """A run of consecutive indices as a slice: indexing it takes a view."""
+    if idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _cross_max(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray, axis,
+               boundary: str, cross_lines: str) -> float:
+    """Bell maximum over the cross-phase cells, block by block.
+
+    The threshold path: the same value as critical_threshold on the
+    Bell diagram, without evaluating the same-phase cells.  `axis` is
+    _axis_blocks(fixed, qs, kind).
+    """
+    blocks = _cross_blocks(kind, fixed, qs, boundary, cross_lines)
+    return float(np.max([np.max(_bell_map(cxx, cyy, czz)) for _, cxx, cyy, czz
+                         in _steady_maps(fixed.N, *axis, blocks)]))
+
+
 def sweep(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
           quantifier: Quantifier, workers: int = 1) -> PhaseDiagram:
     """Steady-state phase diagram of one quantifier over a quench grid."""
     qs = grid.values()
-    mz, cxx, cyy, czz = _steady_maps(fixed, grid, kind, workers=workers)
+    (mz, cxx, cyy, czz), = _steady_maps(fixed.N, *_axis_blocks(fixed, qs, kind),
+                                        workers=workers)
     if quantifier is Quantifier.BELL:
         values = _bell_map(cxx, cyy, czz)
     elif quantifier is Quantifier.ENTANGLEMENT:
@@ -240,7 +313,8 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
               workers: int = 1) -> dict[Quantifier, PhaseDiagram]:
     """All three quantifiers from one pass over the correlator maps."""
     qs = grid.values()
-    mz, cxx, cyy, czz = _steady_maps(fixed, grid, kind, workers=workers)
+    (mz, cxx, cyy, czz), = _steady_maps(fixed.N, *_axis_blocks(fixed, qs, kind),
+                                        workers=workers)
     code, boundary = _phase_codes(kind, fixed, qs)
     pair_boundary = boundary[:, None] | boundary[None, :]
     same = (code[:, None] == code[None, :]) & ~pair_boundary
@@ -272,30 +346,10 @@ def critical_threshold(diagram: PhaseDiagram, boundary: str = "cross",
     track the nn_limit construction; areas and efficiencies always use
     the model topology.
     """
-    if boundary not in ("cross", "exclude"):
-        raise ValueError(f"unknown boundary policy {boundary!r}")
-    if cross_lines == "model":
-        cross = diagram.cross_phase_mask.copy()
-        if boundary == "exclude":
-            cross &= ~diagram.boundary_mask
-    elif cross_lines == "nn_limit":
-        if diagram.kind is not QuenchKind.FIELD:
-            raise ValueError("nn_limit lines apply to field diagrams only")
-        qs = diagram.grid.values()
-        inside = (qs > -1.0) & (qs < 1.0)
-        onb = (np.abs(qs + 1.0) <= BOUNDARY_TOL) | (np.abs(qs - 1.0) <= BOUNDARY_TOL)
-        cross = inside[:, None] != inside[None, :]
-        pair_onb = onb[:, None] | onb[None, :]
-        if boundary == "exclude":
-            cross &= ~pair_onb
-        else:
-            cross |= pair_onb
-    else:
-        raise ValueError(f"unknown cross_lines policy {cross_lines!r}")
-    if not np.any(cross):
-        raise ThresholdUndefinedError("phase diagram has no cross-phase cells")
+    blocks = _cross_blocks(diagram.kind, diagram.fixed, diagram.grid.values(),
+                           boundary, cross_lines)
     values = np.abs(diagram.values) if absolute else diagram.values
-    return float(np.max(values[cross]))
+    return float(np.max([np.max(values[rows][:, cols]) for rows, cols in blocks]))
 
 
 def efficiency(diagram: PhaseDiagram, q_c: float,
@@ -333,12 +387,13 @@ def threshold_curve(gamma: float, alphas, grid: GridSpec = FIELD_GRID,
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
+    qs = grid.values()
 
     def one(alpha):
         fixed = ModelParams(N=N, gamma=gamma, alpha=float(alpha), h=0.0, J=J)
-        diagram = sweep(QuenchKind.FIELD, fixed, grid, Quantifier.BELL)
-        return float(alpha), critical_threshold(diagram, boundary=boundary,
-                                                cross_lines=cross_lines)
+        axis = _axis_blocks(fixed, qs, QuenchKind.FIELD)
+        return float(alpha), _cross_max(QuenchKind.FIELD, fixed, qs, axis,
+                                        boundary, cross_lines)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -359,11 +414,16 @@ def threshold_curve_coupling(gamma: float, hs, grid: GridSpec = COUPLING_GRID,
         raise ValueError("hs must be nonempty")
     for h in hs:
         same_phase_area(QuenchKind.COUPLING, float(h))  # range check
+    qs = grid.values()
+    phis = mode_angles(N)
+    # the dispersion does not depend on h: one alpha axis serves every point
+    a, b = dispersion(ModelParams(N=N, gamma=gamma, alpha=1.0, h=0.0, J=J),
+                      phis, alphas=qs)
 
     def one(h):
         fixed = ModelParams(N=N, gamma=gamma, alpha=1.0, h=float(h), J=J)
-        diagram = sweep(QuenchKind.COUPLING, fixed, grid, Quantifier.BELL)
-        return float(h), critical_threshold(diagram, boundary=boundary)
+        return float(h), _cross_max(QuenchKind.COUPLING, fixed, qs,
+                                    (phis, b, a + fixed.h), boundary, "model")
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -233,3 +233,31 @@ class TestCouplingKind:
         rows = (out / "curve.csv").read_text().splitlines()
         assert rows[0] == "h,b_c"
         assert len(rows) == 3
+
+
+class TestNonFiniteInput:
+    def test_threshold_curve_nan_point(self, tmp_path, capsys):
+        assert run(["threshold-curve", "--gamma", "0.5", "--points", "nan",
+                    "--n", "16", "--out", str(tmp_path / "nan")]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_evolve_infinite_alpha(self, tmp_path, capsys):
+        assert run(["evolve", "--gamma", "1.0", "--alpha", "inf",
+                    "--q-initial", "0.5", "--q-final", "2.5", "--t-max", "1",
+                    "--n", "16", "--out", str(tmp_path / "inf")]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import bellquench
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bellquench.__file__)))
+    code = ("import sys, bellquench.cli; "
+            "sys.exit(int('scipy.optimize' in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=src), check=False)
+    assert result.returncode == 0

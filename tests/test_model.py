@@ -152,6 +152,15 @@ def test_params_validation():
         ModelParams(N=8, gamma=0.5, alpha=1.0, h=0.0, J=0.0)
 
 
+@pytest.mark.parametrize("field", ["h", "alpha", "J"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    kwargs = dict(N=8, gamma=0.5, alpha=1.0, h=0.0, J=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(**kwargs)
+
+
 def test_boundary_tolerance_is_tight():
     # values a hair away from the line classify normally
     q = field_quench(base(alpha=1.0), 2 * BOUNDARY_TOL, 0.5)

@@ -167,3 +167,17 @@ def test_dispersion_shapes():
     # strict NN limit: a = -cos(phi), b = -gamma*sin(phi)
     assert np.allclose(a, -np.cos(phis), atol=1e-12)
     assert np.allclose(b, -p.gamma * np.sin(phis), atol=1e-12)
+
+
+def test_dispersion_alpha_axis_bitwise():
+    # one cos/sin table for all rates; each row one GEMV, as in the
+    # single-rate call
+    p = params(N=512, gamma=0.7, alpha=1.0)
+    phis = mode_angles(512)
+    alphas = 0.5 + 0.01 * np.arange(251)   # the default coupling axis
+    a, b = dispersion(p, phis, alphas=alphas)
+    assert a.shape == b.shape == (len(alphas), phis.size)
+    for k, alpha in enumerate(alphas):
+        a_k, b_k = dispersion(p.replace(alpha=float(alpha)), phis)
+        assert np.array_equal(a[k], a_k)
+        assert np.array_equal(b[k], b_k)

@@ -4,8 +4,9 @@ import pytest
 from bellquench.bell import bell_value, log_negativity, reconstruct_rho12
 from bellquench.dynamics import steady_correlators
 from bellquench.errors import ThresholdUndefinedError
-from bellquench.model import ModelParams, QuenchKind, same_phase_area
-from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier,
+from bellquench.model import (ModelParams, PhaseLabel, QuenchKind,
+                              classify_pair, same_phase_area)
+from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier, _cross_blocks,
                               critical_threshold, efficiency, steady_cell,
                               sweep, sweep_all, threshold_curve,
                               threshold_curve_coupling)
@@ -215,3 +216,152 @@ class TestThresholdCurves:
         parallel = threshold_curve(0.5, [1.0, 2.0, 4.0],
                                    GridSpec(-3, 3, 0.1), N=64, workers=3)
         assert serial == parallel
+
+
+POLICIES = [("cross", "model"), ("exclude", "model"),
+            ("cross", "nn_limit"), ("exclude", "nn_limit")]
+
+
+def _curve_point(kind, fixed, grid, boundary, cross_lines):
+    """B_c of one point from the threshold-curve path."""
+    if kind is QuenchKind.FIELD:
+        curve = threshold_curve(fixed.gamma, [fixed.alpha], grid, N=fixed.N,
+                                boundary=boundary, cross_lines=cross_lines)
+    else:
+        assert cross_lines == "model"
+        curve = threshold_curve_coupling(fixed.gamma, [fixed.h], grid,
+                                         N=fixed.N, boundary=boundary)
+    return curve[0][1]
+
+
+def _diagram_point(kind, fixed, grid, boundary, cross_lines):
+    """B_c of one point from the full phase diagram."""
+    diagram = sweep(kind, fixed, grid, Quantifier.BELL)
+    return critical_threshold(diagram, boundary=boundary,
+                              cross_lines=cross_lines)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ThresholdUndefinedError:
+        return "undefined"
+
+
+class TestThresholdCurveEquivalence:
+    """The curves reduce B_c over cross-phase blocks without building a
+    diagram; critical_threshold over the full sweep is the arbiter."""
+
+    @pytest.mark.parametrize("boundary,cross_lines", POLICIES)
+    @pytest.mark.parametrize("N,gamma,alpha,step", [
+        (64, 0.5, 1.0, 0.05),    # model line h_c = 0 on a grid point
+        (64, 0.0, 2.0, 0.05),    # gamma = 0: degenerate blocks
+        (16, 1.0, 3.5, 0.1),
+        (16, 0.3, 0.7, 0.25),
+    ])
+    def test_field_matches_diagram(self, N, gamma, alpha, step, boundary,
+                                   cross_lines):
+        fixed = ModelParams(N=N, gamma=gamma, alpha=alpha, h=0.0)
+        grid = GridSpec(-3.0, 3.0, step)
+        args = (QuenchKind.FIELD, fixed, grid, boundary, cross_lines)
+        assert _curve_point(*args) == pytest.approx(_diagram_point(*args),
+                                                    abs=1e-12)
+
+    @pytest.mark.parametrize("boundary", ["cross", "exclude"])
+    @pytest.mark.parametrize("N,gamma,h,step", [
+        (64, 0.8, 0.0, 0.05),    # alpha_c = 1.0 on a grid point
+        (64, 0.0, -0.5, 0.05),   # gamma = 0, alpha_c = 2.0 on a grid point
+        (16, 0.4, -0.7, 0.1),
+        (16, 1.0, 0.3, 0.25),
+    ])
+    def test_coupling_matches_diagram(self, N, gamma, h, step, boundary):
+        fixed = ModelParams(N=N, gamma=gamma, alpha=1.0, h=h)
+        grid = GridSpec(0.5, 3.0, step)
+        args = (QuenchKind.COUPLING, fixed, grid, boundary, "model")
+        assert _curve_point(*args) == pytest.approx(_diagram_point(*args),
+                                                    abs=1e-12)
+
+    @pytest.mark.parametrize("kind,fixed,grid,boundary,cross_lines", [
+        # every value paramagnetic under both line sets
+        (QuenchKind.FIELD, fixed_params(N=16, alpha=2.0), GridSpec(1.5, 2.0, 0.25),
+         "cross", "model"),
+        (QuenchKind.FIELD, fixed_params(N=16, alpha=2.0), GridSpec(1.5, 2.0, 0.25),
+         "cross", "nn_limit"),
+        # one side of the model line h_c = -0.5, plus the line itself
+        (QuenchKind.FIELD, fixed_params(N=16, alpha=2.0), GridSpec(-1.5, -0.5, 0.5),
+         "exclude", "model"),
+        (QuenchKind.FIELD, fixed_params(N=16, alpha=2.0), GridSpec(-1.5, -0.5, 0.5),
+         "cross", "model"),
+        # the same, against the nn_limit line h = 1
+        (QuenchKind.FIELD, fixed_params(N=16, alpha=2.0), GridSpec(1.0, 2.0, 0.5),
+         "exclude", "nn_limit"),
+        (QuenchKind.FIELD, fixed_params(N=16, alpha=2.0), GridSpec(1.0, 2.0, 0.5),
+         "cross", "nn_limit"),
+        # alpha_c = 2.0 is the last grid value; the rest is one phase
+        (QuenchKind.COUPLING, fixed_params(N=16, alpha=1.0, h=-0.5),
+         GridSpec(1.0, 2.0, 0.5), "exclude", "model"),
+        (QuenchKind.COUPLING, fixed_params(N=16, alpha=1.0, h=-0.5),
+         GridSpec(1.0, 2.0, 0.5), "cross", "model"),
+        # alpha_c = 2.0 outside the grid
+        (QuenchKind.COUPLING, fixed_params(N=16, alpha=1.0, h=-0.5),
+         GridSpec(0.5, 1.5, 0.5), "cross", "model"),
+    ])
+    def test_undefined_in_the_same_cases(self, kind, fixed, grid, boundary,
+                                         cross_lines):
+        args = (kind, fixed, grid, boundary, cross_lines)
+        curve = _outcome(_curve_point, *args)
+        diagram = _outcome(_diagram_point, *args)
+        if diagram == "undefined":
+            assert curve == "undefined"
+        else:
+            assert curve == pytest.approx(diagram, abs=1e-12)
+
+    @pytest.mark.parametrize("boundary,cross_lines", POLICIES)
+    @pytest.mark.parametrize("kind,fixed,grid", [
+        (QuenchKind.FIELD, fixed_params(N=16, alpha=1.0), GridSpec(-1.5, 1.5, 0.25)),
+        (QuenchKind.COUPLING, fixed_params(N=16, alpha=1.0, h=0.0),
+         GridSpec(0.5, 1.5, 0.25)),
+    ])
+    def test_cross_blocks_match_pair_classification(self, kind, fixed, grid,
+                                                    boundary, cross_lines):
+        # the blocks both threshold paths reduce over, against the scalar
+        # classify_pair (model lines) or the lines h = +-1 (nn_limit)
+        qs = grid.values()
+        if cross_lines == "nn_limit":
+            if kind is QuenchKind.COUPLING:
+                with pytest.raises(ValueError):
+                    _cross_blocks(kind, fixed, qs, boundary, cross_lines)
+                return
+            inside = np.abs(qs) < 1.0
+            on = np.abs(np.abs(qs) - 1.0) <= 1e-12
+            line = on[:, None] | on[None, :]
+            cross = (inside[:, None] != inside[None, :]) & ~line
+        else:
+            labels = np.array([[classify_pair(steady_cell(kind, fixed, float(a),
+                                                          float(b))).value
+                                for b in qs] for a in qs])
+            cross = labels == PhaseLabel.CROSS.value
+            line = labels == PhaseLabel.BOUNDARY.value
+        expected = cross | line if boundary == "cross" else cross
+        assert line.any() and cross.any()
+
+        got = np.zeros_like(expected)
+        index = np.arange(qs.size)
+        for rows, cols in _cross_blocks(kind, fixed, qs, boundary, cross_lines):
+            got[index[rows][:, None], index[cols][None, :]] = True
+        assert np.array_equal(got, expected)
+
+    def test_workers_byte_identical_cli(self, tmp_path):
+        from bellquench.cli import main
+
+        for kind, points in (("field", "0.8,1.0,2.5,6.0"),
+                             ("coupling", "-0.6,-0.3,0.0,0.2")):
+            written = []
+            for workers in (1, 4):
+                out = tmp_path / f"{kind}{workers}"
+                assert main(["threshold-curve", "--gamma", "0.6", "--kind", kind,
+                             "--n", "64", "--step", "0.05",
+                             f"--points={points}", "--workers", str(workers),
+                             "--out", str(out)]) == 0
+                written.append((out / "curve.csv").read_bytes())
+            assert written[0] == written[1]
