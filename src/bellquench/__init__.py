@@ -10,11 +10,12 @@ from .momentum import (BlockHamiltonian, BlockOperators, BlockState,
                        MomentumMode, build_block_hamiltonian,
                        build_block_operators, ground_block_state, mode_angles)
 from .dynamics import (CorrelatorSet, OneBodyCorrelations, TimeGrid,
-                       correlator_time_series, correlators_at, evolve_block,
-                       one_body_correlations, steady_correlators)
+                       correlator_arrays, correlator_time_series,
+                       correlators_at, evolve_block, one_body_correlations,
+                       steady_correlators)
 from .bell import (BellDiagnostics, bell_eigenvalues, bell_time_average,
-                   bell_value, eigenvalue_competition, log_negativity,
-                   reconstruct_rho12)
+                   bell_value, chsh_arrays, eigenvalue_competition,
+                   log_negativity, reconstruct_rho12, xstate_log_negativity)
 # the bare `sweep` function stays on the submodule so that
 # `bellquench.sweep` keeps naming the module
 from .sweep import (COUPLING_GRID, FIELD_GRID, GridSpec, PhaseDiagram,

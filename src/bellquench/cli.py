@@ -23,9 +23,11 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
-from .bell import bell_value, log_negativity, reconstruct_rho12
-from .dynamics import TimeGrid, correlator_time_series
+from .bell import chsh_arrays, xstate_log_negativity
+from .dynamics import TimeGrid, correlator_arrays
 from .errors import (BellquenchError, ConfigError, InconsistentCorrelatorsError,
                      DegenerateGroundStateError, ResourceCapError,
                      ThresholdUndefinedError)
@@ -72,7 +74,7 @@ _KEY_TYPES = {
 
 _ALLOWED = {
     "evolve": {"n", "j", "gamma", "alpha", "h", "kind", "q_initial",
-               "q_final", "t_max", "dt", "workers", "out"},
+               "q_final", "t_max", "dt", "out"},
     "sweep": {"n", "j", "gamma", "alpha", "h", "kind", "q_min", "q_max",
               "step", "quantifiers", "boundary", "cross_lines",
               "absolute_czz", "workers", "out"},
@@ -174,7 +176,7 @@ def cmd_evolve(args):
     started = time.time()
     defaults = {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
                 "alpha": None, "h": None, "q_initial": None, "q_final": None,
-                "t_max": 400.0, "dt": 0.1, "workers": 1, "out": None}
+                "t_max": 400.0, "dt": 0.1, "out": None}
     config = {k: v for k, v in resolve_config(args, "evolve", defaults).items()
               if not (k in ("alpha", "h") and v is None)}
     _require(config, "gamma", "q_initial", "q_final")
@@ -189,19 +191,17 @@ def cmd_evolve(args):
             raise ConfigError("coupling quench needs h")
         base = _base_params(config, alpha=config["q_initial"])
         quench = coupling_quench(base, config["q_initial"], config["q_final"])
-    series = correlator_time_series(
+    times, mz, cxx, cyy, czz, cxy = correlator_arrays(
         quench, TimeGrid(t_max=config["t_max"], dt=config["dt"]))
-    rows = []
-    for c in series:
-        rows.append([c.t, c.mz, c.cxx, c.cyy, c.czz, c.cxy, c.cyx,
-                     bell_value(c), log_negativity(reconstruct_rho12(c))])
+    bell = chsh_arrays(cxx, cyy, czz, cxy, cxy)[3]
+    logneg = xstate_log_negativity(mz, cxx, cyy, czz, cxy)
     out_dir = config["out"]
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "timeseries.csv"),
               ["t", "mz", "cxx", "cyy", "czz", "cxy", "cyx", "bell", "logneg"],
-              rows)
+              np.column_stack([times, mz, cxx, cyy, czz, cxy, cxy, bell, logneg]))
     _write_manifest(out_dir, "evolve", config,
-                    {"samples": len(rows)}, ["timeseries.csv"], started)
+                    {"samples": times.size}, ["timeseries.csv"], started)
     return 0
 
 
@@ -261,7 +261,7 @@ def cmd_sweep(args):
     write_matrix_csv(os.path.join(out_dir, "same_phase_mask.csv"),
                      diagrams[Quantifier.BELL].same_phase_mask.astype(int), qs)
     write_csv(os.path.join(out_dir, "axes.csv"), ["index", "value"],
-              ([i, qs[i]] for i in range(qs.size)))
+              np.column_stack([np.arange(qs.size), qs]))
     results = {}
     for quant in quantifiers:
         diagram = diagrams[quant]
@@ -271,7 +271,8 @@ def cmd_sweep(args):
         absolute = quant is Quantifier.CZZ and config["absolute_czz"]
         q_c = critical_threshold(diagram, boundary=boundary,
                                  cross_lines=lines, absolute=absolute)
-        report = efficiency(diagram, q_c, absolute=absolute)
+        report = efficiency(diagram, q_c, absolute=absolute,
+                            boundary=boundary, cross_lines=lines)
         results[quant.value] = {
             "q_c": q_c, "eta": report.eta,
             "area_detected": report.area_detected,
@@ -435,9 +436,38 @@ def build_parser():
     return parser
 
 
+_LIST_FLAGS = {"--" + key.replace("_", "-")
+               for key, kind in _KEY_TYPES.items() if kind == "floats"}
+
+
+def _is_float_list(token):
+    try:
+        [float(tok) for tok in token.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _join_list_values(argv):
+    """Rewrite `--points -0.7,0.3` as `--points=-0.7,0.3`.
+
+    argparse takes a token that starts with '-' for a flag unless it is
+    one negative number, so a list that opens with a negative value
+    would leave its flag without an argument.
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _LIST_FLAGS and _is_float_list(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_list_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except ConfigError as exc:

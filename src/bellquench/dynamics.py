@@ -25,19 +25,47 @@ exp(-i H_p t), and with the standard sigma_y the xy weight is
 +sin(phi) n_x; the opposite sign belongs to the conjugate
 fermionization convention (sigma_y -> -sigma_y) in which the tau^{xy}
 blocks of `momentum` are written.
+
+Timed values come from one kernel, _timed_mode_sums: for a vector of
+times it rotates the Bloch vectors and takes the four mode sums
+sum n_z, sum cos(phi) n_z, sum sin(phi) n_y and sum sin(phi) n_x
+(sum cos(phi) is the fifth, time-independent one).  It works through
+the times TIME_CHUNK samples at a time, so its temporaries take
+O(TIME_CHUNK x modes) memory whatever the length of the grid, and it
+applies to each (time, mode) element the same operations in the same
+order as a one-sample call: a sample's correlators do not depend on
+the chunk it falls in.  correlators_at, one_body_correlations,
+correlator_time_series and correlator_arrays (the array form evolve
+writes) all call it.  A time grid above MAX_TIME_SAMPLES samples is
+refused with ResourceCapError before anything is allocated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceCapError
 from .model import QuenchSpec
 from .momentum import (DEGENERACY_TOL, BlockHamiltonian, BlockState,
                        dispersion, mode_angles)
 
 STEADY = "steady"
+
+# Samples per chunk of the timed kernel: each of its temporaries holds
+# TIME_CHUNK x N/2 doubles (0.5 MB at N = 512).
+TIME_CHUNK = 256
+
+# Largest time grid the timed path accepts.  `bellquench evolve` keeps
+# at most SAMPLE_BYTES per sample at its peak: the output columns and
+# the kernels' temporaries over them (traced at N = 512: 3.4 MB for
+# 12001 samples, 19.3 MB for 120001, so 147 B per sample), while the
+# chunks and the CSV blocks are of fixed size.  The cap holds a run
+# under 1 GiB.
+SAMPLE_BYTES = 256
+MAX_TIME_SAMPLES = 2 ** 30 // SAMPLE_BYTES
 
 
 @dataclass(frozen=True)
@@ -48,12 +76,22 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
-        if self.t_max <= 0 or self.dt <= 0:
+        if not (self.t_max > 0 and self.dt > 0):
             raise ValueError("t_max and dt must be positive")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ValueError("t_max and dt must give a finite number of steps")
+
+    @property
+    def count(self) -> int:
+        return int(round(self.t_max / self.dt)) + 1
 
     def times(self) -> np.ndarray:
-        n = int(round(self.t_max / self.dt))
-        return self.dt * np.arange(n + 1)
+        """The sample times; ResourceCapError above MAX_TIME_SAMPLES."""
+        if self.count > MAX_TIME_SAMPLES:
+            raise ResourceCapError(
+                f"time grid of {self.count} samples exceeds the cap of "
+                f"{MAX_TIME_SAMPLES}")
+        return self.dt * np.arange(self.count)
 
 
 @dataclass(frozen=True)
@@ -122,8 +160,12 @@ def _steady_bloch(gy, gz, b_f, u_f):
     return ny, nz, int(np.count_nonzero(degen))
 
 
-def _bloch_at_times(gy, gz, b_f, u_f, times):
-    """Rotation of the initial Bloch vectors; shapes (T, M)."""
+def _timed_mode_sums(phis, gy, gz, b_f, u_f, times):
+    """Mode sums of the rotated Bloch vectors at each time, shape (4, T).
+
+    Rows: sum n_z, sum cos(phi) n_z, sum sin(phi) n_y, sum sin(phi) n_x.
+    The rotation is evaluated TIME_CHUNK samples at a time.
+    """
     lam_f = np.hypot(u_f, b_f)
     degen = lam_f < 1e-30
     safe = np.where(degen, 1.0, lam_f)
@@ -131,24 +173,35 @@ def _bloch_at_times(gy, gz, b_f, u_f, times):
     dz = np.where(degen, 0.0, -u_f / safe)
     kappa = gy * dy + gz * dz
     cross_x = dy * gz - dz * gy
-    theta = 2.0 * np.multiply.outer(np.asarray(times, dtype=float), lam_f)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
     para_y, para_z = kappa * dy, kappa * dz
-    nx = sin_t * cross_x
-    ny = para_y + cos_t * (gy - para_y)
-    nz = para_z + cos_t * (gz - para_z)
-    return nx, ny, nz
-
-
-def _correlators_from_bloch(phis, nx, ny, nz, N):
-    """Mode sums -> (mz, cxx, cyy, czz, cxy); broadcast over leading axes."""
+    swing_y, swing_z = gy - para_y, gz - para_z
+    two_lam = 2.0 * lam_f
     cos_p, sin_p = np.cos(phis), np.sin(phis)
+    sums = np.empty((4, times.size))
+    for start in range(0, times.size, TIME_CHUNK):
+        part = slice(start, start + TIME_CHUNK)
+        theta = np.multiply.outer(times[part], two_lam)
+        cos_t = np.cos(theta)
+        nx = np.sin(theta, out=theta)
+        nx *= cross_x
+        ny = cos_t * swing_y
+        ny += para_y
+        nz = np.multiply(cos_t, swing_z, out=cos_t)
+        nz += para_z
+        sums[0, part] = np.sum(nz, axis=-1)
+        sums[1, part] = np.sum(cos_p * nz, axis=-1)
+        sums[2, part] = np.sum(np.multiply(sin_p, ny, out=ny), axis=-1)
+        sums[3, part] = np.sum(np.multiply(sin_p, nx, out=nx), axis=-1)
+    return sums
+
+
+def _correlators_from_sums(phis, sums, N):
+    """(sum n_z, sum cos n_z, sum sin n_y, sum sin n_x) ->
+    (mz, cxx, cyy, czz, cxy); elementwise over arrays of sums."""
+    s_z, m_cos, m_sin, m_x = sums
     two_n = 2.0 / N
-    mz = two_n * np.sum(nz, axis=-1)
-    sum_cos = float(np.sum(cos_p))
-    m_cos = np.sum(cos_p * nz, axis=-1)
-    m_sin = np.sum(sin_p * ny, axis=-1)
-    m_x = np.sum(sin_p * nx, axis=-1)
+    mz = two_n * s_z
+    sum_cos = float(np.sum(np.cos(phis)))
     cxx = two_n * (sum_cos - m_cos - m_sin)
     cyy = two_n * (sum_cos - m_cos + m_sin)
     cxy = two_n * m_x
@@ -157,6 +210,13 @@ def _correlators_from_bloch(phis, nx, ny, nz, N):
     f_im = -m_x / N
     czz = mz * mz + 4.0 * (f_re * f_re + f_im * f_im - g1 * g1)
     return mz, cxx, cyy, czz, cxy
+
+
+def _timed_correlators(quench: QuenchSpec, times: np.ndarray):
+    """(mz, cxx, cyy, czz, cxy) arrays, one entry per time."""
+    phis, gy, gz, b_f, u_f = _quench_blocks(quench)
+    sums = _timed_mode_sums(phis, gy, gz, b_f, u_f, times)
+    return _correlators_from_sums(phis, sums, quench.initial.N)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +250,9 @@ def correlators_at(quench: QuenchSpec, t: float) -> CorrelatorSet:
     """Correlators of the evolved state at one instant."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    phis, gy, gz, b_f, u_f = _quench_blocks(quench)
-    nx, ny, nz = _bloch_at_times(gy, gz, b_f, u_f, np.array([t]))
-    mz, cxx, cyy, czz, cxy = _correlators_from_bloch(
-        phis, nx[0], ny[0], nz[0], quench.initial.N)
-    return CorrelatorSet(mz=float(mz), cxx=float(cxx), cyy=float(cyy),
-                         czz=float(czz), cxy=float(cxy), cyx=float(cxy), t=t)
+    mz, cxx, cyy, czz, cxy = (float(v[0]) for v in
+                              _timed_correlators(quench, np.array([t], dtype=float)))
+    return CorrelatorSet(mz=mz, cxx=cxx, cyy=cyy, czz=czz, cxy=cxy, cyx=cxy, t=t)
 
 
 def one_body_correlations(quench: QuenchSpec, t: float) -> OneBodyCorrelations:
@@ -203,14 +260,13 @@ def one_body_correlations(quench: QuenchSpec, t: float) -> OneBodyCorrelations:
     if t < 0:
         raise ValueError("t must be >= 0")
     phis, gy, gz, b_f, u_f = _quench_blocks(quench)
-    nx, ny, nz = _bloch_at_times(gy, gz, b_f, u_f, np.array([t]))
-    nx, ny, nz = nx[0], ny[0], nz[0]
+    s_z, m_cos, m_sin, m_x = (float(v[0]) for v in _timed_mode_sums(
+        phis, gy, gz, b_f, u_f, np.array([t], dtype=float)))
     N = quench.initial.N
-    cos_p, sin_p = np.cos(phis), np.sin(phis)
-    g0 = float(np.sum(1.0 - nz)) / N
-    g = complex(np.sum(cos_p * (1.0 - nz))) / N
-    f = complex(np.sum(sin_p * ny) - 1j * np.sum(sin_p * nx)) / N
-    return OneBodyCorrelations(G0=g0, G=g, F=f)
+    sum_cos = float(np.sum(np.cos(phis)))
+    return OneBodyCorrelations(G0=(phis.size - s_z) / N,
+                               G=complex(sum_cos - m_cos) / N,
+                               F=complex(m_sin, -m_x) / N)
 
 
 def steady_correlators(quench: QuenchSpec) -> CorrelatorSet:
@@ -223,24 +279,22 @@ def steady_correlators(quench: QuenchSpec) -> CorrelatorSet:
     """
     phis, gy, gz, b_f, u_f = _quench_blocks(quench)
     ny, nz, _ = _steady_bloch(gy, gz, b_f, u_f)
-    nx = np.zeros_like(ny)
-    mz, cxx, cyy, czz, cxy = _correlators_from_bloch(
-        phis, nx, ny, nz, quench.initial.N)
+    sums = (np.sum(nz), np.sum(np.cos(phis) * nz), np.sum(np.sin(phis) * ny), 0.0)
+    mz, cxx, cyy, czz, cxy = _correlators_from_sums(phis, sums, quench.initial.N)
     return CorrelatorSet(mz=float(mz), cxx=float(cxx), cyy=float(cyy),
                          czz=float(czz), cxy=float(cxy), cyx=float(cxy),
                          t=STEADY)
 
 
-def correlator_time_series(quench: QuenchSpec, grid: TimeGrid) -> list[CorrelatorSet]:
-    """Correlators sampled on a uniform grid (exact at every sample)."""
+def correlator_arrays(quench: QuenchSpec, grid: TimeGrid):
+    """Sample times and (mz, cxx, cyy, czz, cxy) on a uniform grid, as
+    arrays (C_yx = C_xy).  Each sample is exact: no time stepping."""
     times = grid.times()
-    if times.size == 0:
-        raise ValueError("empty time grid")
-    phis, gy, gz, b_f, u_f = _quench_blocks(quench)
-    nx, ny, nz = _bloch_at_times(gy, gz, b_f, u_f, times)
-    mz, cxx, cyy, czz, cxy = _correlators_from_bloch(
-        phis, nx, ny, nz, quench.initial.N)
-    return [CorrelatorSet(mz=float(mz[k]), cxx=float(cxx[k]), cyy=float(cyy[k]),
-                          czz=float(czz[k]), cxy=float(cxy[k]),
-                          cyx=float(cxy[k]), t=float(times[k]))
-            for k in range(times.size)]
+    return (times, *_timed_correlators(quench, times))
+
+
+def correlator_time_series(quench: QuenchSpec, grid: TimeGrid) -> list[CorrelatorSet]:
+    """correlator_arrays as one CorrelatorSet per sample."""
+    return [CorrelatorSet(mz=mz, cxx=cxx, cyy=cyy, czz=czz, cxy=cxy, cyx=cxy, t=t)
+            for t, mz, cxx, cyy, czz, cxy in
+            zip(*(v.tolist() for v in correlator_arrays(quench, grid)))]

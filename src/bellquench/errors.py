@@ -6,7 +6,9 @@ class BellquenchError(Exception):
 
 
 class ResourceCapError(BellquenchError):
-    """Requested system size exceeds the dense-solver cap."""
+    """A request exceeds a size cap (CLI exit code 4): N beyond the
+    dense-solver cap, or an evolve time grid above
+    dynamics.MAX_TIME_SAMPLES samples."""
 
 
 class DegenerateGroundStateError(BellquenchError):

@@ -46,25 +46,35 @@ def write_json(path, obj) -> None:
         fh.write(json_text(obj))
 
 
-def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return fmt_float(value)
-    return str(value)
+# Cells formatted per write: the text and the Python floats of one
+# block of rows are all that is held at a time.
+CSV_BLOCK_CELLS = 4096
 
 
 def write_csv(path, header, rows) -> None:
+    """Header plus rows of numbers, one value per header column.
+
+    rows is a 2-D array or a sequence of rows of floats and ints.  Each
+    row is formatted by one %-format of 17-digit fields (the same text
+    as fmt_float); blocks of about CSV_BLOCK_CELLS values are formatted
+    and written in turn, in one pass over the rows.
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    step = max(1, CSV_BLOCK_CELLS // len(header))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(str(h) for h in header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            fh.write("".join([line % tuple(row) for row in block]))
 
 
 def write_matrix_csv(path, matrix, axis, corner="q_i\\q_f") -> None:
     """Matrix with the grid values as row/column labels."""
     header = [corner] + [fmt_float(q) for q in axis]
-    rows = ([fmt_float(axis[i])] + [fmt_float(v) for v in matrix[i]]
-            for i in range(len(axis)))
-    write_csv(path, header, rows)
+    write_csv(path, header, np.column_stack([np.asarray(axis, dtype=float),
+                                             np.asarray(matrix, dtype=float)]))
 
 
 def sha256_file(path) -> str:

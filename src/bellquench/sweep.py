@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bell import xstate_log_negativity
 from .errors import ThresholdUndefinedError
 from .model import (BOUNDARY_TOL, ModelParams, QuenchKind,
                     field_quench, coupling_quench, same_phase_area)
@@ -199,21 +200,6 @@ def _bell_map(cxx, cyy, czz):
     return 2.0 * np.sqrt(lam_plus + second)
 
 
-def _entanglement_map(mz, cxx, cyy, czz):
-    """Log-negativity of the steady X-state, elementwise."""
-    r00 = (1.0 + 2.0 * mz + czz) / 4.0
-    r11 = (1.0 - czz) / 4.0
-    r33 = (1.0 - 2.0 * mz + czz) / 4.0
-    outer_off = (cxx + cyy) / 4.0
-    inner_off = (cxx - cyy) / 4.0
-    half_sum = (r00 + r33) / 2.0
-    rad = np.sqrt(((r00 - r33) / 2.0) ** 2 + outer_off ** 2)
-    trace_norm = (np.abs(half_sum + rad) + np.abs(half_sum - rad)
-                  + np.abs(r11 + np.abs(inner_off))
-                  + np.abs(r11 - np.abs(inner_off)))
-    return np.log2(trace_norm)
-
-
 def _phase_codes(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray):
     """Per-value phase index (0/1) and on-boundary flag, vectorized."""
     if kind is QuenchKind.FIELD:
@@ -298,7 +284,7 @@ def sweep(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
     if quantifier is Quantifier.BELL:
         values = _bell_map(cxx, cyy, czz)
     elif quantifier is Quantifier.ENTANGLEMENT:
-        values = _entanglement_map(mz, cxx, cyy, czz)
+        values = xstate_log_negativity(mz, cxx, cyy, czz, 0.0)
     else:
         values = czz
     code, boundary = _phase_codes(kind, fixed, qs)
@@ -321,7 +307,7 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
     out = {}
     for quantifier, values in ((Quantifier.BELL, _bell_map(cxx, cyy, czz)),
                                (Quantifier.ENTANGLEMENT,
-                                _entanglement_map(mz, cxx, cyy, czz)),
+                                xstate_log_negativity(mz, cxx, cyy, czz, 0.0)),
                                (Quantifier.CZZ, czz)):
         out[quantifier] = PhaseDiagram(kind=kind, fixed=fixed, grid=grid,
                                        quantifier=quantifier, values=values,
@@ -352,12 +338,17 @@ def critical_threshold(diagram: PhaseDiagram, boundary: str = "cross",
     return float(np.max([np.max(values[rows][:, cols]) for rows, cols in blocks]))
 
 
-def efficiency(diagram: PhaseDiagram, q_c: float,
-               absolute: bool = False) -> ThresholdReport:
+def efficiency(diagram: PhaseDiagram, q_c: float, absolute: bool = False,
+               boundary: str = "cross",
+               cross_lines: str = "model") -> ThresholdReport:
     """Fraction of the same-phase area certified by the threshold q_c.
 
     Detection is inclusive (value >= q_c); the denominator is the
     analytic same-phase area, not the discretized cell count.
+    n_cross_cells counts the cross set of the policy (boundary,
+    cross_lines), the cells critical_threshold takes its maximum over;
+    like critical_threshold, raises ThresholdUndefinedError when that
+    set is empty.
     """
     values = np.abs(diagram.values) if absolute else diagram.values
     same = diagram.same_phase_mask
@@ -369,9 +360,13 @@ def efficiency(diagram: PhaseDiagram, q_c: float,
     fixed_param = (diagram.fixed.alpha if diagram.kind is QuenchKind.FIELD
                    else diagram.fixed.h)
     area_same = same_phase_area(diagram.kind, fixed_param)
+    axis = np.arange(diagram.grid.count)
+    n_cross = sum(axis[rows].size * axis[cols].size for rows, cols in
+                  _cross_blocks(diagram.kind, diagram.fixed, diagram.grid.values(),
+                                boundary, cross_lines))
     return ThresholdReport(q_c=q_c, eta=area_detected / area_same,
                            area_detected=area_detected, area_same=area_same,
-                           n_cross_cells=int(np.count_nonzero(diagram.cross_phase_mask)),
+                           n_cross_cells=n_cross,
                            n_same_cells=n_same, n_detected_cells=n_detected)
 
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellquench.bell import (BellBranch, bell_eigenvalues, bell_time_average,
-                             bell_value, correlation_matrix,
+                             bell_value, chsh_arrays, correlation_matrix,
                              correlators_from_state, eigenvalue_competition,
                              log_negativity, partial_transpose,
-                             reconstruct_rho12)
-from bellquench.dynamics import CorrelatorSet, TimeGrid, correlator_time_series, steady_correlators
+                             reconstruct_rho12, xstate_log_negativity)
+from bellquench.dynamics import (CorrelatorSet, TimeGrid, correlator_time_series,
+                                 correlators_at, steady_correlators)
 from bellquench.errors import InconsistentCorrelatorsError
-from bellquench.model import ModelParams, field_quench
+from bellquench.model import ModelParams, coupling_quench, field_quench
 
 
 def cset(mz=0.0, cxx=0.0, cyy=0.0, czz=0.0, cxy=0.0, cyx=None, t=0.0):
@@ -223,3 +225,90 @@ def test_time_average_map_weaker_contrast():
     assert contrast_avg < contrast_steady
     corr = np.corrcoef(steady_map.ravel(), avg_map.ravel())[0, 1]
     assert corr > 0.9
+
+
+# ---------------------------------------------------------------------------
+# Array kernels against the generic 4 x 4 path
+
+def generic_bell(c):
+    t_mat = correlation_matrix(c)
+    eigs = np.sort(np.linalg.eigvalsh(t_mat.T @ t_mat))
+    return 2.0 * np.sqrt(eigs[-1] + eigs[-2])
+
+
+def kernel_values(series):
+    """chsh_arrays and xstate_log_negativity over a list of CorrelatorSets."""
+    mz, cxx, cyy, czz, cxy = (np.array([getattr(c, k) for c in series])
+                              for k in ("mz", "cxx", "cyy", "czz", "cxy"))
+    return (chsh_arrays(cxx, cyy, czz, cxy, cxy)[3],
+            xstate_log_negativity(mz, cxx, cyy, czz, cxy))
+
+
+def assert_kernels_match_generic(series):
+    bell, logneg = kernel_values(series)
+    for k, c in enumerate(series):
+        assert abs(bell[k] - generic_bell(c)) < 1e-12
+        assert abs(logneg[k] - log_negativity(reconstruct_rho12(c))) < 1e-12
+
+
+@st.composite
+def xstates(draw):
+    """Correlators of a random X-state with a real rho_12 (so C_yx = C_xy)
+    and a complex rho_03 (so C_xy != 0)."""
+    weights = [draw(st.floats(0.01, 1.0)) for _ in range(4)]
+    diag = np.array(weights) / sum(weights)
+    r03 = np.sqrt(diag[0] * diag[3]) * draw(st.floats(0.0, 1.0))
+    phase = draw(st.floats(0.05, 2 * np.pi - 0.05))
+    r12 = np.sqrt(diag[1] * diag[2]) * draw(st.floats(-1.0, 1.0))
+    rho = np.diag(diag).astype(complex)
+    rho[0, 3] = r03 * np.exp(1j * phase)
+    rho[3, 0] = np.conj(rho[0, 3])
+    rho[1, 2] = rho[2, 1] = r12
+    # equal local magnetizations, as translation invariance gives
+    rho[1, 1] = rho[2, 2] = 0.5 * (diag[1] + diag[2])
+    return correlators_from_state(rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(xstates(), min_size=1, max_size=8))
+def test_array_kernels_match_generic_on_random_xstates(series):
+    assert_kernels_match_generic(series)
+
+
+# at alpha = 2 the field line h_c = -1 + 2**(1 - alpha) is h = -0.5, and
+# the coupling line alpha_c = 1 - log2(1 + h) at h = -0.5 is alpha = 2
+CRITICAL_ALPHA = 2.0
+H_C = -1.0 + 2.0 ** (1.0 - CRITICAL_ALPHA)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       h_i=st.sampled_from([1.0, -1.0, H_C]) | st.floats(-2.5, 2.5),
+       h_f=st.sampled_from([1.0, H_C]) | st.floats(-2.5, 2.5),
+       t=st.floats(0.0, 30.0), n=st.sampled_from([8, 16, 64]))
+def test_array_kernels_match_generic_on_model_states(gamma, h_i, h_f, t, n):
+    # gamma = 0 and fields exactly on a critical line are drawn alongside
+    # generic values; finite t gives C_xy != 0
+    base = ModelParams(N=n, gamma=gamma, alpha=CRITICAL_ALPHA, h=h_i)
+    quench = field_quench(base, h_i, h_f)
+    coupling = coupling_quench(base.replace(h=H_C), CRITICAL_ALPHA, 1.0 + t / 10)
+    series = [correlators_at(quench, t), steady_correlators(quench),
+              correlators_at(coupling, t)]
+    assert_kernels_match_generic(series)
+
+
+def test_array_kernels_scalar_path_bits():
+    # bell_value is a call into chsh_arrays: same bits for floats and arrays
+    rng = np.random.default_rng(3)
+    series = [random_xstate_correlators(rng)[0] for _ in range(200)]
+    cxx, cyy, czz, cxy, cyx = (np.array([getattr(c, k) for c in series])
+                               for k in ("cxx", "cyy", "czz", "cxy", "cyx"))
+    bell = chsh_arrays(cxx, cyy, czz, cxy, cyx)[3]
+    assert np.array_equal(bell, [bell_value(c) for c in series])
+
+
+def test_xstate_log_negativity_rejects_non_psd():
+    good = cset(cxx=0.4, cyy=0.4, czz=0.2)
+    bad = cset(cxx=1.0, cyy=-1.0, czz=1.0, mz=0.9)
+    with pytest.raises(InconsistentCorrelatorsError):
+        kernel_values([good, bad, good])

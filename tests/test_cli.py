@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from bellquench.cli import main
 from bellquench.output import sha256_file
@@ -261,3 +262,101 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     result = subprocess.run([sys.executable, "-c", code],
                             env=dict(os.environ, PYTHONPATH=src), check=False)
     assert result.returncode == 0
+
+
+EVOLVE_README = ["evolve", "--gamma", "1.0", "--alpha", "10", "--kind", "field",
+                 "--q-initial", "0.5", "--q-final", "2.5", "--n", "512"]
+
+
+class TestEvolveArrays:
+    def test_columns_match_scalar_path(self, tmp_path):
+        from bellquench.bell import bell_value, log_negativity, reconstruct_rho12
+        from bellquench.dynamics import correlators_at
+        from bellquench.model import ModelParams, field_quench
+
+        out = tmp_path / "e"
+        assert run(["evolve", "--gamma", "0.6", "--alpha", "1.5", "--kind",
+                    "field", "--q-initial", "0.3", "--q-final", "-1.7",
+                    "--t-max", "60", "--dt", "0.1", "--n", "64",
+                    "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=1)
+        q = field_quench(ModelParams(N=64, gamma=0.6, alpha=1.5, h=0.3), 0.3, -1.7)
+        for k in (0, 255, 256, 511, 512, rows.shape[0] - 1):
+            c = correlators_at(q, rows[k, 0])
+            expected = [c.mz, c.cxx, c.cyy, c.czz, c.cxy, c.cyx, bell_value(c),
+                        log_negativity(reconstruct_rho12(c))]
+            assert np.max(np.abs(rows[k, 1:] - expected)) < 1e-12
+
+    def test_memory_bound(self, tmp_path):
+        # N = 512, 12001 samples: the whole command (3.4 MB traced) and
+        # the CorrelatorSet list (4.0 MB) stay far below one (T x N/2)
+        # float array (24.6 MB)
+        import tracemalloc
+
+        from bellquench.dynamics import TimeGrid, correlator_time_series
+        from bellquench.model import ModelParams, field_quench
+
+        tracemalloc.start()
+        try:
+            assert run(EVOLVE_README + ["--t-max", "1200", "--dt", "0.1",
+                                        "--out", str(tmp_path / "m")]) == 0
+            evolve_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            q = field_quench(ModelParams(N=512, gamma=1.0, alpha=10.0, h=0.5), 0.5, 2.5)
+            assert len(correlator_time_series(q, TimeGrid(1200.0, 0.1))) == 12001
+            series_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert evolve_peak < 8e6
+        assert series_peak < 8e6
+
+    def test_time_grid_cap_exit_code(self, tmp_path, capsys):
+        import time
+
+        started = time.perf_counter()
+        assert run(EVOLVE_README + ["--t-max", "1e6", "--dt", "1e-6",
+                                    "--out", str(tmp_path / "cap")]) == 4
+        assert time.perf_counter() - started < 1.0
+        assert "resource cap" in capsys.readouterr().err
+        assert not (tmp_path / "cap").exists()
+
+    def test_non_psd_state_exit_code(self, tmp_path, monkeypatch, capsys):
+        import bellquench.cli as cli
+
+        def bad_arrays(quench, grid):
+            one = np.ones(2)
+            return 0.5 * np.arange(2), 0.9 * one, one, -one, one, 0.0 * one
+
+        monkeypatch.setattr(cli, "correlator_arrays", bad_arrays)
+        assert run(EVOLVE_README + ["--out", str(tmp_path / "bad")]) == 3
+        assert "non-positive" in capsys.readouterr().err
+
+    def test_workers_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(EVOLVE_README + ["--workers", "2", "--out", str(tmp_path / "w")])
+        assert exc.value.code == 2
+        config = tmp_path / "evolve.cfg"
+        config.write_text("workers = 2\n")
+        assert run(EVOLVE_README + ["--config", str(config),
+                                    "--out", str(tmp_path / "w")]) == 2
+
+
+def test_negative_points_list_forms(tmp_path):
+    digests = []
+    for tag, points in (("split", ["--points", "-0.7,0.3"]),
+                        ("joined", ["--points=-0.7,0.3"])):
+        out = tmp_path / tag
+        assert run(["threshold-curve", "--gamma", "0.4", "--kind", "coupling",
+                    *points, "--step", "0.1", "--n", "16",
+                    "--out", str(out)]) == 0
+        digests.append(sha256_file(out / "curve.csv"))
+    assert digests[0] == digests[1]
+    rows = (tmp_path / "split" / "curve.csv").read_text().splitlines()
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [-0.7, 0.3]
+
+
+def test_sweep_counts_cross_cells_of_its_policy(tmp_path):
+    out = tmp_path / "nc"
+    assert run(["sweep", "--gamma", "0.2", "--alpha", "10", "--kind", "field",
+                "--step", "0.1", "--n", "16", "--out", str(out)]) == 0
+    assert read_json(out / "results.json")["bell"]["n_cross_cells"] == 1760

@@ -5,9 +5,11 @@ from scipy.linalg import expm
 from bellquench.model import ModelParams, coupling_quench, field_quench
 from bellquench.momentum import (MomentumMode, build_block_hamiltonian,
                                  ground_block_state, mode_angles)
-from bellquench.dynamics import (STEADY, TimeGrid, correlator_time_series,
+from bellquench.dynamics import (MAX_TIME_SAMPLES, STEADY, TIME_CHUNK, TimeGrid,
+                                 correlator_arrays, correlator_time_series,
                                  correlators_at, evolve_block,
                                  one_body_correlations, steady_correlators)
+from bellquench.errors import ResourceCapError
 from bellquench import oracle
 
 CORRELATOR_FIELDS = ("mz", "cxx", "cyy", "czz", "cxy", "cyx")
@@ -180,6 +182,46 @@ class TestTimeSeries:
         czz = np.array([c.czz for c in series])
         late = czz[int(0.8 * czz.size):]
         assert late.std() < 0.02
+
+
+class TestTimedKernel:
+    def test_chunk_boundaries_match_single_time(self):
+        q = nn_quench(N=64, gamma=0.7, alpha=1.5, h_i=0.3, h_f=1.9)
+        grid = TimeGrid(0.1 * (2 * TIME_CHUNK + 10), 0.1)
+        series = correlator_time_series(q, grid)
+        assert len(series) == grid.count > 2 * TIME_CHUNK
+        for k in (TIME_CHUNK - 1, TIME_CHUNK, 2 * TIME_CHUNK - 1,
+                  2 * TIME_CHUNK, len(series) - 1):
+            assert max_dev(series[k], correlators_at(q, series[k].t)) < 1e-12
+
+    def test_arrays_match_series(self):
+        q = nn_quench(N=16, h_i=0.4, h_f=1.8)
+        grid = TimeGrid(3.0, 0.25)
+        times, mz, cxx, cyy, czz, cxy = correlator_arrays(q, grid)
+        for k, c in enumerate(correlator_time_series(q, grid)):
+            assert (c.t, c.mz, c.cxx, c.cyy, c.czz, c.cxy, c.cyx) == (
+                times[k], mz[k], cxx[k], cyy[k], czz[k], cxy[k], cxy[k])
+
+    def test_cap_refuses_before_allocating(self, monkeypatch):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("the capped grid was allocated")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        grid = TimeGrid(1e6, 1e-6)
+        assert grid.count == 10 ** 12 + 1
+        with pytest.raises(ResourceCapError):
+            grid.times()
+        with pytest.raises(ResourceCapError):
+            TimeGrid(0.5 * MAX_TIME_SAMPLES, 0.5).times()
+
+    def test_cap_is_inclusive(self):
+        assert TimeGrid(0.5 * (MAX_TIME_SAMPLES - 1), 0.5).times().size == MAX_TIME_SAMPLES
+
+    def test_non_finite_grid_rejected(self):
+        for t_max, dt in ((float("nan"), 0.1), (float("inf"), 0.1),
+                          (1.0, float("nan")), (1e300, 1e-300)):
+            with pytest.raises(ValueError):
+                TimeGrid(t_max, dt)
 
 
 class TestXStateProperty:

@@ -6,10 +6,10 @@ from bellquench.dynamics import steady_correlators
 from bellquench.errors import ThresholdUndefinedError
 from bellquench.model import (ModelParams, PhaseLabel, QuenchKind,
                               classify_pair, same_phase_area)
-from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier, _cross_blocks,
-                              critical_threshold, efficiency, steady_cell,
-                              sweep, sweep_all, threshold_curve,
-                              threshold_curve_coupling)
+from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier, _axis_blocks,
+                              _cross_blocks, _steady_maps, critical_threshold,
+                              efficiency, steady_cell, sweep, sweep_all,
+                              threshold_curve, threshold_curve_coupling)
 from bellquench import oracle
 from bellquench.dynamics import correlators_at
 
@@ -365,3 +365,47 @@ class TestThresholdCurveEquivalence:
                              "--out", str(out)]) == 0
                 written.append((out / "curve.csv").read_bytes())
             assert written[0] == written[1]
+
+
+def steady_entanglement_map(mz, cxx, cyy, czz):
+    """Log-negativity of the steady X-state written out for C_xy = 0
+    (|rho_03| = |C_xx - C_yy|/4); the sweep maps keep its bits."""
+    r00 = (1.0 + 2.0 * mz + czz) / 4.0
+    r11 = (1.0 - czz) / 4.0
+    r33 = (1.0 - 2.0 * mz + czz) / 4.0
+    outer_off = (cxx + cyy) / 4.0
+    inner_off = (cxx - cyy) / 4.0
+    half_sum = (r00 + r33) / 2.0
+    rad = np.sqrt(((r00 - r33) / 2.0) ** 2 + outer_off ** 2)
+    trace_norm = (np.abs(half_sum + rad) + np.abs(half_sum - rad)
+                  + np.abs(r11 + np.abs(inner_off))
+                  + np.abs(r11 - np.abs(inner_off)))
+    return np.log2(trace_norm)
+
+
+@pytest.mark.parametrize("kind, fixed, grid", [
+    (QuenchKind.FIELD, fixed_params(N=128, gamma=0.2, alpha=10.0), GridSpec(-3, 3, 0.05)),
+    (QuenchKind.FIELD, fixed_params(N=64, gamma=0.0, alpha=1.0), GridSpec(-3, 3, 0.1)),
+    (QuenchKind.COUPLING, fixed_params(N=128, gamma=0.8, h=-0.5), GridSpec(0.5, 3.0, 0.05)),
+])
+def test_entanglement_map_bits_unchanged(kind, fixed, grid):
+    (mz, cxx, cyy, czz), = _steady_maps(
+        fixed.N, *_axis_blocks(fixed, grid.values(), kind))
+    maps = sweep_all(kind, fixed, grid)
+    assert np.array_equal(maps[Quantifier.CZZ].values, czz)
+    assert np.array_equal(maps[Quantifier.ENTANGLEMENT].values,
+                          steady_entanglement_map(mz, cxx, cyy, czz))
+    assert np.array_equal(sweep(kind, fixed, grid, Quantifier.ENTANGLEMENT).values,
+                          maps[Quantifier.ENTANGLEMENT].values)
+
+
+def test_efficiency_counts_cross_cells_of_the_policy():
+    fixed = fixed_params(N=16, gamma=0.2, alpha=10.0)
+    diagram = sweep(QuenchKind.FIELD, fixed, GridSpec(-3, 3, 0.1), Quantifier.BELL)
+    q_c = critical_threshold(diagram, boundary="cross", cross_lines="nn_limit")
+    report = efficiency(diagram, q_c, boundary="cross", cross_lines="nn_limit")
+    assert report.n_cross_cells == 1760
+    # the model-line policy (the default) counts the complement of the
+    # same-phase mask
+    assert efficiency(diagram, q_c).n_cross_cells == int(
+        np.count_nonzero(diagram.cross_phase_mask)) == 1679
