@@ -6,12 +6,10 @@ __version__ = "0.1.0"
 from .model import (ModelParams, PhaseGeometry, QuenchKind, QuenchSpec,
                     coupling_profile, coupling_quench, field_quench,
                     kac_factor, phase_geometry, same_phase, same_phase_area)
-from .momentum import (BlockHamiltonian, BlockOperators, BlockState,
-                       MomentumMode, build_block_hamiltonian,
-                       build_block_operators, ground_block_state, mode_angles)
+from .momentum import mode_angles
 from .dynamics import (CorrelatorSet, OneBodyCorrelations, TimeGrid,
                        correlator_arrays, correlator_time_series,
-                       correlators_at, evolve_block, one_body_correlations,
+                       correlators_at, one_body_correlations,
                        steady_correlators)
 from .bell import (BellDiagnostics, bell_eigenvalues, bell_time_average,
                    bell_value, chsh_arrays, eigenvalue_competition,

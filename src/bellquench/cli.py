@@ -29,8 +29,7 @@ from . import __version__
 from .bell import chsh_arrays, xstate_log_negativity
 from .dynamics import TimeGrid, correlator_arrays
 from .errors import (BellquenchError, ConfigError, InconsistentCorrelatorsError,
-                     DegenerateGroundStateError, ResourceCapError,
-                     ThresholdUndefinedError)
+                     ResourceCapError, ThresholdUndefinedError)
 from .fit import fit_gaussian, fit_trigaussian
 from .model import (COUPLING_H_MAX, COUPLING_H_MIN, ModelParams, QuenchKind,
                     coupling_quench, field_quench)
@@ -378,8 +377,8 @@ def cmd_oracle(args):
                          alpha=config["alpha"], h=config["h_initial"])
     spectrum_dev = oracle_mod.spectrum_match(params)
     quench = field_quench(params, config["h_initial"], config["h_final"])
-    reference, rho12 = oracle_mod.oracle_quench(quench, config["t"])
     computed = dynamics.correlators_at(quench, config["t"])
+    reference, rho12 = oracle_mod.oracle_quench(quench, config["t"])
     correlator_dev = max(abs(getattr(computed, k) - getattr(reference, k))
                          for k in ("mz", "cxx", "cyy", "czz", "cxy", "cyx"))
     obs = oracle_mod.pair_observables(rho12)
@@ -476,8 +475,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ThresholdUndefinedError, InconsistentCorrelatorsError,
-            DegenerateGroundStateError) as exc:
+    except (ThresholdUndefinedError, InconsistentCorrelatorsError) as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return 3
     except ResourceCapError as exc:

@@ -23,8 +23,8 @@ n_x sector flips under complex conjugation, so only a full dynamical
 cross-check can pin them): the evolution operator is the physical
 exp(-i H_p t), and with the standard sigma_y the xy weight is
 +sin(phi) n_x; the opposite sign belongs to the conjugate
-fermionization convention (sigma_y -> -sigma_y) in which the tau^{xy}
-blocks of `momentum` are written.
+fermionization convention (sigma_y -> -sigma_y).  The initial vectors
+come from momentum.ground_bloch, the kernel the sweeps share.
 
 Timed values come from one kernel, _timed_mode_sums: for a vector of
 times it rotates the Bloch vectors and takes the four mode sums
@@ -36,8 +36,10 @@ applies to each (time, mode) element the same operations in the same
 order as a one-sample call: a sample's correlators do not depend on
 the chunk it falls in.  correlators_at, one_body_correlations,
 correlator_time_series and correlator_arrays (the array form evolve
-writes) all call it.  A time grid above MAX_TIME_SAMPLES samples is
-refused with ResourceCapError before anything is allocated.
+writes) all call it; they refuse a NaN, infinite or negative time
+with ValueError.  correlator_arrays checks momentum.check_footprint and
+TimeGrid.times() refuses a grid above MAX_TIME_SAMPLES samples, both
+with ResourceCapError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .model import QuenchSpec
-from .momentum import (DEGENERACY_TOL, BlockHamiltonian, BlockState,
-                       dispersion, mode_angles)
+from .momentum import (MEMORY_CAP, SAMPLE_BYTES, check_footprint,
+                       dispersion, ground_bloch, mode_angles)
 
 STEADY = "steady"
 
@@ -59,13 +61,10 @@ STEADY = "steady"
 TIME_CHUNK = 256
 
 # Largest time grid the timed path accepts.  `bellquench evolve` keeps
-# at most SAMPLE_BYTES per sample at its peak: the output columns and
-# the kernels' temporaries over them (traced at N = 512: 3.4 MB for
-# 12001 samples, 19.3 MB for 120001, so 147 B per sample), while the
-# chunks and the CSV blocks are of fixed size.  The cap holds a run
-# under 1 GiB.
-SAMPLE_BYTES = 256
-MAX_TIME_SAMPLES = 2 ** 30 // SAMPLE_BYTES
+# at most SAMPLE_BYTES per sample at its peak (traced at N = 512: 3.4 MB
+# for 12001 samples, 19.3 MB for 120001), while the chunks and the CSV
+# blocks are of fixed size.
+MAX_TIME_SAMPLES = MEMORY_CAP // SAMPLE_BYTES
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,6 @@ class CorrelatorSet:
     cyx: float
     t: float | str = 0.0
 
-    def as_dict(self) -> dict:
-        return {"mz": self.mz, "cxx": self.cxx, "cyy": self.cyy,
-                "czz": self.czz, "cxy": self.cxy, "cyx": self.cyx}
-
 
 @dataclass(frozen=True)
 class OneBodyCorrelations:
@@ -133,14 +128,8 @@ def _quench_blocks(quench: QuenchSpec):
     phis = mode_angles(quench.initial.N)
     a_i, b_i = dispersion(quench.initial, phis)
     a_f, b_f = dispersion(quench.final, phis)
-    u_i = a_i + quench.initial.h
-    u_f = a_f + quench.final.h
-    lam_i = np.hypot(u_i, b_i)
-    degen = lam_i < DEGENERACY_TOL
-    safe = np.where(degen, 1.0, lam_i)
-    gy = np.where(degen, 0.0, b_i / safe)
-    gz = np.where(degen, -1.0, u_i / safe)
-    return phis, gy, gz, b_f, u_f
+    _, gy, gz = ground_bloch(a_i + quench.initial.h, b_i)
+    return phis, gy, gz, b_f, a_f + quench.final.h
 
 
 def _steady_bloch(gy, gz, b_f, u_f):
@@ -222,34 +211,14 @@ def _timed_correlators(quench: QuenchSpec, times: np.ndarray):
 # ---------------------------------------------------------------------------
 # Public operations
 
-def evolve_block(rho0: BlockState, hfinal: BlockHamiltonian, t: float) -> BlockState:
-    """Exact unitary evolution of one block: rho(t) = U rho0 U+ with
-    U = exp(-i H_p t)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    a, b, h = hfinal.a, hfinal.b, hfinal.h
-    u = a + h
-    lam = np.hypot(u, b)
-    # Even sector: exp(-i(a I + d.sigma) t) up to the global phase
-    # exp(-i a t), which cancels in rho.  d = (0, -b, -u).
-    c, s = np.cos(lam * t), np.sin(lam * t)
-    if lam > 0:
-        dy, dz = -b / lam, -u / lam
-    else:
-        dy = dz = 0.0
-    u2 = np.array([[c - 1j * s * dz, -s * dy],
-                   [s * dy, c + 1j * s * dz]], dtype=complex)
-    rho = np.array(rho0.rho, dtype=complex, copy=True)
-    rho[:2, :2] = u2 @ rho[:2, :2] @ u2.conj().T
-    # Singles evolve by pure phases exp(-i a t) that cancel on the
-    # diagonal; their off-diagonal is zero by the block structure.
-    return BlockState(rho=rho)
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
 
 
 def correlators_at(quench: QuenchSpec, t: float) -> CorrelatorSet:
     """Correlators of the evolved state at one instant."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     mz, cxx, cyy, czz, cxy = (float(v[0]) for v in
                               _timed_correlators(quench, np.array([t], dtype=float)))
     return CorrelatorSet(mz=mz, cxx=cxx, cyy=cyy, czz=czz, cxy=cxy, cyx=cxy, t=t)
@@ -257,8 +226,7 @@ def correlators_at(quench: QuenchSpec, t: float) -> CorrelatorSet:
 
 def one_body_correlations(quench: QuenchSpec, t: float) -> OneBodyCorrelations:
     """Fermionic one-body functions of the evolved state."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     phis, gy, gz, b_f, u_f = _quench_blocks(quench)
     s_z, m_cos, m_sin, m_x = (float(v[0]) for v in _timed_mode_sums(
         phis, gy, gz, b_f, u_f, np.array([t], dtype=float)))
@@ -289,6 +257,7 @@ def steady_correlators(quench: QuenchSpec) -> CorrelatorSet:
 def correlator_arrays(quench: QuenchSpec, grid: TimeGrid):
     """Sample times and (mz, cxx, cyy, czz, cxy) on a uniform grid, as
     arrays (C_yx = C_xy).  Each sample is exact: no time stepping."""
+    check_footprint(quench.initial.N, TIME_CHUNK, samples=grid.count)
     times = grid.times()
     return (times, *_timed_correlators(quench, times))
 

@@ -7,12 +7,8 @@ class BellquenchError(Exception):
 
 class ResourceCapError(BellquenchError):
     """A request exceeds a size cap (CLI exit code 4): N beyond the
-    dense-solver cap, or an evolve time grid above
-    dynamics.MAX_TIME_SAMPLES samples."""
-
-
-class DegenerateGroundStateError(BellquenchError):
-    """A momentum block has an exactly degenerate ground doublet (strict mode)."""
+    dense-solver cap, an estimated peak above momentum.MEMORY_CAP, or
+    an evolve time grid above dynamics.MAX_TIME_SAMPLES samples."""
 
 
 class ThresholdUndefinedError(BellquenchError):

@@ -1,18 +1,18 @@
-"""Momentum-space 4x4 blocks of the chain and its observables.
+"""Momentum-space blocks of the chain: mode grid, dispersion, ground state.
 
 After the fermion mapping the Hamiltonian splits into independent
-blocks over (p, -p) mode pairs with basis
-
-    { |0>,  c+_p c+_{-p} |0>,  c+_p |0>,  c+_{-p} |0> }.
-
-Two conventions are fixed here once and tested against the dense spin
-solver (see tests/test_oracle.py):
+blocks over (p, -p) mode pairs.  The even sector {|0>, c+_p c+_{-p} |0>}
+of each block is the two-level problem a*I - b*sigma_y - u*sigma_z
+with u = a + h, so a block state is a Bloch vector; the singly occupied
+states never enter a quench.  Three conventions are fixed here once:
 
 * Momentum grid: even-fermion-parity states of the periodic spin chain
   carry antiperiodic fermions, so the physical blocks sit at
   phi = pi*(2m - 1)/N, m = 1 .. N/2.  The integer grid phi = 2*pi*m/N
   belongs to the odd-parity sector and is used only when assembling
-  full spectra.
+  full spectra.  Pinned against the dense solver by
+  test_oracle.py::TestSpectrumEquivalence and
+  test_momentum.py::TestGroundEnergy.
 
 * Coupling sign: with ferromagnetic couplings (J > 0) the quadratic
   fermion form carries hopping and pairing amplitudes -J_r, so the
@@ -20,31 +20,41 @@ solver (see tests/test_oracle.py):
   b = -gamma * sum_r J_r sin(phi r).  This is what places the critical
   fields at h_c = -1 + 2**(1-alpha) and h_c2 = +1; the opposite sign
   would put them at (1 - 2**(1-alpha), -1) and fail the dense check.
+  Pinned by the dispersion tests of test_momentum.py and by
+  test_dynamics.py::TestCorrelatorsAt::test_matches_oracle_n10.
+
+* Ground state: ground_bloch, the one initial-state kernel of every
+  engine, points along (0, b, u)/Lambda, with |pair> = (0, -1) at a
+  degenerate doublet.  Pinned by test_momentum.py::TestGroundBloch and
+  by the dense-oracle comparisons of test_dynamics.py and test_sweep.py.
+
+check_footprint is the one estimate of a run's peak memory; the
+sweeps, the threshold curves and dynamics.correlator_arrays call it
+before their first large allocation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateGroundStateError
+from .errors import ResourceCapError
 from .model import ModelParams, coupling_profile
 
 # Gap below which the even-sector doublet counts as exactly degenerate.
 DEGENERACY_TOL = 1e-14
 
-
-@dataclass(frozen=True)
-class MomentumMode:
-    """One (p, -p) block, identified by its index and angle phi."""
-
-    index: int
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 < self.phi <= np.pi:
-            raise ValueError(f"phi must lie in (0, pi], got {self.phi}")
+# Largest estimated peak a run may hold; check_footprint refuses more.
+MEMORY_CAP = 2 ** 30
+# Peak bytes per element, traced with tracemalloc at N = 512 on the
+# 601 x 601 grid and rounded up: 24 per (phi, r) entry of the dispersion
+# tables; 115 (field) and 123 (coupling) per (grid value, mode) entry of
+# the axis and factor arrays of the steady maps; 80 per cell of the maps
+# a sweep holds; 147 per sample of an evolve time grid (its output
+# columns and the kernels' temporaries over them).
+TABLE_BYTES = 32
+FACTOR_BYTES = 128
+MAP_BYTES = 96
+SAMPLE_BYTES = 256
 
 
 def mode_angles(N: int, sector: str = "antiperiodic") -> np.ndarray:
@@ -64,11 +74,6 @@ def mode_angles(N: int, sector: str = "antiperiodic") -> np.ndarray:
         m = np.arange(1, N // 2, dtype=float)
         return 2.0 * np.pi * m / N
     raise ValueError(f"unknown sector {sector!r}")
-
-
-def modes(params: ModelParams, sector: str = "antiperiodic") -> list[MomentumMode]:
-    return [MomentumMode(i + 1, phi)
-            for i, phi in enumerate(mode_angles(params.N, sector))]
 
 
 def dispersion(params: ModelParams, phis: np.ndarray,
@@ -100,152 +105,45 @@ def dispersion(params: ModelParams, phis: np.ndarray,
     return a, b
 
 
-@dataclass(frozen=True)
-class BlockHamiltonian:
-    """The 4x4 Hamiltonian of one momentum block.
+def ground_bloch(u, b):
+    """(Lambda, n_y, n_z) of the ground state of each block's even doublet.
 
-    matrix = [[-h, ib, 0, 0], [-ib, 2a+h, 0, 0], [0, 0, a, 0],
-    [0, 0, 0, a]]; the scalar -h offset is kept so that block energies
-    sum to the full chain energy.
+    u = a + h and b are arrays of any one shape.  The even 2x2 block is
+    a*I - b*sigma_y - u*sigma_z in the {|0>, |pair>} basis, so its
+    levels are a -+ Lambda with Lambda = hypot(u, b) and the ground
+    state points along (0, b, u)/Lambda.  Below DEGENERACY_TOL the
+    doublet counts as degenerate and the state is |pair>, (0, -1): the
+    one continuous with the h - eps limit.
     """
-
-    a: float
-    b: float
-    h: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        a, b, h = self.a, self.b, self.h
-        return np.array([
-            [-h, 1j * b, 0, 0],
-            [-1j * b, 2 * a + h, 0, 0],
-            [0, 0, a, 0],
-            [0, 0, 0, a],
-        ], dtype=complex)
-
-    @property
-    def gap(self) -> float:
-        """Splitting 2*Lambda of the even-sector doublet."""
-        return 2.0 * np.hypot(self.a + self.h, self.b)
-
-
-def build_block_hamiltonian(params: ModelParams, mode: MomentumMode) -> BlockHamiltonian:
-    a, b = dispersion(params, np.array([mode.phi]))
-    return BlockHamiltonian(a=float(a[0]), b=float(b[0]), h=params.h)
-
-
-@dataclass(frozen=True)
-class BlockOperators:
-    """Momentum blocks of the nearest-neighbor two-site Pauli operators.
-
-    `sz` carries the conventional sign in which the pair state reads
-    +1; the magnetization operator with the physical orientation (the
-    fermion vacuum is the fully polarized m_z = +1 state) is
-    `magnetization_block`.
-    """
-
-    txx: np.ndarray
-    tyy: np.ndarray
-    txy: np.ndarray
-    tyx: np.ndarray
-    sz: np.ndarray
-
-
-def build_block_operators(mode: MomentumMode) -> BlockOperators:
-    s, c = np.sin(mode.phi), np.cos(mode.phi)
-    txx = np.array([
-        [0, 1j * s, 0, 0],
-        [-1j * s, 2 * c, 0, 0],
-        [0, 0, c, 0],
-        [0, 0, 0, c],
-    ], dtype=complex)
-    tyy = np.array([
-        [0, -1j * s, 0, 0],
-        [1j * s, 2 * c, 0, 0],
-        [0, 0, c, 0],
-        [0, 0, 0, c],
-    ], dtype=complex)
-    txy = np.array([
-        [0, -s, 0, 0],
-        [-s, 0, 0, 0],
-        [0, 0, s, 0],
-        [0, 0, 0, -s],
-    ], dtype=complex)
-    tyx = np.array([
-        [0, -s, 0, 0],
-        [-s, 0, 0, 0],
-        [0, 0, -s, 0],
-        [0, 0, 0, s],
-    ], dtype=complex)
-    sz = np.diag([-1.0, 1.0, 0.0, 0.0]).astype(complex)
-    return BlockOperators(txx=txx, tyy=tyy, txy=txy, tyx=tyx, sz=sz)
-
-
-def magnetization_block() -> np.ndarray:
-    """Block operator whose (2/N)-weighted trace sum gives m_z.
-
-    diag(+1, -1, 0, 0): the sign is fixed by requiring m_z -> +1 for
-    the fermion vacuum (h -> +infinity polarized limit), which the
-    dense spin solver confirms.
-    """
-    return np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
-
-
-@dataclass(frozen=True)
-class BlockState:
-    """4x4 density matrix of one momentum block (unit trace, PSD)."""
-
-    rho: np.ndarray
-
-    def validate(self, atol: float = 1e-10) -> None:
-        rho = self.rho
-        if rho.shape != (4, 4):
-            raise ValueError("block state must be 4x4")
-        if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
-            raise ValueError("block state must have unit trace")
-        if not np.allclose(rho, rho.conj().T, atol=atol):
-            raise ValueError("block state must be Hermitian")
-        if np.linalg.eigvalsh(rho).min() < -1e-10:
-            raise ValueError("block state must be positive semidefinite")
-        if np.max(np.abs(rho[:2, 2:])) > atol or np.max(np.abs(rho[2:, :2])) > atol:
-            raise ValueError("even/single off-blocks must vanish")
-
-
-def ground_bloch(a: float, b: float, h: float, strict: bool = False) -> tuple[float, float]:
-    """Bloch vector (n_y, n_z) of the even-sector ground doublet.
-
-    The even 2x2 block is a*I - b*sigma_y - (a+h)*sigma_z in the
-    {|0>, |pair>} basis, so the ground state points along
-    (0, b, a+h)/Lambda.  At an exact degeneracy (Lambda ~ 0) the state
-    continuous with the h - eps limit is |pair>, i.e. (0, -1); strict
-    mode raises instead.
-    """
-    u = a + h
     lam = np.hypot(u, b)
-    if lam < DEGENERACY_TOL:
-        if strict:
-            raise DegenerateGroundStateError(
-                f"even-sector gap {2 * lam:.3e} below tolerance")
-        return 0.0, -1.0
-    return b / lam, u / lam
+    degen = lam < DEGENERACY_TOL
+    safe = np.where(degen, 1.0, lam)
+    return lam, np.where(degen, 0.0, b / safe), np.where(degen, -1.0, u / safe)
 
 
-def ground_block_state(params: ModelParams, mode: MomentumMode,
-                       strict: bool = False) -> BlockState:
-    """Pure ground state of one block; singles never populated."""
-    hp = build_block_hamiltonian(params, mode)
-    ny, nz = ground_bloch(hp.a, hp.b, hp.h, strict=strict)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = (1.0 + nz) / 2.0
-    rho[1, 1] = (1.0 - nz) / 2.0
-    rho[0, 1] = -1j * ny / 2.0
-    rho[1, 0] = 1j * ny / 2.0
-    return BlockState(rho=rho)
+def check_footprint(N: int, rows: int = 0, cells: int = 0,
+                    samples: int = 0) -> int:
+    """Estimated peak bytes of a run over the N/2 modes of a chain.
+
+    Counts the (N/2)^2 dispersion tables, `rows` x N/2 factor arrays
+    (grid values, or a chunk of times), `cells` map cells and `samples`
+    time samples.  Raises ResourceCapError above MEMORY_CAP; it
+    allocates nothing, so callers run it first.
+    """
+    modes = N // 2
+    need = (TABLE_BYTES * modes * modes + FACTOR_BYTES * rows * modes
+            + MAP_BYTES * cells + SAMPLE_BYTES * samples)
+    if need > MEMORY_CAP:
+        raise ResourceCapError(
+            f"estimated peak of {need:.3g} B (N = {N}, {rows} rows, "
+            f"{cells} cells, {samples} samples) exceeds the cap of "
+            f"{MEMORY_CAP} B")
+    return need
 
 
 def ground_energy(params: ModelParams) -> float:
     """Ground energy of the even-parity sector: sum over blocks of a - Lambda."""
     phis = mode_angles(params.N)
     a, b = dispersion(params, phis)
-    lam = np.hypot(a + params.h, b)
+    lam, _, _ = ground_bloch(a + params.h, b)
     return float(np.sum(a - lam))

@@ -32,6 +32,7 @@ identical for every worker count.
 from __future__ import annotations
 
 import enum
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ from .bell import xstate_log_negativity
 from .errors import ThresholdUndefinedError
 from .model import (BOUNDARY_TOL, ModelParams, QuenchKind,
                     field_quench, coupling_quench, same_phase_area)
-from .momentum import dispersion, mode_angles
+from .momentum import check_footprint, dispersion, ground_bloch, mode_angles
 
 # Rows per work item; fixed so that chunking (and hence every BLAS call
 # shape) does not depend on the worker count.
@@ -63,6 +64,9 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
+        for name in ("q_min", "q_max", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.q_min >= self.q_max:
@@ -140,12 +144,7 @@ def _steady_maps(N: int, phis, b, u, blocks=((None, None),),
     Yields one (mz, cxx, cyy, czz) per block; the per-value mode
     factors are computed once and shared by every block.
     """
-    lam = np.hypot(u, b)
-    degen_i = lam < 1e-14
-    safe = np.where(degen_i, 1.0, lam)
-    gy = np.where(degen_i, 0.0, b / safe)
-    gz = np.where(degen_i, -1.0, u / safe)
-
+    lam, gy, gz = ground_bloch(u, b)
     lam2 = lam * lam
     degen_f = lam < 1e-12
     safe2 = np.where(degen_f, 1.0, lam2)
@@ -278,6 +277,7 @@ def _cross_max(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray, axis,
 def sweep(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
           quantifier: Quantifier, workers: int = 1) -> PhaseDiagram:
     """Steady-state phase diagram of one quantifier over a quench grid."""
+    check_footprint(fixed.N, grid.count, grid.count ** 2)
     qs = grid.values()
     (mz, cxx, cyy, czz), = _steady_maps(fixed.N, *_axis_blocks(fixed, qs, kind),
                                         workers=workers)
@@ -298,6 +298,7 @@ def sweep(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
 def sweep_all(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
               workers: int = 1) -> dict[Quantifier, PhaseDiagram]:
     """All three quantifiers from one pass over the correlator maps."""
+    check_footprint(fixed.N, grid.count, grid.count ** 2)
     qs = grid.values()
     (mz, cxx, cyy, czz), = _steady_maps(fixed.N, *_axis_blocks(fixed, qs, kind),
                                         workers=workers)
@@ -382,6 +383,8 @@ def threshold_curve(gamma: float, alphas, grid: GridSpec = FIELD_GRID,
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
+    at_once = max(1, workers)  # points evaluated at the same time
+    check_footprint(N, at_once * grid.count, at_once * grid.count ** 2)
     qs = grid.values()
 
     def one(alpha):
@@ -409,6 +412,8 @@ def threshold_curve_coupling(gamma: float, hs, grid: GridSpec = COUPLING_GRID,
         raise ValueError("hs must be nonempty")
     for h in hs:
         same_phase_area(QuenchKind.COUPLING, float(h))  # range check
+    at_once = max(1, workers)  # points evaluated at the same time
+    check_footprint(N, at_once * grid.count, at_once * grid.count ** 2)
     qs = grid.values()
     phis = mode_angles(N)
     # the dispersion does not depend on h: one alpha axis serves every point

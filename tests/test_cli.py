@@ -248,6 +248,46 @@ class TestNonFiniteInput:
                     "--n", "16", "--out", str(tmp_path / "inf")]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--q-max", "inf"), ("--step", "nan")])
+    def test_sweep_non_finite_grid(self, tmp_path, capsys, flag, value):
+        assert run(["sweep", "--gamma", "0.2", "--alpha", "10", flag, value,
+                    "--n", "16", "--out", str(tmp_path / "g")]) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_oracle_non_finite_time(self, tmp_path, capsys, t):
+        out = tmp_path / "t"
+        assert run(["oracle", "--t", t, "--out", str(out)]) == 2
+        assert "t must be finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
+class TestResourceCap:
+    """Oversized inputs exit 4 at once, before any large allocation."""
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--gamma", "1.0", "--alpha", "10", "--q-initial", "0.5",
+         "--q-final", "2.5", "--n", "1000000"],
+        ["sweep", "--gamma", "0.2", "--alpha", "10", "--step", "1e-7"],
+        ["threshold-curve", "--gamma", "0.2", "--points", "1,2", "--step", "1e-7"],
+        ["threshold-curve", "--gamma", "0.8", "--kind", "coupling",
+         "--points=-0.5", "--n", "1000000"],
+    ])
+    def test_refused_before_allocating(self, tmp_path, monkeypatch, capsys, argv):
+        import time
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("an oversized array was allocated")
+
+        monkeypatch.setattr(np, "outer", no_alloc)
+        monkeypatch.setattr(np, "arange", no_alloc)
+        started = time.perf_counter()
+        assert run(argv + ["--out", str(tmp_path / "cap")]) == 4
+        assert time.perf_counter() - started < 1.0
+        assert "resource cap" in capsys.readouterr().err
+        assert not (tmp_path / "cap").exists()
+
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     import os

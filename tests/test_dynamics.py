@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from bellquench.model import ModelParams, coupling_quench, field_quench
-from bellquench.momentum import (MomentumMode, build_block_hamiltonian,
-                                 ground_block_state, mode_angles)
 from bellquench.dynamics import (MAX_TIME_SAMPLES, STEADY, TIME_CHUNK, TimeGrid,
                                  correlator_arrays, correlator_time_series,
-                                 correlators_at, evolve_block,
-                                 one_body_correlations, steady_correlators)
+                                 correlators_at, one_body_correlations,
+                                 steady_correlators)
 from bellquench.errors import ResourceCapError
 from bellquench import oracle
 
@@ -24,48 +21,13 @@ def max_dev(a, b):
     return max(abs(getattr(a, k) - getattr(b, k)) for k in CORRELATOR_FIELDS)
 
 
-class TestEvolveBlock:
-    def test_identity_at_zero(self):
-        p = ModelParams(N=8, gamma=0.6, alpha=1.4, h=0.3)
-        mode = MomentumMode(1, mode_angles(8)[1])
-        rho0 = ground_block_state(p, mode)
-        hp = build_block_hamiltonian(p.replace(h=2.0), mode)
-        assert np.allclose(evolve_block(rho0, hp, 0.0).rho, rho0.rho)
-
-    def test_stationary_eigenstate(self):
-        p = ModelParams(N=8, gamma=0.6, alpha=1.4, h=0.3)
-        mode = MomentumMode(1, mode_angles(8)[2])
-        rho0 = ground_block_state(p, mode)
-        hp = build_block_hamiltonian(p, mode)
-        evolved = evolve_block(rho0, hp, 1.7)
-        assert np.allclose(evolved.rho, rho0.rho, atol=1e-12)
-
-    def test_spectrum_preserved(self):
-        p = ModelParams(N=8, gamma=0.6, alpha=1.4, h=0.3)
-        mode = MomentumMode(1, mode_angles(8)[0])
-        rho0 = ground_block_state(p, mode)
-        hp = build_block_hamiltonian(p.replace(h=-1.1), mode)
-        evolved = evolve_block(rho0, hp, 2.9)
-        assert np.allclose(np.linalg.eigvalsh(evolved.rho),
-                           np.linalg.eigvalsh(rho0.rho), atol=1e-12)
-        evolved.validate()
-
-    def test_matches_dense_exponential(self):
-        p = ModelParams(N=8, gamma=0.6, alpha=1.4, h=0.3)
-        mode = MomentumMode(1, mode_angles(8)[1])
-        rho0 = ground_block_state(p, mode)
-        hp = build_block_hamiltonian(p.replace(h=1.9), mode)
-        t = 0.83
-        u = expm(-1j * hp.matrix * t)
-        expected = u @ rho0.rho @ u.conj().T
-        assert np.allclose(evolve_block(rho0, hp, t).rho, expected, atol=1e-12)
-
-    def test_negative_time_rejected(self):
-        p = ModelParams(N=8, gamma=0.6, alpha=1.4, h=0.3)
-        mode = MomentumMode(1, mode_angles(8)[1])
-        with pytest.raises(ValueError):
-            evolve_block(ground_block_state(p, mode),
-                         build_block_hamiltonian(p, mode), -0.1)
+@pytest.mark.parametrize("t", [-0.1, float("nan"), float("inf"), float("-inf")])
+def test_invalid_time_rejected(t):
+    q = nn_quench()
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        correlators_at(q, t)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        one_body_correlations(q, t)
 
 
 class TestCorrelatorsAt:

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from bellquench.errors import DegenerateGroundStateError
+from bellquench.errors import ResourceCapError
 from bellquench.model import ModelParams
-from bellquench.momentum import (MomentumMode,
-                                 build_block_hamiltonian,
-                                 build_block_operators, dispersion,
-                                 ground_block_state, ground_bloch,
-                                 ground_energy, mode_angles, modes,
-                                 magnetization_block)
+from bellquench.momentum import (DEGENERACY_TOL, MEMORY_CAP, check_footprint,
+                                 dispersion, ground_bloch, ground_energy,
+                                 mode_angles)
 from bellquench.oracle import ground_state_even
 
 
@@ -30,120 +28,124 @@ class TestModeGrid:
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            MomentumMode(1, 0.0)
-        with pytest.raises(ValueError):
             mode_angles(7)
 
-    def test_modes_constructor(self):
-        ms = modes(params(N=8))
-        assert [m.index for m in ms] == [1, 2, 3, 4]
-        assert np.allclose([m.phi for m in ms], mode_angles(8))
 
-
-class TestBlockHamiltonian:
-    def test_matrix_layout(self):
-        hp = build_block_hamiltonian(params(), MomentumMode(1, np.pi / 3))
-        m = hp.matrix
-        assert m[0, 0] == -0.5
-        assert m[1, 1] == pytest.approx(2 * hp.a + 0.5)
-        assert m[0, 1] == pytest.approx(1j * hp.b)
-        assert m[1, 0] == pytest.approx(-1j * hp.b)
-        assert m[2, 2] == m[3, 3] == pytest.approx(hp.a)
-        assert np.allclose(m, m.conj().T)
-
-    def test_phi_pi_nn_is_diagonal(self):
-        hp = build_block_hamiltonian(params(alpha=100.0), MomentumMode(4, np.pi))
-        assert abs(hp.b) < 1e-12
-        assert np.allclose(hp.matrix, np.diag(np.diag(hp.matrix)))
+class TestDispersion:
+    def test_phi_pi_nn_pairing_vanishes(self):
+        a, b = dispersion(params(alpha=100.0), np.array([np.pi]))
+        assert abs(b[0]) < 1e-12
+        assert a[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_zero_no_pairing(self):
-        for phi in mode_angles(8):
-            hp = build_block_hamiltonian(params(gamma=0.0), MomentumMode(1, phi))
-            assert hp.b == 0.0
+        _, b = dispersion(params(gamma=0.0), mode_angles(8))
+        assert np.all(b == 0.0)
 
     def test_nn_half_pi_block(self):
-        # NN limit, h=0, phi=pi/2: a = 0 and the even block couples
-        # |0> and |pair> with strength gamma; spectrum {-gamma, +gamma}.
+        # NN limit, h=0, phi=pi/2: a = 0 and the even doublet couples
+        # |0> and |pair> with strength gamma; levels a -+ Lambda = -+gamma.
         # The dense-solver-arbitrated coupling sign makes b = -gamma
         # (the opposite-sign convention is spectrum-equivalent).
         gamma = 0.7
-        hp = build_block_hamiltonian(params(gamma=gamma, alpha=100.0, h=0.0),
-                                     MomentumMode(1, np.pi / 2))
-        assert hp.a == pytest.approx(0.0, abs=1e-12)
-        assert hp.b == pytest.approx(-gamma, abs=1e-12)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 1] = -1j * gamma
-        expected[1, 0] = 1j * gamma
-        assert np.allclose(hp.matrix, expected, atol=1e-12)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(hp.matrix)),
-                           [-gamma, 0.0, 0.0, gamma], atol=1e-12)
-
-    def test_block_spectrum_closed_form(self):
-        # spectrum of the 4x4 equals {a - L, a, a, a + L} with
-        # L = sqrt((a+h)^2 + b^2), checked by a generic eigensolver
-        p = params(gamma=0.4, alpha=1.3, h=-0.7)
-        for phi in mode_angles(p.N):
-            hp = build_block_hamiltonian(p, MomentumMode(1, phi))
-            lam = np.hypot(hp.a + p.h, hp.b)
-            expected = np.sort([hp.a - lam, hp.a, hp.a, hp.a + lam])
-            assert np.allclose(np.linalg.eigvalsh(hp.matrix), expected,
-                               atol=1e-12)
+        a, b = dispersion(params(gamma=gamma, alpha=100.0, h=0.0),
+                          np.array([np.pi / 2]))
+        assert a[0] == pytest.approx(0.0, abs=1e-12)
+        assert b[0] == pytest.approx(-gamma, abs=1e-12)
+        lam, ny, nz = ground_bloch(a, b)  # u = a at h = 0
+        assert lam[0] == pytest.approx(gamma, abs=1e-12)
+        assert ny[0] == pytest.approx(-1.0, abs=1e-12)
 
 
-class TestBlockOperators:
-    def test_phi_pi_txx(self):
-        ops = build_block_operators(MomentumMode(4, np.pi))
-        assert np.allclose(ops.txx, np.diag([0.0, -2.0, -1.0, -1.0]), atol=1e-12)
-
-    def test_sz_sign_convention(self):
-        ops = build_block_operators(MomentumMode(1, 0.77))
-        assert np.allclose(ops.sz, np.diag([-1.0, 1.0, 0.0, 0.0]))
-
-    def test_magnetization_sign_corrected(self):
-        assert np.allclose(magnetization_block(), np.diag([1.0, -1.0, 0, 0]))
-
-    def test_txy_half_pi(self):
-        ops = build_block_operators(MomentumMode(1, np.pi / 2))
-        assert np.allclose(ops.txy[:2, :2], [[0, -1], [-1, 0]])
-        assert np.allclose(np.diag(ops.txy)[2:], [1.0, -1.0])
-
-    def test_hermiticity(self):
-        ops = build_block_operators(MomentumMode(1, 1.23))
-        assert np.allclose(ops.txx, ops.txx.conj().T)
-        assert np.allclose(ops.tyy, ops.tyy.conj().T)
+def bloch_from_eigh(u, b):
+    """Levels and Bloch vector of the lowest eigenvector of the even
+    block -b*sigma_y - u*sigma_z."""
+    block = np.array([[-u, 1j * b], [-1j * b, u]])
+    levels, vecs = np.linalg.eigh(block)
+    v = vecs[:, 0]
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]]))
+    return levels, [float(np.real(v.conj() @ s @ v)) for s in paulis]
 
 
-class TestGroundBlockState:
-    def test_polarized_limit(self):
-        p = params(h=1e6)
-        for phi in mode_angles(p.N):
-            rho = ground_block_state(p, MomentumMode(1, phi)).rho
-            assert rho[0, 0] == pytest.approx(1.0, abs=1e-6)
+finite = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
 
-    def test_gamma_zero_selects_lower_diagonal(self):
-        p = params(gamma=0.0, h=0.5)
-        for phi in mode_angles(p.N):
-            hp = build_block_hamiltonian(p, MomentumMode(1, phi))
-            rho = ground_block_state(p, MomentumMode(1, phi)).rho
-            if -p.h < 2 * hp.a + p.h:
-                assert rho[0, 0] == pytest.approx(1.0)
-            else:
-                assert rho[1, 1] == pytest.approx(1.0)
 
-    def test_purity_and_validity(self):
-        p = params(gamma=0.3, alpha=0.9, h=-0.4)
-        for phi in mode_angles(p.N):
-            state = ground_block_state(p, MomentumMode(1, phi))
-            state.validate()
-            assert np.trace(state.rho @ state.rho).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_degenerate_strict_raises(self):
-        with pytest.raises(DegenerateGroundStateError):
-            ground_bloch(0.5, 0.0, -0.5, strict=True)
+class TestGroundBloch:
+    @settings(max_examples=500, deadline=None)
+    @given(u=finite, b=finite | st.just(0.0))
+    @example(u=1.0, b=0.0)
+    @example(u=-1.0, b=0.0)
+    @example(u=1e-12, b=0.0)
+    @example(u=0.0, b=-1e-12)
+    def test_matches_eigh(self, u, b):
+        assume(np.hypot(u, b) >= 1e-12)
+        lam, ny, nz = ground_bloch(u, b)
+        levels, (sx, sy, sz) = bloch_from_eigh(u, b)
+        assert lam == np.hypot(u, b)
+        assert np.allclose(levels, [-lam, lam], rtol=1e-12, atol=0)
+        assert abs(sx) < 1e-12
+        assert abs(ny - sy) < 1e-12 and abs(nz - sz) < 1e-12
+        assert abs(ny * ny + nz * nz - 1.0) < 1e-12
 
     def test_degenerate_continuity_convention(self):
-        ny, nz = ground_bloch(0.5, 0.0, -0.5)
-        assert (ny, nz) == (0.0, -1.0)
+        # the h - eps limit: |pair>, (0, -1)
+        a, h = 0.5, -0.5
+        assert ground_bloch(a + h, 0.0) == (0.0, 0.0, -1.0)
+        lam, ny, nz = ground_bloch(np.array([0.5 * DEGENERACY_TOL, 1.0]),
+                                   np.array([0.0, 0.0]))
+        assert ny.tolist() == [0.0, 0.0] and nz.tolist() == [-1.0, 1.0]
+
+    def test_polarized_limit(self):
+        p = params(h=1e6)
+        a, b = dispersion(p, mode_angles(p.N))
+        _, ny, nz = ground_bloch(a + p.h, b)
+        assert np.allclose(nz, 1.0, atol=1e-6)
+        assert np.allclose(ny, 0.0, atol=1e-6)
+
+    def test_gamma_zero_sign(self):
+        # no pairing: the ground state is |0> (n_z = +1) where u > 0 and
+        # |pair> (n_z = -1) where u < 0
+        p = params(gamma=0.0, h=0.5)
+        a, b = dispersion(p, mode_angles(p.N))
+        u = a + p.h
+        _, ny, nz = ground_bloch(u, b)
+        assert np.all(ny == 0.0)
+        assert np.array_equal(nz, np.sign(u))
+
+    def test_unit_norm(self):
+        p = params(gamma=0.3, alpha=0.9, h=-0.4)
+        a, b = dispersion(p, mode_angles(p.N))
+        lam, ny, nz = ground_bloch(a + p.h, b)
+        assert np.all(lam > DEGENERACY_TOL)
+        assert np.allclose(ny * ny + nz * nz, 1.0, atol=1e-12, rtol=0)
+
+
+class TestFootprint:
+    def test_admits_test_and_benchmark_sizes(self):
+        assert check_footprint(512, 601, 601 ** 2) < MEMORY_CAP
+        assert check_footprint(512, 256, samples=12001) < MEMORY_CAP
+
+    def test_refuses_beyond_the_cap(self):
+        with pytest.raises(ResourceCapError):
+            check_footprint(100_000)
+        with pytest.raises(ResourceCapError):
+            check_footprint(512, 60_000_001, 60_000_001 ** 2)
+
+    def test_bounds_the_traced_sweep_peak(self):
+        import tracemalloc
+
+        from bellquench.model import QuenchKind
+        from bellquench.sweep import GridSpec, sweep_all
+
+        fixed = params(N=256, gamma=0.2, alpha=10.0, h=0.0)
+        grid = GridSpec(-3.0, 3.0, 0.02)
+        tracemalloc.start()
+        try:
+            sweep_all(QuenchKind.FIELD, fixed, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < check_footprint(256, grid.count, grid.count ** 2)
 
 
 class TestGroundEnergy:
