@@ -13,9 +13,9 @@ form and
 This remains the Horodecki maximum even when C_zz**2 exceeds
 lambda_plus, since the two largest eigenvalues are then C_zz**2 and
 lambda_plus; the generic-eigensolver cross-check in the tests covers
-all orderings.  chsh_arrays evaluates it elementwise over arrays;
-bell_eigenvalues, bell_value, bell_time_average and the evolve time
-series call it.
+all orderings.  chsh_arrays evaluates it elementwise over arrays,
+and returns lambda_plus, lambda_minus and C_zz**2 beside B; bell_value,
+bell_time_average and the evolve time series call it.
 
 The pair state is an X-state with equal local magnetizations:
 diagonal r00, r33 = (1 +- 2 m_z + C_zz)/4, r11 = r22 = (1 - C_zz)/4,
@@ -33,9 +33,6 @@ the 4 x 4 matrix; they are the reference the tests compare with.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import CorrelatorSet
@@ -43,22 +40,6 @@ from .errors import InconsistentCorrelatorsError
 
 # Most negative eigenvalue a reconstructed pair state may have.
 PSD_TOL = 1e-6
-
-
-class BellBranch(enum.Enum):
-    PLUS_MINUS = "plus_minus"
-    PLUS_CZZ = "plus_czz"
-
-
-@dataclass(frozen=True)
-class BellDiagnostics:
-    """Eigenvalues of T^T T and the resulting CHSH value."""
-
-    lambda_plus: float
-    lambda_minus: float
-    czz_sq: float
-    bell: float
-    branch: BellBranch
 
 
 def correlation_matrix(c: CorrelatorSet) -> np.ndarray:
@@ -91,19 +72,9 @@ def chsh_arrays(cxx, cyy, czz, cxy, cyx):
     return lam_plus, lam_minus, czz_sq, bell
 
 
-def bell_eigenvalues(c: CorrelatorSet) -> BellDiagnostics:
-    """Closed-form eigenvalues of M = T^T T and the CHSH value."""
-    lam_plus, lam_minus, czz_sq, bell = chsh_arrays(c.cxx, c.cyy, c.czz,
-                                                    c.cxy, c.cyx)
-    branch = (BellBranch.PLUS_MINUS if lam_minus >= czz_sq
-              else BellBranch.PLUS_CZZ)
-    return BellDiagnostics(lambda_plus=float(lam_plus),
-                           lambda_minus=float(lam_minus),
-                           czz_sq=float(czz_sq), bell=float(bell), branch=branch)
-
-
 def bell_value(c: CorrelatorSet) -> float:
-    return bell_eigenvalues(c).bell
+    """CHSH value of one correlator set: chsh_arrays on scalars."""
+    return float(chsh_arrays(c.cxx, c.cyy, c.czz, c.cxy, c.cyx)[3])
 
 
 def bell_time_average(series: list[CorrelatorSet]) -> float:
@@ -120,12 +91,6 @@ def bell_time_average(series: list[CorrelatorSet]) -> float:
     if span <= 0:
         raise ValueError("series must span a positive time interval")
     return float(np.trapezoid(values, times) / span)
-
-
-def eigenvalue_competition(c: CorrelatorSet) -> tuple[float, float]:
-    """(lambda_plus - C_zz**2, lambda_minus - C_zz**2) for competition maps."""
-    d = bell_eigenvalues(c)
-    return d.lambda_plus - d.czz_sq, d.lambda_minus - d.czz_sq
 
 
 def reconstruct_rho12(c: CorrelatorSet) -> np.ndarray:

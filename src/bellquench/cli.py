@@ -32,11 +32,11 @@ from .errors import (BellquenchError, ConfigError, InconsistentCorrelatorsError,
                      ResourceCapError, ThresholdUndefinedError)
 from .fit import fit_gaussian, fit_trigaussian
 from .model import (COUPLING_H_MAX, COUPLING_H_MIN, ModelParams, QuenchKind,
-                    coupling_quench, field_quench)
+                    field_quench, same_phase_area)
 from .output import sha256_file, write_csv, write_json, write_matrix_csv
-from .sweep import (COUPLING_GRID, FIELD_GRID, GridSpec, Quantifier,
-                    critical_threshold, efficiency, sweep_all,
-                    threshold_curve, threshold_curve_coupling)
+from .sweep import (KIND_DEFAULTS, GridSpec, Quantifier, check_policy,
+                    critical_threshold, cross_cell_count, efficiency,
+                    steady_cell, sweep_all, threshold_curve)
 from . import oracle as oracle_mod
 from . import dynamics, momentum
 
@@ -146,13 +146,15 @@ def _quench_kind(name):
         raise ConfigError(f"kind must be 'field' or 'coupling', got {name!r}") from None
 
 
-def _base_params(config, h=0.0, alpha=1.0):
+def _base_params(config):
+    """ModelParams of config; an unset alpha or h, the parameter a quench
+    grid or a quench replaces, is taken as 1 or 0."""
     a = config.get("alpha")
     field = config.get("h")
     try:
         return ModelParams(N=config["n"], J=config["j"], gamma=config["gamma"],
-                           alpha=a if a is not None else alpha,
-                           h=field if field is not None else h)
+                           alpha=1.0 if a is None else a,
+                           h=0.0 if field is None else field)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -176,20 +178,14 @@ def cmd_evolve(args):
     defaults = {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
                 "alpha": None, "h": None, "q_initial": None, "q_final": None,
                 "t_max": 400.0, "dt": 0.1, "out": None}
-    config = {k: v for k, v in resolve_config(args, "evolve", defaults).items()
-              if not (k in ("alpha", "h") and v is None)}
+    config = resolve_config(args, "evolve", defaults)
     _require(config, "gamma", "q_initial", "q_final")
     kind = _quench_kind(config["kind"])
-    if kind is QuenchKind.FIELD:
-        if "alpha" not in config:
-            raise ConfigError("field quench needs alpha")
-        base = _base_params(config, h=config["q_initial"])
-        quench = field_quench(base, config["q_initial"], config["q_final"])
-    else:
-        if "h" not in config:
-            raise ConfigError("coupling quench needs h")
-        base = _base_params(config, alpha=config["q_initial"])
-        quench = coupling_quench(base, config["q_initial"], config["q_final"])
+    held = KIND_DEFAULTS[kind].fixed
+    if config.get(held) is None:
+        raise ConfigError(f"{kind.value} quench needs {held}")
+    quench = steady_cell(kind, _base_params(config), config["q_initial"],
+                         config["q_final"])
     times, mz, cxx, cyy, czz, cxy = correlator_arrays(
         quench, TimeGrid(t_max=config["t_max"], dt=config["dt"]))
     bell = chsh_arrays(cxx, cyy, czz, cxy, cxy)[3]
@@ -204,6 +200,28 @@ def cmd_evolve(args):
     return 0
 
 
+def _resolve_quench(config):
+    """Kind and grid of sweep and threshold-curve, with their policy.
+
+    Grid and threshold settings left unset take the kind's defaults
+    (sweep.KIND_DEFAULTS) and are written back into config, so the
+    manifest records what ran.  A policy the kind does not define is
+    refused before anything is computed.
+    """
+    kind = _quench_kind(config["kind"])
+    defaults = KIND_DEFAULTS[kind]
+    for key, value in (("q_min", defaults.grid.q_min),
+                       ("q_max", defaults.grid.q_max),
+                       ("step", defaults.grid.step),
+                       ("boundary", defaults.boundary),
+                       ("cross_lines", defaults.cross_lines)):
+        if config.get(key) is None:
+            config[key] = value
+    grid = GridSpec(config["q_min"], config["q_max"], config["step"])
+    check_policy(kind, config["boundary"], config["cross_lines"])
+    return kind, grid
+
+
 def cmd_sweep(args):
     started = time.time()
     defaults = {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
@@ -213,44 +231,27 @@ def cmd_sweep(args):
                 "out": None}
     config = resolve_config(args, "sweep", defaults)
     _require(config, "gamma")
-    kind = _quench_kind(config["kind"])
-    default_grid = FIELD_GRID if kind is QuenchKind.FIELD else COUPLING_GRID
-
-    def pick(key, fallback):
-        return fallback if config.get(key) is None else config[key]
-
-    grid = GridSpec(pick("q_min", default_grid.q_min),
-                    pick("q_max", default_grid.q_max),
-                    pick("step", default_grid.step))
-    config.update({"q_min": grid.q_min, "q_max": grid.q_max, "step": grid.step})
-    if kind is QuenchKind.FIELD:
-        if config.get("alpha") is None:
-            raise ConfigError("field sweep needs alpha")
-        config.pop("h", None)
-        fixed = _base_params(config, h=0.0)
-        if config.get("boundary") is None:
-            config["boundary"] = "cross"
-        if config.get("cross_lines") is None:
-            config["cross_lines"] = "nn_limit"
-        boundary, lines = config["boundary"], config["cross_lines"]
-    else:
-        if config.get("h") is None:
-            raise ConfigError("coupling sweep needs h")
-        config.pop("alpha", None)
-        fixed = _base_params(config, alpha=1.0)
-        if config.get("boundary") is None:
-            config["boundary"] = "exclude"
-        if config.get("cross_lines") is None:
-            config["cross_lines"] = "model"
-        boundary, lines = config["boundary"], config["cross_lines"]
-        if not COUPLING_H_MIN < fixed.h < COUPLING_H_MAX:
-            print(f"warning: h={fixed.h} outside ({COUPLING_H_MIN}, "
-                  f"{COUPLING_H_MAX:.6f}); no magnetic boundary in the "
-                  "alpha window", file=sys.stderr)
+    kind, grid = _resolve_quench(config)
+    held = KIND_DEFAULTS[kind].fixed
+    if config.get(held) is None:
+        raise ConfigError(f"{kind.value} sweep needs {held}")
+    config.pop("h" if held == "alpha" else "alpha", None)
+    fixed = _base_params(config)
+    boundary, lines = config["boundary"], config["cross_lines"]
+    if kind is QuenchKind.COUPLING and not COUPLING_H_MIN < fixed.h < COUPLING_H_MAX:
+        print(f"warning: h={fixed.h} outside ({COUPLING_H_MIN}, "
+              f"{COUPLING_H_MAX:.6f}); no magnetic boundary in the "
+              "alpha window", file=sys.stderr)
     try:
         quantifiers = [Quantifier(q) for q in config["quantifiers"]]
     except ValueError as exc:
         raise ConfigError(f"unknown quantifier: {exc}") from None
+    # what the memory cap (exit 4), the threshold (no cross cells:
+    # exit 3) and the efficiency (h outside the coupling window: exit 2)
+    # would refuse stops the run before any map is computed or file written
+    momentum.check_footprint(fixed.N, grid.count, grid.count ** 2)
+    cross_cell_count(kind, fixed, grid, boundary, lines)
+    same_phase_area(kind, getattr(fixed, held))
 
     diagrams = sweep_all(kind, fixed, grid, workers=config["workers"])
     out_dir = config["out"]
@@ -291,35 +292,18 @@ def cmd_threshold_curve(args):
                 "points": None, "q_min": None, "q_max": None, "step": None,
                 "boundary": None, "cross_lines": None, "workers": 1,
                 "out": None}
-    config = {k: v for k, v in
-              resolve_config(args, "threshold-curve", defaults).items()
-              if v is not None}
+    config = resolve_config(args, "threshold-curve", defaults)
     _require(config, "gamma", "points")
-    kind = _quench_kind(config["kind"])
-    default_grid = FIELD_GRID if kind is QuenchKind.FIELD else COUPLING_GRID
-    grid = GridSpec(config.get("q_min", default_grid.q_min),
-                    config.get("q_max", default_grid.q_max),
-                    config.get("step", default_grid.step))
-    config.update({"q_min": grid.q_min, "q_max": grid.q_max, "step": grid.step})
-    if kind is QuenchKind.FIELD:
-        config.setdefault("boundary", "cross")
-        config.setdefault("cross_lines", "nn_limit")
-        curve = threshold_curve(config["gamma"], config["points"], grid,
-                                N=config["n"], J=config["j"],
-                                workers=config["workers"],
-                                boundary=config["boundary"],
-                                cross_lines=config["cross_lines"])
-        column = "alpha"
-    else:
-        config.setdefault("boundary", "exclude")
-        curve = threshold_curve_coupling(config["gamma"], config["points"],
-                                         grid, N=config["n"], J=config["j"],
-                                         workers=config["workers"],
-                                         boundary=config["boundary"])
-        column = "h"
+    kind, grid = _resolve_quench(config)
+    curve = threshold_curve(kind, config["gamma"], config["points"], grid,
+                            N=config["n"], J=config["j"],
+                            workers=config["workers"],
+                            boundary=config["boundary"],
+                            cross_lines=config["cross_lines"])
     out_dir = config["out"]
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "curve.csv"), [column, "b_c"], curve)
+    write_csv(os.path.join(out_dir, "curve.csv"),
+              [KIND_DEFAULTS[kind].fixed, "b_c"], curve)
     _write_manifest(out_dir, "threshold-curve", config,
                     {"points": len(curve)}, ["curve.csv"], started)
     return 0

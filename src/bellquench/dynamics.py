@@ -51,8 +51,9 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .model import QuenchSpec
-from .momentum import (MEMORY_CAP, SAMPLE_BYTES, check_footprint,
-                       dispersion, ground_bloch, mode_angles)
+from .momentum import (MEMORY_CAP, SAMPLE_BYTES, STEADY_DEGENERACY_TOL,
+                       TIMED_DEGENERACY_TOL, check_footprint, dispersion,
+                       ground_bloch, mode_angles)
 
 STEADY = "steady"
 
@@ -139,7 +140,7 @@ def _steady_bloch(gy, gz, b_f, u_f):
     the full initial vector survives there.
     """
     lam_f = np.hypot(u_f, b_f)
-    degen = lam_f < 1e-12
+    degen = lam_f < STEADY_DEGENERACY_TOL
     safe = np.where(degen, 1.0, lam_f)
     dy = -b_f / safe
     dz = -u_f / safe
@@ -156,7 +157,7 @@ def _timed_mode_sums(phis, gy, gz, b_f, u_f, times):
     The rotation is evaluated TIME_CHUNK samples at a time.
     """
     lam_f = np.hypot(u_f, b_f)
-    degen = lam_f < 1e-30
+    degen = lam_f < TIMED_DEGENERACY_TOL
     safe = np.where(degen, 1.0, lam_f)
     dy = np.where(degen, 0.0, -b_f / safe)
     dz = np.where(degen, 0.0, -u_f / safe)

@@ -5,7 +5,9 @@ J / (kac * r**alpha), where the Kac factor keeps the total coupling per
 site at J for every fall-off rate.  The equilibrium phase boundaries in
 the (alpha, h) plane are known in closed form and everything downstream
 (phase masks, same-phase areas, detection efficiencies) derives from
-them, so they live here as exact expressions.
+them, so they live here as exact expressions.  phase_codes is the one
+classifier of quench-grid values; the sweep masks and the cross-phase
+cells of every threshold are built from it.
 """
 
 from __future__ import annotations
@@ -28,14 +30,6 @@ COUPLING_H_MAX = 2.0 ** 0.5 - 1.0             # 0.41421...
 class QuenchKind(enum.Enum):
     FIELD = "field"
     COUPLING = "coupling"
-
-
-class PhaseLabel(enum.Enum):
-    """Classification of a single parameter value or of a quench pair."""
-
-    SAME = "same"
-    CROSS = "cross"
-    BOUNDARY = "boundary"
 
 
 @dataclass(frozen=True)
@@ -116,20 +110,6 @@ def coupling_quench(base: ModelParams, alpha_initial: float,
                       base.replace(alpha=alpha_final))
 
 
-@dataclass(frozen=True)
-class PhaseGeometry:
-    """Critical lines of the model at fixed alpha and h.
-
-    h_c = -1 + 2**(1 - alpha) and h_c2 = 1 bound the ordered phase in
-    the field direction; alpha_c = 1 - log2(1 + h) is the image of the
-    h_c line in the coupling direction (absent for h <= -1).
-    """
-
-    h_c: float
-    h_c2: float
-    alpha_c: float | None
-
-
 def kac_factor(alpha: float, N: int) -> float:
     """Normalization sum_{r=1}^{N/2} r**(-alpha); keeps energy extensive."""
     if N % 2 != 0 or N < 2:
@@ -146,62 +126,39 @@ def coupling_profile(params: ModelParams) -> np.ndarray:
     return params.J * r ** (-params.alpha) / kac_factor(params.alpha, params.N)
 
 
-def phase_geometry(params: ModelParams) -> PhaseGeometry:
-    """Exact critical points for the given parameters."""
-    h_c = -1.0 + 2.0 ** (1.0 - params.alpha)
-    alpha_c = 1.0 - math.log2(1.0 + params.h) if params.h > -1.0 else None
-    return PhaseGeometry(h_c=h_c, h_c2=1.0, alpha_c=alpha_c)
+def check_lines(kind: QuenchKind, lines: str) -> None:
+    """ValueError unless `lines` names critical lines of the quench kind.
 
-
-def classify_field_value(h: float, alpha: float) -> PhaseLabel | int:
-    """Phase of a single field value: 0 = ordered, 1 = disordered.
-
-    Returns PhaseLabel.BOUNDARY when h sits on a critical line to
-    within BOUNDARY_TOL.  The two disordered lobes h < h_c and h > 1
-    belong to one phase.
+    "model" (both kinds) is the fall-off-dependent topology; "nn_limit"
+    (field quenches only) is the short-range limit h = -1, h = 1.
     """
-    h_c = -1.0 + 2.0 ** (1.0 - alpha)
-    if abs(h - h_c) <= BOUNDARY_TOL or abs(h - 1.0) <= BOUNDARY_TOL:
-        return PhaseLabel.BOUNDARY
-    return 0 if h_c < h < 1.0 else 1
+    if lines not in ("model", "nn_limit"):
+        raise ValueError(f"unknown cross_lines policy {lines!r}")
+    if lines == "nn_limit" and kind is not QuenchKind.FIELD:
+        raise ValueError("nn_limit lines apply to field diagrams only")
 
 
-def classify_coupling_value(alpha: float, h: float) -> PhaseLabel | int:
-    """Phase of a single fall-off rate at fixed field (0/1 or BOUNDARY)."""
-    if h <= -1.0:
-        return 0
-    alpha_c = 1.0 - math.log2(1.0 + h)
-    if abs(alpha - alpha_c) <= BOUNDARY_TOL:
-        return PhaseLabel.BOUNDARY
-    return 0 if alpha < alpha_c else 1
+def phase_codes(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray,
+                lines: str = "model"):
+    """Phase index (0/1) and on-line flag of each grid value, vectorized.
 
-
-def classify_pair(quench: QuenchSpec) -> PhaseLabel:
-    """SAME / CROSS / BOUNDARY classification of a quench pair."""
-    if quench.kind is QuenchKind.FIELD:
-        pi = classify_field_value(quench.initial.h, quench.initial.alpha)
-        pf = classify_field_value(quench.final.h, quench.final.alpha)
-    else:
-        pi = classify_coupling_value(quench.initial.alpha, quench.initial.h)
-        pf = classify_coupling_value(quench.final.alpha, quench.final.h)
-    if PhaseLabel.BOUNDARY in (pi, pf):
-        return PhaseLabel.BOUNDARY
-    return PhaseLabel.SAME if pi == pf else PhaseLabel.CROSS
-
-
-def same_phase(quench: QuenchSpec, on_boundary: str = "raise") -> bool:
-    """True when initial and final parameters share an equilibrium phase.
-
-    Exactly-critical inputs are ambiguous; `on_boundary` selects the
-    behaviour: "raise" (default) raises ValueError, "cross" counts them
-    as cross-phase (the conservative convention used by the sweeps).
+    Field quenches (qs are fields at fixed.alpha): 0 between the lines
+    h_c = -1 + 2**(1 - alpha) ("model", or -1 for "nn_limit") and 1,
+    else 1; the two disordered lobes are one phase.  Coupling quenches
+    (qs are fall-off rates at fixed.h): 0 below alpha_c = 1 - log2(1 + h),
+    else 1; for h <= -1 there is no line and every value is 0.  A value
+    within BOUNDARY_TOL of a line is flagged as on it.
     """
-    label = classify_pair(quench)
-    if label is PhaseLabel.BOUNDARY:
-        if on_boundary == "cross":
-            return False
-        raise ValueError("quench endpoint lies on a critical line")
-    return label is PhaseLabel.SAME
+    check_lines(kind, lines)
+    if kind is QuenchKind.FIELD:
+        lower = -1.0 + 2.0 ** (1.0 - fixed.alpha) if lines == "model" else -1.0
+        on_line = ((np.abs(qs - lower) <= BOUNDARY_TOL)
+                   | (np.abs(qs - 1.0) <= BOUNDARY_TOL))
+        return np.where((qs > lower) & (qs < 1.0), 0, 1), on_line
+    if fixed.h <= -1.0:
+        return np.zeros(qs.size, dtype=int), np.zeros(qs.size, dtype=bool)
+    alpha_c = 1.0 - np.log2(1.0 + fixed.h)
+    return np.where(qs < alpha_c, 0, 1), np.abs(qs - alpha_c) <= BOUNDARY_TOL
 
 
 def same_phase_area(kind: QuenchKind, fixed: float) -> float:

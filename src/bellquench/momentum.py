@@ -28,6 +28,18 @@ states never enter a quench.  Three conventions are fixed here once:
   degenerate doublet.  Pinned by test_momentum.py::TestGroundBloch and
   by the dense-oracle comparisons of test_dynamics.py and test_sweep.py.
 
+* Degeneracy cutoffs: a block counts as degenerate when its gap
+  Lambda = hypot(u, b) falls below a cutoff, and each engine treats
+  that case in closed form instead of dividing by Lambda.
+  DEGENERACY_TOL (1e-14, initial blocks, ground_bloch): the state is
+  |pair>.  STEADY_DEGENERACY_TOL (1e-12, final blocks of the steady
+  engines, dynamics._steady_bloch and sweep._steady_maps): the block
+  does not dephase, so the whole initial vector survives; a gap that
+  small precesses with a period beyond 1e12.  TIMED_DEGENERACY_TOL
+  (1e-30, final blocks of dynamics._timed_mode_sums): the block has no
+  precession axis and the vector stays put; above it the exact
+  rotation is taken, however slow.
+
 check_footprint is the one estimate of a run's peak memory; the
 sweeps, the threshold curves and dynamics.correlator_arrays call it
 before their first large allocation.
@@ -40,8 +52,11 @@ import numpy as np
 from .errors import ResourceCapError
 from .model import ModelParams, coupling_profile
 
-# Gap below which the even-sector doublet counts as exactly degenerate.
+# Gaps below which a block counts as degenerate (module docstring):
+# initial blocks, final blocks in the steady limit, final blocks in time.
 DEGENERACY_TOL = 1e-14
+STEADY_DEGENERACY_TOL = 1e-12
+TIMED_DEGENERACY_TOL = 1e-30
 
 # Largest estimated peak a run may hold; check_footprint refuses more.
 MEMORY_CAP = 2 ** 30

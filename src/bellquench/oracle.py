@@ -24,9 +24,15 @@ from .dynamics import CorrelatorSet, TimeGrid
 from .bell import bell_value
 from .errors import ResourceCapError
 from .model import ModelParams, QuenchSpec, coupling_profile
-from .momentum import dispersion, mode_angles
+from .momentum import MEMORY_CAP, dispersion, mode_angles
 
-BUILD_CAP = 14
+# Peak bytes per entry of a dense 2^N x 2^N build: the float matrix and
+# the copy the eigensolver of spectrum_match works on.
+DENSE_ENTRY_BYTES = 16
+# Largest N whose build fits momentum.MEMORY_CAP: 13 at 2^30 B, where
+# N = 14 would need 4 GiB.
+BUILD_CAP = next(N for N in range(64)
+                 if DENSE_ENTRY_BYTES * 4 ** (N + 1) > MEMORY_CAP)
 EVOLVE_CAP = 12
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,7 +63,9 @@ def build_spin_hamiltonian(params: ModelParams) -> DenseHamiltonian:
     """
     N = params.N
     if N > BUILD_CAP:
-        raise ResourceCapError(f"dense build capped at N={BUILD_CAP}, got {N}")
+        raise ResourceCapError(
+            f"dense build capped at N={BUILD_CAP} by the {MEMORY_CAP} B "
+            f"memory cap, got {N}")
     dim = 1 << N
     s = np.arange(dim, dtype=np.int64)
     h_mat = np.zeros((dim, dim))

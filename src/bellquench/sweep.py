@@ -10,21 +10,26 @@ of each mode is bilinear in initial-side and final-side factors,
 so every mode sum needed by the correlators factorizes into a few
 (grid x modes) @ (modes x grid) matrix products.  One kernel,
 _steady_maps, evaluates them over any (rows, cols) block of the grid.
-`sweep` and `sweep_all` run it over the whole grid; worker parallelism
-splits the initial-axis rows into fixed-size chunks whose results are
-written into preallocated slots, so outputs are bitwise identical for
-every worker count.
+sweep_all runs it over the whole grid and builds the three quantifier
+maps and the phase masks; sweep is one of its diagrams.  Worker
+parallelism splits the initial-axis rows into fixed-size chunks whose
+results are written into preallocated slots, so outputs are bitwise
+identical for every worker count.
+
+Both quench kinds run one protocol.  KIND_DEFAULTS holds what differs
+between them: the default grid, the default threshold policy
+(boundary, cross_lines) and the parameter a diagram holds fixed.
 
 The threshold B_c is the Bell maximum over the cross-phase cells.
 Under every boundary and cross-line policy those cells form at most
-three rectangles of the grid (_cross_blocks), and `critical_threshold`
-reduces a diagram over exactly those.  `threshold_curve` and
-`threshold_curve_coupling` evaluate the kernel on the rectangles alone
-and never build a diagram: about 44 % of the cells of a 601 x 601
-field grid.  A coupling curve computes the dispersion over its alpha
-axis once and shares it across every h, since only u = a + h depends
-on h.  The curve values agree with critical_threshold(sweep(...)) to
-rounding (the block products have other shapes than the full-grid
+three rectangles of the grid (_cross_blocks, from model.phase_codes),
+and `critical_threshold` reduces a diagram over exactly those.
+`threshold_curve` evaluates the kernel on the rectangles alone and
+never builds a diagram: about 44 % of the cells of a 601 x 601 field
+grid.  A coupling curve computes the dispersion over its alpha axis
+once and shares it across every h, since only u = a + h depends on h
+(_axes).  The curve values agree with critical_threshold(sweep(...))
+to rounding (the block products have other shapes than the full-grid
 ones).  Each curve point is computed on its own, so curves too are
 identical for every worker count.
 """
@@ -40,9 +45,10 @@ import numpy as np
 
 from .bell import xstate_log_negativity
 from .errors import ThresholdUndefinedError
-from .model import (BOUNDARY_TOL, ModelParams, QuenchKind,
-                    field_quench, coupling_quench, same_phase_area)
-from .momentum import check_footprint, dispersion, ground_bloch, mode_angles
+from .model import (ModelParams, QuenchKind, check_lines, coupling_quench,
+                    field_quench, phase_codes, same_phase_area)
+from .momentum import (STEADY_DEGENERACY_TOL, check_footprint, dispersion,
+                       ground_bloch, mode_angles)
 
 # Rows per work item; fixed so that chunking (and hence every BLAS call
 # shape) does not depend on the worker count.
@@ -88,6 +94,31 @@ COUPLING_GRID = GridSpec(0.5, 3.0, 0.01)
 
 
 @dataclass(frozen=True)
+class KindDefaults:
+    """The per-kind settings of a quench grid.
+
+    grid, boundary and cross_lines are the defaults of threshold_curve
+    and of the CLI's sweep and threshold-curve.  fixed names the
+    ModelParams field a diagram or a quench holds fixed, the one a
+    curve steps through.
+    """
+
+    grid: GridSpec
+    boundary: str
+    cross_lines: str
+    fixed: str
+
+
+# The benchmark-threshold construction: field thresholds against the
+# short-range lines h = +-1 with critical cells counted as cross,
+# coupling thresholds against the model line with critical cells left out.
+KIND_DEFAULTS = {
+    QuenchKind.FIELD: KindDefaults(FIELD_GRID, "cross", "nn_limit", "alpha"),
+    QuenchKind.COUPLING: KindDefaults(COUPLING_GRID, "exclude", "model", "h"),
+}
+
+
+@dataclass(frozen=True)
 class PhaseDiagram:
     """Steady-state quantifier over a quench grid plus phase masks.
 
@@ -125,28 +156,38 @@ class ThresholdReport:
 # ---------------------------------------------------------------------------
 # Steady-state engine
 
-def _axis_blocks(fixed: ModelParams, qs: np.ndarray, kind: QuenchKind):
-    """Mode angles, then b and u = a + h with one row per grid value."""
-    phis = mode_angles(fixed.N)
+def _axes(kind: QuenchKind, base: ModelParams, qs: np.ndarray):
+    """A function fixed -> (phis, b, u): the _steady_maps inputs, with
+    one row of b and of u = a + h per grid value.
+
+    fixed may differ from base only in the parameter the kind holds
+    fixed.  A field grid's dispersion depends on fixed.alpha, so each
+    call computes it.  A coupling grid's runs over the alpha axis and
+    does not depend on h, so it is computed here, once, and each call
+    adds its own h.
+    """
+    phis = mode_angles(base.N)
     if kind is QuenchKind.FIELD:
-        a, b = dispersion(fixed, phis)
-        return phis, np.broadcast_to(b, (qs.size, phis.size)), a + qs[:, None]
-    a, b = dispersion(fixed, phis, alphas=qs)
-    return phis, b, a + fixed.h
+        def axes(fixed):
+            a, b = dispersion(fixed, phis)
+            return phis, np.broadcast_to(b, (qs.size, phis.size)), a + qs[:, None]
+        return axes
+    a, b = dispersion(base, phis, alphas=qs)
+    return lambda fixed: (phis, b, a + fixed.h)
 
 
 def _steady_maps(N: int, phis, b, u, blocks=((None, None),),
                  workers: int = 1):
     """Steady mz, cxx, cyy, czz over each (rows, cols) block of the grid.
 
-    b and u come from _axis_blocks.  rows and cols select initial and
+    b and u come from _axes.  rows and cols select initial and
     final grid values by index array or slice (None: the whole axis).
     Yields one (mz, cxx, cyy, czz) per block; the per-value mode
     factors are computed once and shared by every block.
     """
     lam, gy, gz = ground_bloch(u, b)
     lam2 = lam * lam
-    degen_f = lam < 1e-12
+    degen_f = lam < STEADY_DEGENERACY_TOL
     safe2 = np.where(degen_f, 1.0, lam2)
     ayy = np.where(degen_f, 1.0, b * b / safe2)
     ayz = np.where(degen_f, 0.0, u * b / safe2)
@@ -199,19 +240,13 @@ def _bell_map(cxx, cyy, czz):
     return 2.0 * np.sqrt(lam_plus + second)
 
 
-def _phase_codes(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray):
-    """Per-value phase index (0/1) and on-boundary flag, vectorized."""
-    if kind is QuenchKind.FIELD:
-        h_c = -1.0 + 2.0 ** (1.0 - fixed.alpha)
-        boundary = (np.abs(qs - h_c) <= BOUNDARY_TOL) | (np.abs(qs - 1.0) <= BOUNDARY_TOL)
-        code = np.where((qs > h_c) & (qs < 1.0), 0, 1)
-    else:
-        if fixed.h <= -1.0:
-            return np.zeros(qs.size, dtype=int), np.zeros(qs.size, dtype=bool)
-        alpha_c = 1.0 - np.log2(1.0 + fixed.h)
-        boundary = np.abs(qs - alpha_c) <= BOUNDARY_TOL
-        code = np.where(qs < alpha_c, 0, 1)
-    return code, boundary
+def check_policy(kind: QuenchKind, boundary: str, cross_lines: str) -> None:
+    """ValueError unless (boundary, cross_lines) is a threshold policy of
+    the quench kind.  _cross_blocks, threshold_curve and the CLI run it
+    first, so a refused policy costs no map."""
+    if boundary not in ("cross", "exclude"):
+        raise ValueError(f"unknown boundary policy {boundary!r}")
+    check_lines(kind, cross_lines)
 
 
 def _cross_blocks(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray,
@@ -219,25 +254,17 @@ def _cross_blocks(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray,
     """The cross-phase cells of a quench grid as (rows, cols) blocks.
 
     Each policy splits the grid values into two phase classes plus the
-    values on a critical line.  Cross cells pair one class with the
-    other; with boundary="cross" every pair with an endpoint on a line
-    joins them, with "exclude" none does.  So the cross set is the
-    union of at most three rectangles: first class x (second class +
-    lines), second class x (first class + lines), lines x everything.
-    rows and cols are index arrays, or slices where the indices are
-    consecutive.  Raises ThresholdUndefinedError when the set is empty.
+    values on a critical line (model.phase_codes).  Cross cells pair one
+    class with the other; with boundary="cross" every pair with an
+    endpoint on a line joins them, with "exclude" none does.  So the
+    cross set is the union of at most three rectangles: first class x
+    (second class + lines), second class x (first class + lines), lines
+    x everything.  rows and cols are index arrays, or slices where the
+    indices are consecutive.  Raises ThresholdUndefinedError when the
+    set is empty.
     """
-    if boundary not in ("cross", "exclude"):
-        raise ValueError(f"unknown boundary policy {boundary!r}")
-    if cross_lines == "model":
-        code, line = _phase_codes(kind, fixed, qs)
-    elif cross_lines == "nn_limit":
-        if kind is not QuenchKind.FIELD:
-            raise ValueError("nn_limit lines apply to field diagrams only")
-        code = np.where((qs > -1.0) & (qs < 1.0), 0, 1)
-        line = (np.abs(qs + 1.0) <= BOUNDARY_TOL) | (np.abs(qs - 1.0) <= BOUNDARY_TOL)
-    else:
-        raise ValueError(f"unknown cross_lines policy {cross_lines!r}")
+    check_policy(kind, boundary, cross_lines)
+    code, line = phase_codes(kind, fixed, qs, cross_lines)
     first = np.flatnonzero((code == 0) & ~line)
     second = np.flatnonzero((code == 1) & ~line)
     if boundary == "exclude":
@@ -267,32 +294,27 @@ def _cross_max(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray, axis,
 
     The threshold path: the same value as critical_threshold on the
     Bell diagram, without evaluating the same-phase cells.  `axis` is
-    _axis_blocks(fixed, qs, kind).
+    _axes(kind, ..., qs)(fixed).
     """
     blocks = _cross_blocks(kind, fixed, qs, boundary, cross_lines)
     return float(np.max([np.max(_bell_map(cxx, cyy, czz)) for _, cxx, cyy, czz
                          in _steady_maps(fixed.N, *axis, blocks)]))
 
 
+def cross_cell_count(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
+                     boundary: str = "cross", cross_lines: str = "model") -> int:
+    """Cells in the cross set of a policy, the cells critical_threshold
+    takes its maximum over; ThresholdUndefinedError when there are none,
+    ValueError for a policy check_policy refuses.  Needs no map."""
+    axis = np.arange(grid.count)
+    return sum(axis[rows].size * axis[cols].size for rows, cols in
+               _cross_blocks(kind, fixed, grid.values(), boundary, cross_lines))
+
+
 def sweep(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
           quantifier: Quantifier, workers: int = 1) -> PhaseDiagram:
     """Steady-state phase diagram of one quantifier over a quench grid."""
-    check_footprint(fixed.N, grid.count, grid.count ** 2)
-    qs = grid.values()
-    (mz, cxx, cyy, czz), = _steady_maps(fixed.N, *_axis_blocks(fixed, qs, kind),
-                                        workers=workers)
-    if quantifier is Quantifier.BELL:
-        values = _bell_map(cxx, cyy, czz)
-    elif quantifier is Quantifier.ENTANGLEMENT:
-        values = xstate_log_negativity(mz, cxx, cyy, czz, 0.0)
-    else:
-        values = czz
-    code, boundary = _phase_codes(kind, fixed, qs)
-    pair_boundary = boundary[:, None] | boundary[None, :]
-    same = (code[:, None] == code[None, :]) & ~pair_boundary
-    return PhaseDiagram(kind=kind, fixed=fixed, grid=grid,
-                        quantifier=quantifier, values=values,
-                        same_phase_mask=same, boundary_mask=pair_boundary)
+    return sweep_all(kind, fixed, grid, workers)[quantifier]
 
 
 def sweep_all(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
@@ -300,9 +322,9 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
     """All three quantifiers from one pass over the correlator maps."""
     check_footprint(fixed.N, grid.count, grid.count ** 2)
     qs = grid.values()
-    (mz, cxx, cyy, czz), = _steady_maps(fixed.N, *_axis_blocks(fixed, qs, kind),
+    (mz, cxx, cyy, czz), = _steady_maps(fixed.N, *_axes(kind, fixed, qs)(fixed),
                                         workers=workers)
-    code, boundary = _phase_codes(kind, fixed, qs)
+    code, boundary = phase_codes(kind, fixed, qs)
     pair_boundary = boundary[:, None] | boundary[None, :]
     same = (code[:, None] == code[None, :]) & ~pair_boundary
     out = {}
@@ -358,81 +380,56 @@ def efficiency(diagram: PhaseDiagram, q_c: float, absolute: bool = False,
     n_detected = int(np.count_nonzero(detected))
     step = diagram.grid.step
     area_detected = n_detected * step * step
-    fixed_param = (diagram.fixed.alpha if diagram.kind is QuenchKind.FIELD
-                   else diagram.fixed.h)
-    area_same = same_phase_area(diagram.kind, fixed_param)
-    axis = np.arange(diagram.grid.count)
-    n_cross = sum(axis[rows].size * axis[cols].size for rows, cols in
-                  _cross_blocks(diagram.kind, diagram.fixed, diagram.grid.values(),
-                                boundary, cross_lines))
+    area_same = same_phase_area(diagram.kind, getattr(
+        diagram.fixed, KIND_DEFAULTS[diagram.kind].fixed))
+    n_cross = cross_cell_count(diagram.kind, diagram.fixed, diagram.grid,
+                               boundary, cross_lines)
     return ThresholdReport(q_c=q_c, eta=area_detected / area_same,
                            area_detected=area_detected, area_same=area_same,
                            n_cross_cells=n_cross,
                            n_same_cells=n_same, n_detected_cells=n_detected)
 
 
-def threshold_curve(gamma: float, alphas, grid: GridSpec = FIELD_GRID,
-                    N: int = 512, J: float = 1.0, workers: int = 1,
-                    boundary: str = "cross",
-                    cross_lines: str = "nn_limit") -> list[tuple[float, float]]:
-    """Field-quench threshold B_c at each fall-off rate.
+def threshold_curve(kind: QuenchKind, gamma: float, points,
+                    grid: GridSpec | None = None, N: int = 512, J: float = 1.0,
+                    workers: int = 1, boundary: str | None = None,
+                    cross_lines: str | None = None) -> list[tuple[float, float]]:
+    """Threshold B_c at each point: fall-off rates for field quenches,
+    fields inside the coupling window for coupling quenches.
 
-    Defaults follow the benchmark-threshold construction (nn_limit lines);
-    pass cross_lines="model" for the fall-off-dependent topology.
+    grid, boundary and cross_lines default to KIND_DEFAULTS[kind], the
+    benchmark-threshold construction; pass cross_lines="model" for the
+    fall-off-dependent topology of a field curve.
     """
-    alphas = list(alphas)
-    if not alphas:
-        raise ValueError("alphas must be nonempty")
+    defaults = KIND_DEFAULTS[kind]
+    grid = defaults.grid if grid is None else grid
+    boundary = defaults.boundary if boundary is None else boundary
+    cross_lines = defaults.cross_lines if cross_lines is None else cross_lines
+    check_policy(kind, boundary, cross_lines)
+    base = ModelParams(N=N, gamma=gamma, alpha=1.0, h=0.0, J=J)
+    params = [base.replace(**{defaults.fixed: float(q)}) for q in points]
+    if not params:
+        raise ValueError("points must be nonempty")
+    for fixed in params:
+        same_phase_area(kind, getattr(fixed, defaults.fixed))  # coupling window
     at_once = max(1, workers)  # points evaluated at the same time
     check_footprint(N, at_once * grid.count, at_once * grid.count ** 2)
     qs = grid.values()
+    axes = _axes(kind, base, qs)
 
-    def one(alpha):
-        fixed = ModelParams(N=N, gamma=gamma, alpha=float(alpha), h=0.0, J=J)
-        axis = _axis_blocks(fixed, qs, QuenchKind.FIELD)
-        return float(alpha), _cross_max(QuenchKind.FIELD, fixed, qs, axis,
-                                        boundary, cross_lines)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, alphas))
-    return [one(a) for a in alphas]
-
-
-def threshold_curve_coupling(gamma: float, hs, grid: GridSpec = COUPLING_GRID,
-                             N: int = 512, J: float = 1.0, workers: int = 1,
-                             boundary: str = "exclude") -> list[tuple[float, float]]:
-    """Coupling-quench threshold B_c at each field in the valid window.
-
-    Exactly-critical grid columns (alpha_c on a grid point) are
-    excluded by default, matching the benchmark-threshold construction.
-    """
-    hs = list(hs)
-    if not hs:
-        raise ValueError("hs must be nonempty")
-    for h in hs:
-        same_phase_area(QuenchKind.COUPLING, float(h))  # range check
-    at_once = max(1, workers)  # points evaluated at the same time
-    check_footprint(N, at_once * grid.count, at_once * grid.count ** 2)
-    qs = grid.values()
-    phis = mode_angles(N)
-    # the dispersion does not depend on h: one alpha axis serves every point
-    a, b = dispersion(ModelParams(N=N, gamma=gamma, alpha=1.0, h=0.0, J=J),
-                      phis, alphas=qs)
-
-    def one(h):
-        fixed = ModelParams(N=N, gamma=gamma, alpha=1.0, h=float(h), J=J)
-        return float(h), _cross_max(QuenchKind.COUPLING, fixed, qs,
-                                    (phis, b, a + fixed.h), boundary, "model")
+    def one(fixed):
+        return getattr(fixed, defaults.fixed), _cross_max(
+            kind, fixed, qs, axes(fixed), boundary, cross_lines)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, hs))
-    return [one(h) for h in hs]
+            return list(pool.map(one, params))
+    return [one(fixed) for fixed in params]
 
 
 def steady_cell(kind: QuenchKind, fixed: ModelParams, q_i: float, q_f: float):
-    """Single-cell quench spec, for scalar cross-checks of the engine."""
+    """The quench q_i -> q_f at fixed parameters: one cell of a quench
+    grid, for scalar cross-checks of the engine and for evolve."""
     if kind is QuenchKind.FIELD:
         return field_quench(fixed, q_i, q_f)
     return coupling_quench(fixed, q_i, q_f)

@@ -271,7 +271,7 @@ def test_criterion_8_fit_quality():
     alphas = np.round(np.arange(0.5, 10.0001, 0.1), 10)
     widths = {}
     for gamma in (0.2, 1.0):
-        curve = sw.threshold_curve(gamma, alphas, N=512)
+        curve = sw.threshold_curve(QuenchKind.FIELD, gamma, alphas, N=512)
         fit = fit_gaussian(curve)
         widths[gamma] = fit.B
         print(f"  gaussian gamma={gamma}: r2={fit.r_squared:.5f} "
@@ -282,7 +282,7 @@ def test_criterion_8_fit_quality():
         failures.append("fitted width parameter not increasing with gamma")
 
     hs = np.round(np.arange(-0.74, 0.4101, 0.01), 10)
-    curve_h = sw.threshold_curve_coupling(0.8, hs, N=512)
+    curve_h = sw.threshold_curve(QuenchKind.COUPLING, 0.8, hs, N=512)
     tri = fit_trigaussian(curve_h)
     x = np.array([p[0] for p in curve_h])
     y = np.array([p[1] for p in curve_h])

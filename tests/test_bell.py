@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellquench.bell import (BellBranch, bell_eigenvalues, bell_time_average,
-                             bell_value, chsh_arrays, correlation_matrix,
-                             correlators_from_state, eigenvalue_competition,
+from bellquench.bell import (bell_time_average, bell_value, chsh_arrays,
+                             correlation_matrix, correlators_from_state,
                              log_negativity, partial_transpose,
                              reconstruct_rho12, xstate_log_negativity)
 from bellquench.dynamics import (CorrelatorSet, TimeGrid, correlator_time_series,
@@ -31,28 +30,34 @@ def random_xstate_correlators(rng):
     return correlators_from_state(rho), rho
 
 
+def eigenvalues(c):
+    """(lambda_plus, lambda_minus, C_zz**2, B) of one CorrelatorSet."""
+    return chsh_arrays(c.cxx, c.cyy, c.czz, c.cxy, c.cyx)
+
+
 class TestBellEigenvalues:
     def test_all_zero(self):
-        d = bell_eigenvalues(cset())
-        assert d.bell == 0.0 and d.lambda_plus == 0.0 and d.czz_sq == 0.0
+        lam_plus, _, czz_sq, bell = eigenvalues(cset())
+        assert bell == 0.0 and lam_plus == 0.0 and czz_sq == 0.0
 
     def test_tsirelson_configuration(self):
-        d = bell_eigenvalues(cset(cxx=1.0, cyy=1.0, czz=1.0))
-        assert d.bell == pytest.approx(2.0 * np.sqrt(2.0))
-        assert d.lambda_plus == pytest.approx(1.0)
-        assert d.lambda_minus == pytest.approx(1.0)
+        lam_plus, lam_minus, _, bell = eigenvalues(cset(cxx=1.0, cyy=1.0, czz=1.0))
+        assert bell == pytest.approx(2.0 * np.sqrt(2.0))
+        assert lam_plus == pytest.approx(1.0)
+        assert lam_minus == pytest.approx(1.0)
 
     def test_classical_bound_from_czz(self):
-        d = bell_eigenvalues(cset(czz=1.0))
-        assert d.bell == pytest.approx(2.0)
-        assert d.branch is BellBranch.PLUS_CZZ
+        _, lam_minus, czz_sq, bell = eigenvalues(cset(czz=1.0))
+        assert bell == pytest.approx(2.0)
+        # the second eigenvalue in B is C_zz**2, not lambda_minus
+        assert lam_minus < czz_sq
 
     def test_ordering_invariant(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             c, _ = random_xstate_correlators(rng)
-            d = bell_eigenvalues(c)
-            assert d.lambda_plus >= d.lambda_minus >= 0.0
+            lam_plus, lam_minus, _, _ = eigenvalues(c)
+            assert lam_plus >= lam_minus >= 0.0
 
     def test_horodecki_equivalence_bulk(self):
         # closed form vs generic symmetric eigensolver on 10^4 X-states
@@ -70,15 +75,15 @@ class TestBellEigenvalues:
         rng = np.random.default_rng(7)
         for _ in range(2000):
             c, _ = random_xstate_correlators(rng)
-            d = bell_eigenvalues(c)
+            lam_plus, lam_minus, _, _ = eigenvalues(c)
             caa_p = (c.cxx + c.cyy) ** 2
             caa_m = (c.cxx - c.cyy) ** 2
             cab_p = (c.cxy + c.cyx) ** 2
             cab_m = (c.cxy - c.cyx) ** 2
             s = c.cxx ** 2 + c.cyy ** 2 + c.cxy ** 2 + c.cyx ** 2
             root = np.sqrt((caa_p + cab_m) * (caa_m + cab_p))
-            assert 2 * d.lambda_plus == pytest.approx(s + root, abs=1e-10)
-            assert 2 * d.lambda_minus == pytest.approx(s - root, abs=1e-10)
+            assert 2 * lam_plus == pytest.approx(s + root, abs=1e-10)
+            assert 2 * lam_minus == pytest.approx(s - root, abs=1e-10)
 
 
 class TestBellTimeAverage:
@@ -170,19 +175,25 @@ class TestLogNegativity:
                 assert value > 0.0
 
 
+def competition(c):
+    """(lambda_plus - C_zz**2, lambda_minus - C_zz**2)."""
+    lam_plus, lam_minus, czz_sq, _ = eigenvalues(c)
+    return lam_plus - czz_sq, lam_minus - czz_sq
+
+
 class TestEigenvalueCompetition:
     def test_pure_czz(self):
-        a, b = eigenvalue_competition(cset(czz=0.5))
+        a, b = competition(cset(czz=0.5))
         assert a == b == pytest.approx(-0.25)
 
     def test_zero_czz(self):
-        a, b = eigenvalue_competition(cset(cxx=0.3, cyy=0.1))
+        a, b = competition(cset(cxx=0.3, cyy=0.1))
         assert a >= 0.0 and b >= 0.0
 
     def test_paramagnetic_same_phase_czz_dominates(self):
         q = field_quench(ModelParams(N=512, gamma=1.0, alpha=10.0, h=2.0),
                          2.0, 2.5)
-        a, b = eigenvalue_competition(steady_correlators(q))
+        a, b = competition(steady_correlators(q))
         assert a < 0.0 and b < 0.0
 
 

@@ -85,6 +85,7 @@ class TestSweepCommand:
                     "0.25", "--n", "32", "--cross-lines", "model",
                     "--out", str(tmp_path / "x")])
         assert code == 3
+        assert not (tmp_path / "x").exists()
 
     def test_determinism_across_runs_and_workers(self, tmp_path):
         digests = []
@@ -225,6 +226,7 @@ class TestCouplingKind:
                     "coupling", "--step", "0.25", "--n", "32",
                     "--out", str(tmp_path / "w")]) == 3
         assert "no magnetic boundary" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
 
     def test_coupling_threshold_curve(self, tmp_path):
         out = tmp_path / "tc"
@@ -234,6 +236,30 @@ class TestCouplingKind:
         rows = (out / "curve.csv").read_text().splitlines()
         assert rows[0] == "h,b_c"
         assert len(rows) == 3
+        config = read_json(out / "manifest.json")["config"]
+        assert (config["boundary"], config["cross_lines"]) == ("exclude", "model")
+
+    def test_coupling_curve_refuses_nn_limit(self, tmp_path, capsys):
+        out = tmp_path / "nn"
+        assert run(["threshold-curve", "--gamma", "0.4", "--kind", "coupling",
+                    "--points=-0.5", "--step", "0.1", "--n", "16",
+                    "--cross-lines", "nn_limit", "--out", str(out)]) == 2
+        assert "nn_limit" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,code", [
+    (["--alpha", "10", "--boundary", "foo"], 2),
+    (["--kind", "coupling", "--h", "-0.5", "--cross-lines", "nn_limit"], 2),
+    # alpha_c(0.9) = 0.074 lies inside this grid, so the cross set is
+    # not empty, but the same-phase area formula has no value there
+    (["--kind", "coupling", "--h", "0.9", "--q-min", "0.05", "--q-max", "3.05"], 2),
+])
+def test_sweep_refuses_before_writing(tmp_path, flags, code):
+    out = tmp_path / "s"
+    assert run(["sweep", "--gamma", "0.4", "--step", "0.25", "--n", "16",
+                *flags, "--out", str(out)]) == code
+    assert not out.exists()
 
 
 class TestNonFiniteInput:
@@ -273,6 +299,8 @@ class TestResourceCap:
         ["threshold-curve", "--gamma", "0.2", "--points", "1,2", "--step", "1e-7"],
         ["threshold-curve", "--gamma", "0.8", "--kind", "coupling",
          "--points=-0.5", "--n", "1000000"],
+        # the 2^14 x 2^14 dense matrix alone would take 2 GiB
+        ["oracle", "--n", "14"],
     ])
     def test_refused_before_allocating(self, tmp_path, monkeypatch, capsys, argv):
         import time
@@ -282,6 +310,7 @@ class TestResourceCap:
 
         monkeypatch.setattr(np, "outer", no_alloc)
         monkeypatch.setattr(np, "arange", no_alloc)
+        monkeypatch.setattr(np, "zeros", no_alloc)
         started = time.perf_counter()
         assert run(argv + ["--out", str(tmp_path / "cap")]) == 4
         assert time.perf_counter() - started < 1.0

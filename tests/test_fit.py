@@ -148,7 +148,7 @@ def test_fitted_centers_track_boundary_window():
     def centers(alpha_lo, h_hi):
         grid = sw.GridSpec(alpha_lo, 3.0, 0.05)
         hs = np.arange(-0.72, h_hi, 0.03)
-        curve = sw.threshold_curve_coupling(0.8, hs, grid, N=128)
+        curve = sw.threshold_curve(sw.QuenchKind.COUPLING, 0.8, hs, grid, N=128)
         fit = fit_trigaussian(curve)
         return np.mean([c.center for c in fit.components])
 

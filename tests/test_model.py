@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bellquench.model import (BOUNDARY_TOL, ModelParams, PhaseLabel, QuenchKind,
-                              classify_pair, coupling_profile, coupling_quench,
-                              field_quench, kac_factor, phase_geometry,
-                              same_phase, same_phase_area)
+from bellquench.model import (BOUNDARY_TOL, ModelParams, QuenchKind,
+                              coupling_profile, coupling_quench, field_quench,
+                              kac_factor, phase_codes, same_phase_area)
+from phase_reference import (PhaseLabel, classify_coupling_value,
+                             classify_field_value, classify_pair,
+                             phase_geometry, same_phase)
 
 
 def base(**kwargs):
@@ -165,3 +167,45 @@ def test_boundary_tolerance_is_tight():
     # values a hair away from the line classify normally
     q = field_quench(base(alpha=1.0), 2 * BOUNDARY_TOL, 0.5)
     assert same_phase(q)
+
+
+class TestPhaseCodes:
+    """model.phase_codes against the scalar reference, value by value."""
+
+    @staticmethod
+    def assert_matches(code, on_line, labels):
+        for c, on, label in zip(code, on_line, labels):
+            assert on == (label is PhaseLabel.BOUNDARY)
+            if not on:
+                assert c == label
+
+    # h_c(alpha) = 0.0 (alpha = 1) and -0.5 (alpha = 2) fall on the grid
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 2.0, 10.0])
+    def test_field_model_lines(self, alpha):
+        qs = np.round(np.arange(-3.0, 3.0001, 0.05), 12)
+        code, on_line = phase_codes(QuenchKind.FIELD, base(alpha=alpha), qs)
+        self.assert_matches(code, on_line,
+                            [classify_field_value(float(q), alpha) for q in qs])
+
+    def test_field_nn_limit_lines(self):
+        # h = -1 and 1 are the model lines of the alpha -> infinity limit
+        qs = np.round(np.arange(-3.0, 3.0001, 0.05), 12)
+        code, on_line = phase_codes(QuenchKind.FIELD, base(alpha=1.5), qs,
+                                    "nn_limit")
+        self.assert_matches(code, on_line,
+                            [classify_field_value(float(q), math.inf) for q in qs])
+
+    # alpha_c(h) = 2.0 (h = -0.5) and 1.0 (h = 0) fall on the grid;
+    # h = -1.5 has no line
+    @pytest.mark.parametrize("h", [-1.5, -0.5, 0.0, 0.3])
+    def test_coupling_lines(self, h):
+        qs = np.round(np.arange(0.5, 3.0001, 0.05), 12)
+        code, on_line = phase_codes(QuenchKind.COUPLING, base(h=h), qs)
+        self.assert_matches(code, on_line,
+                            [classify_coupling_value(float(q), h) for q in qs])
+
+    @pytest.mark.parametrize("kind,lines", [(QuenchKind.COUPLING, "nn_limit"),
+                                            (QuenchKind.FIELD, "bogus")])
+    def test_unknown_lines_rejected(self, kind, lines):
+        with pytest.raises(ValueError):
+            phase_codes(kind, base(), np.zeros(3), lines)

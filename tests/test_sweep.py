@@ -4,12 +4,12 @@ import pytest
 from bellquench.bell import bell_value, log_negativity, reconstruct_rho12
 from bellquench.dynamics import steady_correlators
 from bellquench.errors import ThresholdUndefinedError
-from bellquench.model import (ModelParams, PhaseLabel, QuenchKind,
-                              classify_pair, same_phase_area)
-from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier, _axis_blocks,
+from bellquench.model import ModelParams, QuenchKind, same_phase_area
+from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier, _axes,
                               _cross_blocks, _steady_maps, critical_threshold,
                               efficiency, steady_cell, sweep, sweep_all,
-                              threshold_curve, threshold_curve_coupling)
+                              threshold_curve)
+from phase_reference import PhaseLabel, classify_pair
 from bellquench import oracle
 from bellquench.dynamics import correlators_at
 
@@ -194,26 +194,48 @@ class TestEfficiency:
 
 class TestThresholdCurves:
     def test_field_curve_monotone_tail(self):
-        curve = threshold_curve(0.2, [0.9, 1.5, 3.5, 10.0],
+        curve = threshold_curve(QuenchKind.FIELD, 0.2, [0.9, 1.5, 3.5, 10.0],
                                 GridSpec(-3.0, 3.0, 0.05), N=128)
         values = [b for _, b in curve]
         assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_coupling_curve_window(self):
         with pytest.raises(ValueError):
-            threshold_curve_coupling(0.2, [-0.9], N=64)
+            threshold_curve(QuenchKind.COUPLING, 0.2, [-0.9], N=64)
         with pytest.raises(ValueError):
-            threshold_curve(0.2, [], N=64)
+            threshold_curve(QuenchKind.FIELD, 0.2, [], N=64)
 
     def test_coarse_vs_fine_grid(self):
-        fine = threshold_curve(1.0, [10.0], GridSpec(-3, 3, 0.01), N=256)
-        coarse = threshold_curve(1.0, [10.0], GridSpec(-3, 3, 0.05), N=256)
+        fine = threshold_curve(QuenchKind.FIELD, 1.0, [10.0], GridSpec(-3, 3, 0.01),
+                               N=256)
+        coarse = threshold_curve(QuenchKind.FIELD, 1.0, [10.0], GridSpec(-3, 3, 0.05),
+                                 N=256)
         assert abs(fine[0][1] - coarse[0][1]) < 0.02
 
+    def test_dispersion_calls(self, monkeypatch):
+        # a coupling curve builds its alpha-axis dispersion once and adds
+        # each h to it; a field curve needs one dispersion per alpha
+        import bellquench.sweep as sw
+
+        calls = []
+
+        def counted(*args, real=sw.dispersion, **kwargs):
+            calls.append(kwargs.get("alphas") is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sw, "dispersion", counted)
+        threshold_curve(QuenchKind.COUPLING, 0.5, [-0.5, -0.2, 0.1],
+                        GridSpec(0.5, 3.0, 0.1), N=32, workers=2)
+        assert calls == [True]
+        calls.clear()
+        threshold_curve(QuenchKind.FIELD, 0.5, [1.0, 2.0, 4.0],
+                        GridSpec(-3, 3, 0.1), N=32)
+        assert calls == [False] * 3
+
     def test_workers_consistent(self):
-        serial = threshold_curve(0.5, [1.0, 2.0, 4.0],
+        serial = threshold_curve(QuenchKind.FIELD, 0.5, [1.0, 2.0, 4.0],
                                  GridSpec(-3, 3, 0.1), N=64, workers=1)
-        parallel = threshold_curve(0.5, [1.0, 2.0, 4.0],
+        parallel = threshold_curve(QuenchKind.FIELD, 0.5, [1.0, 2.0, 4.0],
                                    GridSpec(-3, 3, 0.1), N=64, workers=3)
         assert serial == parallel
 
@@ -224,13 +246,9 @@ POLICIES = [("cross", "model"), ("exclude", "model"),
 
 def _curve_point(kind, fixed, grid, boundary, cross_lines):
     """B_c of one point from the threshold-curve path."""
-    if kind is QuenchKind.FIELD:
-        curve = threshold_curve(fixed.gamma, [fixed.alpha], grid, N=fixed.N,
-                                boundary=boundary, cross_lines=cross_lines)
-    else:
-        assert cross_lines == "model"
-        curve = threshold_curve_coupling(fixed.gamma, [fixed.h], grid,
-                                         N=fixed.N, boundary=boundary)
+    point = fixed.alpha if kind is QuenchKind.FIELD else fixed.h
+    curve = threshold_curve(kind, fixed.gamma, [point], grid, N=fixed.N,
+                            boundary=boundary, cross_lines=cross_lines)
     return curve[0][1]
 
 
@@ -390,7 +408,7 @@ def steady_entanglement_map(mz, cxx, cyy, czz):
 ])
 def test_entanglement_map_bits_unchanged(kind, fixed, grid):
     (mz, cxx, cyy, czz), = _steady_maps(
-        fixed.N, *_axis_blocks(fixed, grid.values(), kind))
+        fixed.N, *_axes(kind, fixed, grid.values())(fixed))
     maps = sweep_all(kind, fixed, grid)
     assert np.array_equal(maps[Quantifier.CZZ].values, czz)
     assert np.array_equal(maps[Quantifier.ENTANGLEMENT].values,
