@@ -7,12 +7,11 @@ from .model import (ModelParams, QuenchKind, QuenchSpec, coupling_profile,
                     coupling_quench, field_quench, kac_factor, phase_codes,
                     same_phase_area)
 from .momentum import mode_angles
-from .dynamics import (CorrelatorSet, OneBodyCorrelations, TimeGrid,
-                       correlator_arrays, correlator_time_series,
-                       correlators_at, one_body_correlations,
+from .dynamics import (CorrelatorSet, TimeGrid, correlator_arrays,
+                       correlator_time_series, correlators_at,
                        steady_correlators)
-from .bell import (bell_time_average, bell_value, chsh_arrays, log_negativity,
-                   reconstruct_rho12, xstate_log_negativity)
+from .bell import (bell_value, chsh_arrays, log_negativity, reconstruct_rho12,
+                   xstate_log_negativity)
 # the bare `sweep` function stays on the submodule so that
 # `bellquench.sweep` keeps naming the module
 from .sweep import (COUPLING_GRID, FIELD_GRID, GridSpec, PhaseDiagram,

@@ -14,8 +14,9 @@ This remains the Horodecki maximum even when C_zz**2 exceeds
 lambda_plus, since the two largest eigenvalues are then C_zz**2 and
 lambda_plus; the generic-eigensolver cross-check in the tests covers
 all orderings.  chsh_arrays evaluates it elementwise over arrays,
-and returns lambda_plus, lambda_minus and C_zz**2 beside B; bell_value,
-bell_time_average and the evolve time series call it.
+and returns lambda_plus, lambda_minus and C_zz**2 beside B; bell_value
+and the evolve time series call it.  The steady maps use its C_xy = 0
+form, sweep._bell_map.
 
 The pair state is an X-state with equal local magnetizations:
 diagonal r00, r33 = (1 +- 2 m_z + C_zz)/4, r11 = r22 = (1 - C_zz)/4,
@@ -75,22 +76,6 @@ def chsh_arrays(cxx, cyy, czz, cxy, cyx):
 def bell_value(c: CorrelatorSet) -> float:
     """CHSH value of one correlator set: chsh_arrays on scalars."""
     return float(chsh_arrays(c.cxx, c.cyy, c.czz, c.cxy, c.cyx)[3])
-
-
-def bell_time_average(series: list[CorrelatorSet]) -> float:
-    """Trapezoidal time average of the Bell value over a uniform grid."""
-    if not series:
-        raise ValueError("empty correlator series")
-    if len(series) == 1:
-        return bell_value(series[0])
-    times, cxx, cyy, czz, cxy, cyx = np.array(
-        [(c.t, c.cxx, c.cyy, c.czz, c.cxy, c.cyx) for c in series],
-        dtype=float).T
-    values = chsh_arrays(cxx, cyy, czz, cxy, cyx)[3]
-    span = times[-1] - times[0]
-    if span <= 0:
-        raise ValueError("series must span a positive time interval")
-    return float(np.trapezoid(values, times) / span)
 
 
 def reconstruct_rho12(c: CorrelatorSet) -> np.ndarray:

@@ -5,15 +5,23 @@ heatmaps with threshold and efficiency), threshold-curve (B_c versus
 alpha or h), fit (Gaussian / tri-Gaussian fits of a curve CSV), and
 oracle (dense cross-validation at small N).
 
+SETTINGS declares each subcommand's keys and their defaults once; the
+config-file reader, the resolver and the argument parser read it.
 Configuration comes from an optional `key = value` file plus command
 line flags; flags win.  Unknown keys and malformed lines are rejected
-with their line number.  Every run writes deterministic data artifacts
-plus a manifest.json carrying the resolved config, checksums of each
-artifact and the (volatile) wall-clock duration.
+with their line number.
+
+A command (cmd_*) takes the resolved config and returns its results
+and the files to write, {name: (writer, *data)}.  run_command, the one
+run frame, calls it and only then makes the output directory, writes
+each file and a manifest.json carrying the resolved config, checksums
+of each artifact and the (volatile) wall-clock duration.  So a refused
+run writes no file.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract
-violation (undefined threshold, non-positive state), 4 resource cap,
-1 unexpected failure.
+violation (undefined threshold, non-positive state; also a failed
+oracle report, which is still written), 4 resource cap, 1 unexpected
+failure.
 """
 
 from __future__ import annotations
@@ -71,18 +79,25 @@ _KEY_TYPES = {
     "workers": int, "seed": int, "out": str,
 }
 
-_ALLOWED = {
-    "evolve": {"n", "j", "gamma", "alpha", "h", "kind", "q_initial",
-               "q_final", "t_max", "dt", "out"},
-    "sweep": {"n", "j", "gamma", "alpha", "h", "kind", "q_min", "q_max",
-              "step", "quantifiers", "boundary", "cross_lines",
-              "absolute_czz", "workers", "out"},
-    "threshold-curve": {"n", "j", "gamma", "kind", "points", "q_min",
-                        "q_max", "step", "boundary", "cross_lines",
-                        "workers", "out"},
-    "fit": {"curve", "model", "seed", "out"},
-    "oracle": {"n", "j", "gamma", "alpha", "h_initial", "h_final", "t",
-               "out"},
+# command -> {key: default}: the keys each command accepts.  None leaves
+# a key unset: a required one is checked by _require, and the grid and
+# threshold keys take the quench kind's defaults in _resolve_quench.
+SETTINGS = {
+    "evolve": {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
+               "alpha": None, "h": None, "q_initial": None, "q_final": None,
+               "t_max": 400.0, "dt": 0.1, "out": None},
+    "sweep": {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
+              "alpha": None, "h": None, "q_min": None, "q_max": None,
+              "step": None, "quantifiers": ("bell",), "boundary": None,
+              "cross_lines": None, "absolute_czz": False, "workers": 1,
+              "out": None},
+    "threshold-curve": {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
+                        "points": None, "q_min": None, "q_max": None,
+                        "step": None, "boundary": None, "cross_lines": None,
+                        "workers": 1, "out": None},
+    "fit": {"curve": None, "model": "gaussian", "seed": 0, "out": None},
+    "oracle": {"n": 8, "j": 1.0, "gamma": 1.0, "alpha": 10.0,
+               "h_initial": 0.5, "h_final": 2.5, "t": 1.3, "out": None},
 }
 
 
@@ -101,7 +116,7 @@ def read_config_file(path, command):
             raise ConfigError(f"malformed config line {lineno}: {line!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALLOWED[command]:
+        if key not in SETTINGS[command]:
             raise ConfigError(f"unknown key {key!r} for {command} (line {lineno})")
         kind = _KEY_TYPES[key]
         if kind == "floats":
@@ -114,18 +129,19 @@ def read_config_file(path, command):
     return values
 
 
-def resolve_config(args, command, defaults):
-    """Layer file values under flag values under defaults; flags win.
+def resolve_config(args, command):
+    """The command's SETTINGS defaults under the config file's values
+    under the flags; flags win.
 
     Values left at None are optional-until-dispatch; each command
     checks its own requirements with _require after kind-specific
     defaults are applied.
     """
-    config = dict(defaults)
+    config = dict(SETTINGS[command])
     if getattr(args, "config", None):
         config.update(read_config_file(args.config, command))
-    for key in _ALLOWED[command]:
-        flag = getattr(args, key.replace("-", "_"), None)
+    for key in SETTINGS[command]:
+        flag = getattr(args, key, None)
         if flag is not None:
             config[key] = flag
     if config.get("out") is None:
@@ -173,12 +189,22 @@ def _write_manifest(out_dir, command, config, results, artifacts, started):
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def cmd_evolve(args):
+def run_command(args) -> int:
+    """Resolve, compute, then write; exit code 3 when the results
+    report a failed check ("pass" false).  Each writer takes the file's
+    path first."""
     started = time.time()
-    defaults = {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
-                "alpha": None, "h": None, "q_initial": None, "q_final": None,
-                "t_max": 400.0, "dt": 0.1, "out": None}
-    config = resolve_config(args, "evolve", defaults)
+    config = resolve_config(args, args.command)
+    results, files = args.handler(config)
+    out_dir = config["out"]
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (writer, *data) in files.items():
+        writer(os.path.join(out_dir, name), *data)
+    _write_manifest(out_dir, args.command, config, results, files, started)
+    return 3 if results.get("pass") is False else 0
+
+
+def cmd_evolve(config):
     _require(config, "gamma", "q_initial", "q_final")
     kind = _quench_kind(config["kind"])
     held = KIND_DEFAULTS[kind].fixed
@@ -190,14 +216,10 @@ def cmd_evolve(args):
         quench, TimeGrid(t_max=config["t_max"], dt=config["dt"]))
     bell = chsh_arrays(cxx, cyy, czz, cxy, cxy)[3]
     logneg = xstate_log_negativity(mz, cxx, cyy, czz, cxy)
-    out_dir = config["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "timeseries.csv"),
-              ["t", "mz", "cxx", "cyy", "czz", "cxy", "cyx", "bell", "logneg"],
-              np.column_stack([times, mz, cxx, cyy, czz, cxy, cxy, bell, logneg]))
-    _write_manifest(out_dir, "evolve", config,
-                    {"samples": times.size}, ["timeseries.csv"], started)
-    return 0
+    columns = np.column_stack([times, mz, cxx, cyy, czz, cxy, cxy, bell, logneg])
+    return {"samples": times.size}, {"timeseries.csv": (
+        write_csv, ["t", "mz", "cxx", "cyy", "czz", "cxy", "cyx", "bell",
+                    "logneg"], columns)}
 
 
 def _resolve_quench(config):
@@ -222,14 +244,7 @@ def _resolve_quench(config):
     return kind, grid
 
 
-def cmd_sweep(args):
-    started = time.time()
-    defaults = {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
-                "alpha": None, "h": None, "q_min": None, "q_max": None,
-                "step": None, "quantifiers": ["bell"], "boundary": None,
-                "cross_lines": None, "absolute_czz": False, "workers": 1,
-                "out": None}
-    config = resolve_config(args, "sweep", defaults)
+def cmd_sweep(config):
     _require(config, "gamma")
     kind, grid = _resolve_quench(config)
     held = KIND_DEFAULTS[kind].fixed
@@ -248,26 +263,21 @@ def cmd_sweep(args):
         raise ConfigError(f"unknown quantifier: {exc}") from None
     # what the memory cap (exit 4), the threshold (no cross cells:
     # exit 3) and the efficiency (h outside the coupling window: exit 2)
-    # would refuse stops the run before any map is computed or file written
+    # would refuse stops the run before any map is computed
     momentum.check_footprint(fixed.N, grid.count, grid.count ** 2)
     cross_cell_count(kind, fixed, grid, boundary, lines)
     same_phase_area(kind, getattr(fixed, held))
 
     diagrams = sweep_all(kind, fixed, grid, workers=config["workers"])
-    out_dir = config["out"]
-    os.makedirs(out_dir, exist_ok=True)
     qs = grid.values()
-    artifacts = ["same_phase_mask.csv", "axes.csv", "results.json"]
-    write_matrix_csv(os.path.join(out_dir, "same_phase_mask.csv"),
-                     diagrams[Quantifier.BELL].same_phase_mask.astype(int), qs)
-    write_csv(os.path.join(out_dir, "axes.csv"), ["index", "value"],
-              np.column_stack([np.arange(qs.size), qs]))
+    files = {"same_phase_mask.csv": (write_matrix_csv,
+                                     diagrams[Quantifier.BELL].same_phase_mask, qs),
+             "axes.csv": (write_csv, ["index", "value"],
+                          np.column_stack([np.arange(qs.size), qs]))}
     results = {}
     for quant in quantifiers:
         diagram = diagrams[quant]
-        name = f"values_{quant.value}.csv"
-        write_matrix_csv(os.path.join(out_dir, name), diagram.values, qs)
-        artifacts.append(name)
+        files[f"values_{quant.value}.csv"] = (write_matrix_csv, diagram.values, qs)
         absolute = quant is Quantifier.CZZ and config["absolute_czz"]
         q_c = critical_threshold(diagram, boundary=boundary,
                                  cross_lines=lines, absolute=absolute)
@@ -281,18 +291,11 @@ def cmd_sweep(args):
             "n_same_cells": report.n_same_cells,
             "n_detected_cells": report.n_detected_cells,
         }
-    write_json(os.path.join(out_dir, "results.json"), results)
-    _write_manifest(out_dir, "sweep", config, results, artifacts, started)
-    return 0
+    files["results.json"] = (write_json, results)
+    return results, files
 
 
-def cmd_threshold_curve(args):
-    started = time.time()
-    defaults = {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
-                "points": None, "q_min": None, "q_max": None, "step": None,
-                "boundary": None, "cross_lines": None, "workers": 1,
-                "out": None}
-    config = resolve_config(args, "threshold-curve", defaults)
+def cmd_threshold_curve(config):
     _require(config, "gamma", "points")
     kind, grid = _resolve_quench(config)
     curve = threshold_curve(kind, config["gamma"], config["points"], grid,
@@ -300,19 +303,11 @@ def cmd_threshold_curve(args):
                             workers=config["workers"],
                             boundary=config["boundary"],
                             cross_lines=config["cross_lines"])
-    out_dir = config["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "curve.csv"),
-              [KIND_DEFAULTS[kind].fixed, "b_c"], curve)
-    _write_manifest(out_dir, "threshold-curve", config,
-                    {"points": len(curve)}, ["curve.csv"], started)
-    return 0
+    return {"points": len(curve)}, {"curve.csv": (
+        write_csv, [KIND_DEFAULTS[kind].fixed, "b_c"], curve)}
 
 
-def cmd_fit(args):
-    started = time.time()
-    defaults = {"curve": None, "model": "gaussian", "seed": 0, "out": None}
-    config = resolve_config(args, "fit", defaults)
+def cmd_fit(config):
     _require(config, "curve")
     points = []
     try:
@@ -345,18 +340,10 @@ def cmd_fit(args):
     else:
         raise ConfigError(f"model must be gaussian or trigaussian, "
                           f"got {config['model']!r}")
-    out_dir = config["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, "fit.json"), payload)
-    _write_manifest(out_dir, "fit", config, payload, ["fit.json"], started)
-    return 0
+    return payload, {"fit.json": (write_json, payload)}
 
 
-def cmd_oracle(args):
-    started = time.time()
-    defaults = {"n": 8, "j": 1.0, "gamma": 1.0, "alpha": 10.0,
-                "h_initial": 0.5, "h_final": 2.5, "t": 1.3, "out": None}
-    config = resolve_config(args, "oracle", defaults)
+def cmd_oracle(config):
     params = ModelParams(N=config["n"], J=config["j"], gamma=config["gamma"],
                          alpha=config["alpha"], h=config["h_initial"])
     spectrum_dev = oracle_mod.spectrum_match(params)
@@ -378,11 +365,7 @@ def cmd_oracle(args):
         "pass": bool(spectrum_dev <= 1e-8 and correlator_dev <= 1e-6
                      and xstate_dev <= 1e-10 and energy_dev <= 1e-8),
     }
-    out_dir = config["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, "report.json"), report)
-    _write_manifest(out_dir, "oracle", config, report, ["report.json"], started)
-    return 0 if report["pass"] else 3
+    return report, {"report.json": (write_json, report)}
 
 
 def build_parser():
@@ -414,7 +397,7 @@ def build_parser():
                 "oracle": cmd_oracle}
     for name, handler in handlers.items():
         p = sub.add_parser(name)
-        add_common(p, _ALLOWED[name])
+        add_common(p, SETTINGS[name])
         p.set_defaults(handler=handler)
     return parser
 
@@ -452,7 +435,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_list_values(
         sys.argv[1:] if argv is None else argv))
     try:
-        return args.handler(args)
+        return run_command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,12 @@ F = <c_j c_{j+1}>:
 
     C_zz = m_z**2 + 4 (|F|**2 - |G|**2).
 
+They are fixed by the correlators above: G0 = (1 - m_z)/2,
+G = (C_xx + C_yy)/4 and F = ((C_yy - C_xx) - 2i C_xy)/4.
+_correlators_from_sums turns the mode sums into all five correlators;
+the timed path, steady_correlators and sweep._steady_maps (whose grid
+sums have no n_x) call it.
+
 Sign conventions, both arbitrated by the dense solver (the transient
 n_x sector flips under complex conjugation, so only a full dynamical
 cross-check can pin them): the evolution operator is the physical
@@ -34,12 +40,12 @@ the times TIME_CHUNK samples at a time, so its temporaries take
 O(TIME_CHUNK x modes) memory whatever the length of the grid, and it
 applies to each (time, mode) element the same operations in the same
 order as a one-sample call: a sample's correlators do not depend on
-the chunk it falls in.  correlators_at, one_body_correlations,
-correlator_time_series and correlator_arrays (the array form evolve
-writes) all call it; they refuse a NaN, infinite or negative time
-with ValueError.  correlator_arrays checks momentum.check_footprint and
-TimeGrid.times() refuses a grid above MAX_TIME_SAMPLES samples, both
-with ResourceCapError before anything is allocated.
+the chunk it falls in.  correlators_at, correlator_time_series and
+correlator_arrays (the array form evolve writes) all call it; they
+refuse a NaN, infinite or negative time with ValueError.
+correlator_arrays checks momentum.check_footprint and TimeGrid.times()
+refuses a grid above MAX_TIME_SAMPLES samples, both with
+ResourceCapError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -110,15 +116,6 @@ class CorrelatorSet:
     cxy: float
     cyx: float
     t: float | str = 0.0
-
-
-@dataclass(frozen=True)
-class OneBodyCorrelations:
-    """Wick inputs at separations 0 and 1 (site-independent by PBC)."""
-
-    G0: float
-    G: complex
-    F: complex
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +220,6 @@ def correlators_at(quench: QuenchSpec, t: float) -> CorrelatorSet:
     mz, cxx, cyy, czz, cxy = (float(v[0]) for v in
                               _timed_correlators(quench, np.array([t], dtype=float)))
     return CorrelatorSet(mz=mz, cxx=cxx, cyy=cyy, czz=czz, cxy=cxy, cyx=cxy, t=t)
-
-
-def one_body_correlations(quench: QuenchSpec, t: float) -> OneBodyCorrelations:
-    """Fermionic one-body functions of the evolved state."""
-    _check_time(t)
-    phis, gy, gz, b_f, u_f = _quench_blocks(quench)
-    s_z, m_cos, m_sin, m_x = (float(v[0]) for v in _timed_mode_sums(
-        phis, gy, gz, b_f, u_f, np.array([t], dtype=float)))
-    N = quench.initial.N
-    sum_cos = float(np.sum(np.cos(phis)))
-    return OneBodyCorrelations(G0=(phis.size - s_z) / N,
-                               G=complex(sum_cos - m_cos) / N,
-                               F=complex(m_sin, -m_x) / N)
 
 
 def steady_correlators(quench: QuenchSpec) -> CorrelatorSet:

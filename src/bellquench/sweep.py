@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import xstate_log_negativity
+from .dynamics import _correlators_from_sums
 from .errors import ThresholdUndefinedError
 from .model import (ModelParams, QuenchKind, check_lines, coupling_quench,
                     field_quench, phase_codes, same_phase_area)
@@ -194,7 +195,6 @@ def _steady_maps(N: int, phis, b, u, blocks=((None, None),),
     azz = np.where(degen_f, 1.0, u * u / safe2)
 
     cos_p, sin_p = np.cos(phis), np.sin(phis)
-    sum_cos = float(np.sum(cos_p))
     # j-side factors, pre-weighted by the mode weights, one row per value
     final = (ayz, azz,                       # for sum nz
              cos_p * ayz, cos_p * azz,       # for sum cos*nz
@@ -205,14 +205,14 @@ def _steady_maps(N: int, phis, b, u, blocks=((None, None),),
         f_m_y, f_m_z, f_z_y, f_z_z, f_y_y, f_y_z = (
             (f if cols is None else f[cols]).T for f in final)
         n_rows, n_cols = gy_b.shape[0], f_m_y.shape[1]
-        mz = np.empty((n_rows, n_cols))
+        s_z = np.empty((n_rows, n_cols))
         m_cos = np.empty((n_rows, n_cols))
         m_sin = np.empty((n_rows, n_cols))
 
         def run_chunk(start):
             stop = min(start + ROW_CHUNK, n_rows)
             gy_c, gz_c = gy_b[start:stop], gz_b[start:stop]
-            mz[start:stop] = (2.0 / N) * (gy_c @ f_m_y + gz_c @ f_m_z)
+            s_z[start:stop] = gy_c @ f_m_y + gz_c @ f_m_z
             m_cos[start:stop] = gy_c @ f_z_y + gz_c @ f_z_z
             m_sin[start:stop] = gy_c @ f_y_y + gz_c @ f_y_z
 
@@ -224,16 +224,19 @@ def _steady_maps(N: int, phis, b, u, blocks=((None, None),),
             for start in starts:
                 run_chunk(start)
 
-        cxx = (2.0 / N) * (sum_cos - m_cos - m_sin)
-        cyy = (2.0 / N) * (sum_cos - m_cos + m_sin)
-        g1 = (sum_cos - m_cos) / N
-        f1 = m_sin / N
-        czz = mz * mz + 4.0 * (f1 * f1 - g1 * g1)
-        yield mz, cxx, cyy, czz
+        # the steady state has no n_x, so its mode sum is 0
+        yield _correlators_from_sums(phis, (s_z, m_cos, m_sin, 0.0), N)[:4]
 
 
 def _bell_map(cxx, cyy, czz):
-    """Horodecki value with C_xy = C_yx = 0 (always true in steady state)."""
+    """bell.chsh_arrays(cxx, cyy, czz, 0, 0)[3]: the C_xy = C_yx = 0 form
+    (always true in steady state), with the largest squares taken
+    directly instead of through lambda_pm.
+
+    Kept apart for the bits of values_bell.csv: on the N = 512
+    field map (gamma 0.8, alpha 3.5, 601 x 601) chsh_arrays differs
+    in 8 337 of 361 201 cells, by up to 4.4e-16.
+    """
     xx2, yy2, zz2 = cxx * cxx, cyy * cyy, czz * czz
     lam_plus = np.maximum(xx2, yy2)
     second = np.maximum(np.minimum(xx2, yy2), zz2)

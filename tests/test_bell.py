@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellquench.bell import (bell_time_average, bell_value, chsh_arrays,
-                             correlation_matrix, correlators_from_state,
-                             log_negativity, partial_transpose,
-                             reconstruct_rho12, xstate_log_negativity)
-from bellquench.dynamics import (CorrelatorSet, TimeGrid, correlator_time_series,
-                                 correlators_at, steady_correlators)
+from bellquench.bell import (bell_value, chsh_arrays, correlation_matrix,
+                             correlators_from_state, log_negativity,
+                             partial_transpose, reconstruct_rho12,
+                             xstate_log_negativity)
+from bellquench.dynamics import (CorrelatorSet, TimeGrid, correlator_arrays,
+                                 correlator_time_series, correlators_at,
+                                 steady_correlators)
 from bellquench.errors import InconsistentCorrelatorsError
 from bellquench.model import ModelParams, coupling_quench, field_quench
 
@@ -84,24 +85,6 @@ class TestBellEigenvalues:
             root = np.sqrt((caa_p + cab_m) * (caa_m + cab_p))
             assert 2 * lam_plus == pytest.approx(s + root, abs=1e-10)
             assert 2 * lam_minus == pytest.approx(s - root, abs=1e-10)
-
-
-class TestBellTimeAverage:
-    def test_constant_series(self):
-        series = [cset(czz=0.5, t=float(t)) for t in range(5)]
-        assert bell_time_average(series) == pytest.approx(
-            bell_value(series[0]))
-
-    def test_no_quench_equilibrium(self):
-        q = field_quench(ModelParams(N=32, gamma=1.0, alpha=10.0, h=0.7),
-                         0.7, 0.7)
-        series = correlator_time_series(q, TimeGrid(10.0, 0.5))
-        assert bell_time_average(series) == pytest.approx(
-            bell_value(series[0]), abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bell_time_average([])
 
 
 class TestReconstructRho12:
@@ -226,7 +209,9 @@ def test_time_average_map_weaker_contrast():
         for j, hf in enumerate(hs):
             q = field_quench(base, float(hi), float(hf))
             steady_map[i, j] = bell_value(steady_correlators(q))
-            avg_map[i, j] = bell_time_average(correlator_time_series(q, grid_t))
+            times, _, cxx, cyy, czz, cxy = correlator_arrays(q, grid_t)
+            bell = chsh_arrays(cxx, cyy, czz, cxy, cxy)[3]
+            avg_map[i, j] = np.trapezoid(bell, times) / (times[-1] - times[0])
             fi = h_c < hi < 1.0
             fj = h_c < hf < 1.0
             same[i, j] = fi == fj

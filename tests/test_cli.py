@@ -156,9 +156,10 @@ class TestFitCommand:
     def test_malformed_row_names_line(self, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
         curve.write_text("alpha,b_c\n1.0,2.0\noops\n")
-        assert run(["fit", "--curve", str(curve),
-                    "--out", str(tmp_path / "f")]) == 2
+        out = tmp_path / "f"
+        assert run(["fit", "--curve", str(curve), "--out", str(out)]) == 2
         assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracleCommand:
@@ -169,6 +170,18 @@ class TestOracleCommand:
         assert report["pass"] is True
         assert report["spectrum_max_dev"] < 1e-8
         assert report["correlator_max_dev"] < 1e-6
+
+    def test_failed_report_written_with_exit_3(self, tmp_path, monkeypatch):
+        # a failed check is a result: the report and its checksum are
+        # written, and the exit code says it failed
+        from bellquench import oracle
+        monkeypatch.setattr(oracle, "spectrum_match", lambda params: 1.0)
+        out = tmp_path / "o"
+        assert run(["oracle", "--n", "6", "--out", str(out)]) == 3
+        report = read_json(out / "report.json")
+        assert report["pass"] is False and report["spectrum_max_dev"] == 1.0
+        checksums = read_json(out / "manifest.json")["checksums"]
+        assert checksums == {"report.json": sha256_file(out / "report.json")}
 
     def test_resource_cap_exit_code(self, tmp_path):
         assert run(["oracle", "--n", "16",
@@ -397,8 +410,10 @@ class TestEvolveArrays:
             return 0.5 * np.arange(2), 0.9 * one, one, -one, one, 0.0 * one
 
         monkeypatch.setattr(cli, "correlator_arrays", bad_arrays)
-        assert run(EVOLVE_README + ["--out", str(tmp_path / "bad")]) == 3
+        out = tmp_path / "bad"
+        assert run(EVOLVE_README + ["--out", str(out)]) == 3
         assert "non-positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workers_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

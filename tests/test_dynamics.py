@@ -4,8 +4,7 @@ import pytest
 from bellquench.model import ModelParams, coupling_quench, field_quench
 from bellquench.dynamics import (MAX_TIME_SAMPLES, STEADY, TIME_CHUNK, TimeGrid,
                                  correlator_arrays, correlator_time_series,
-                                 correlators_at, one_body_correlations,
-                                 steady_correlators)
+                                 correlators_at, steady_correlators)
 from bellquench.errors import ResourceCapError
 from bellquench import oracle
 
@@ -26,8 +25,6 @@ def test_invalid_time_rejected(t):
     q = nn_quench()
     with pytest.raises(ValueError, match="finite and >= 0"):
         correlators_at(q, t)
-    with pytest.raises(ValueError, match="finite and >= 0"):
-        one_body_correlations(q, t)
 
 
 class TestCorrelatorsAt:
@@ -60,15 +57,23 @@ class TestCorrelatorsAt:
                 assert abs(getattr(c, k)) <= 1.0 + 1e-9
 
 
+def one_body(quench, t):
+    """(G0, G, F) = (<c+_j c_j>, <c+_j c_{j+1}>, <c_j c_{j+1}>), the Wick
+    inputs of C_zz, from the spin correlators at time t."""
+    c = correlators_at(quench, t)
+    return ((1.0 - c.mz) / 2.0, (c.cxx + c.cyy) / 4.0,
+            ((c.cyy - c.cxx) - 2j * c.cxy) / 4.0)
+
+
 class TestOneBody:
     def test_vacuum_limit(self):
-        ob = one_body_correlations(nn_quench(h_i=1e6, h_f=1e6), 0.0)
-        assert abs(ob.G0) < 1e-6 and abs(ob.G) < 1e-6 and abs(ob.F) < 1e-6
+        g0, g, f = one_body(nn_quench(h_i=1e6, h_f=1e6), 0.0)
+        assert abs(g0) < 1e-6 and abs(g) < 1e-6 and abs(f) < 1e-6
 
     def test_filled_limit(self):
-        ob = one_body_correlations(nn_quench(h_i=-1e6, h_f=-1e6), 0.0)
-        assert ob.G0 == pytest.approx(1.0, abs=1e-6)
-        assert abs(ob.G) < 1e-6
+        g0, g, _ = one_body(nn_quench(h_i=-1e6, h_f=-1e6), 0.0)
+        assert g0 == pytest.approx(1.0, abs=1e-6)
+        assert abs(g) < 1e-6
 
     def test_matches_dense_jw(self):
         q = nn_quench(N=10, gamma=0.8, alpha=2.0, h_i=0.3, h_f=-0.9)
@@ -77,10 +82,10 @@ class TestOneBody:
         c1 = oracle.jw_annihilation(1, 10)
         t = 0.7
         psi = runner.state_at(t)
-        ob = one_body_correlations(q, t)
-        assert abs(ob.F - psi.conj() @ (c0 @ c1) @ psi) < 1e-8
-        assert abs(ob.G - psi.conj() @ (c0.conj().T @ c1) @ psi) < 1e-8
-        assert abs(ob.G0 - (psi.conj() @ (c0.conj().T @ c0) @ psi).real) < 1e-8
+        g0, g, f = one_body(q, t)
+        assert abs(f - psi.conj() @ (c0 @ c1) @ psi) < 1e-8
+        assert abs(g - psi.conj() @ (c0.conj().T @ c1) @ psi) < 1e-8
+        assert abs(g0 - (psi.conj() @ (c0.conj().T @ c0) @ psi).real) < 1e-8
 
 
 class TestSteadyState:

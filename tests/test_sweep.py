@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from bellquench.bell import bell_value, log_negativity, reconstruct_rho12
+from bellquench.bell import (bell_value, chsh_arrays, log_negativity,
+                             reconstruct_rho12)
 from bellquench.dynamics import steady_correlators
 from bellquench.errors import ThresholdUndefinedError
 from bellquench.model import ModelParams, QuenchKind, same_phase_area
 from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier, _axes,
-                              _cross_blocks, _steady_maps, critical_threshold,
-                              efficiency, steady_cell, sweep, sweep_all,
-                              threshold_curve)
+                              _bell_map, _cross_blocks, _steady_maps,
+                              critical_threshold, efficiency, steady_cell,
+                              sweep, sweep_all, threshold_curve)
 from phase_reference import PhaseLabel, classify_pair
 from bellquench import oracle
 from bellquench.dynamics import correlators_at
@@ -415,6 +416,17 @@ def test_entanglement_map_bits_unchanged(kind, fixed, grid):
                           steady_entanglement_map(mz, cxx, cyy, czz))
     assert np.array_equal(sweep(kind, fixed, grid, Quantifier.ENTANGLEMENT).values,
                           maps[Quantifier.ENTANGLEMENT].values)
+
+
+@pytest.mark.parametrize("kind, fixed, grid", [
+    (QuenchKind.FIELD, fixed_params(N=128, gamma=0.8, alpha=3.5), GridSpec(-3, 3, 0.05)),
+    (QuenchKind.COUPLING, fixed_params(N=128, gamma=0.8, h=-0.5), GridSpec(0.5, 3.0, 0.05)),
+])
+def test_bell_map_is_chsh_at_zero_cxy(kind, fixed, grid):
+    (_, cxx, cyy, czz), = _steady_maps(
+        fixed.N, *_axes(kind, fixed, grid.values())(fixed))
+    assert np.max(np.abs(_bell_map(cxx, cyy, czz)
+                         - chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3])) <= 1e-15
 
 
 def test_efficiency_counts_cross_cells_of_the_policy():
