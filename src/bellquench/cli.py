@@ -30,6 +30,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -283,14 +284,7 @@ def cmd_sweep(config):
                                  cross_lines=lines, absolute=absolute)
         report = efficiency(diagram, q_c, absolute=absolute,
                             boundary=boundary, cross_lines=lines)
-        results[quant.value] = {
-            "q_c": q_c, "eta": report.eta,
-            "area_detected": report.area_detected,
-            "area_same": report.area_same,
-            "n_cross_cells": report.n_cross_cells,
-            "n_same_cells": report.n_same_cells,
-            "n_detected_cells": report.n_detected_cells,
-        }
+        results[quant.value] = asdict(report)
     files["results.json"] = (write_json, results)
     return results, files
 
@@ -325,21 +319,14 @@ def cmd_fit(config):
         except ValueError:
             raise ConfigError(
                 f"non-numeric curve row at line {lineno}: {line!r}") from None
-    if config["model"] == "gaussian":
+    name = config["model"]
+    if name == "gaussian":
         fit = fit_gaussian(points, seed=config["seed"])
-        payload = {"model": "gaussian", "A": fit.A, "B": fit.B, "C": fit.C,
-                   "r_squared": fit.r_squared}
-    elif config["model"] == "trigaussian":
+    elif name == "trigaussian":
         fit = fit_trigaussian(points, seed=config["seed"])
-        payload = {"model": "trigaussian",
-                   "components": [{"amplitude": c.amplitude,
-                                   "center": c.center, "width": c.width}
-                                  for c in fit.components],
-                   "r_squared": fit.r_squared,
-                   "low_confidence": fit.low_confidence}
     else:
-        raise ConfigError(f"model must be gaussian or trigaussian, "
-                          f"got {config['model']!r}")
+        raise ConfigError(f"model must be gaussian or trigaussian, got {name!r}")
+    payload = {"model": name, **asdict(fit)}
     return payload, {"fit.json": (write_json, payload)}
 
 
@@ -436,10 +423,7 @@ def main(argv=None) -> int:
         sys.argv[1:] if argv is None else argv))
     try:
         return run_command(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ThresholdUndefinedError, InconsistentCorrelatorsError) as exc:

@@ -1,4 +1,4 @@
-"""Quench dynamics: block evolution, correlators, steady-state values.
+"""Quench dynamics: the Bloch engine of the timed and the steady paths.
 
 Each momentum block is a two-level problem in its even sector, so the
 state is tracked as a Bloch vector n(t) precessing around the final
@@ -21,8 +21,8 @@ F = <c_j c_{j+1}>:
 They are fixed by the correlators above: G0 = (1 - m_z)/2,
 G = (C_xx + C_yy)/4 and F = ((C_yy - C_xx) - 2i C_xy)/4.
 _correlators_from_sums turns the mode sums into all five correlators;
-the timed path, steady_correlators and sweep._steady_maps (whose grid
-sums have no n_x) call it.
+the timed kernel and the steady kernel (whose sums have no n_x) call
+it.
 
 Sign conventions, both arbitrated by the dense solver (the transient
 n_x sector flips under complex conjugation, so only a full dynamical
@@ -30,7 +30,30 @@ cross-check can pin them): the evolution operator is the physical
 exp(-i H_p t), and with the standard sigma_y the xy weight is
 +sin(phi) n_x; the opposite sign belongs to the conjugate
 fermionization convention (sigma_y -> -sigma_y).  The initial vectors
-come from momentum.ground_bloch, the kernel the sweeps share.
+come from momentum.ground_bloch.
+
+A quench grid is a set of values q of the quenched parameter
+(model.QUENCHED: h for field quenches, alpha for coupling quenches)
+at fixed other parameters.  _axes builds its per-mode inputs, one row
+of (b, u = a + h) per value, and one quench is the two-value grid
+[q_i, q_f] (_quench_axis): row 0 is the initial Hamiltonian, row 1
+the final one.  Both paths start there.
+
+Steady values come from one kernel, _steady_maps.  The
+diagonal-ensemble Bloch vector of each mode is bilinear in
+initial-side and final-side factors,
+
+    n_y = gy_i * (b_f^2/L_f^2)   + gz_i * (u_f b_f/L_f^2)
+    n_z = gy_i * (u_f b_f/L_f^2) + gz_i * (u_f^2/L_f^2),
+
+so every mode sum needed by the correlators factorizes into a few
+(grid x modes) @ (modes x grid) matrix products, over any (rows, cols)
+block of the grid.  The sweeps run it over whole grids and
+cross-phase blocks; steady_correlators is its (row 0, col 1) cell of
+the quench's two-value grid.  Worker parallelism splits the
+initial-axis rows into ROW_CHUNK-row chunks whose results are written
+into preallocated slots, so outputs are bitwise identical for every
+worker count.
 
 Timed values come from one kernel, _timed_mode_sums: for a vector of
 times it rotates the Bloch vectors and takes the four mode sums
@@ -51,17 +74,22 @@ ResourceCapError before anything is allocated.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceCapError
-from .model import QuenchSpec
+from .model import QUENCHED, ModelParams, QuenchKind, QuenchSpec
 from .momentum import (MEMORY_CAP, SAMPLE_BYTES, STEADY_DEGENERACY_TOL,
                        TIMED_DEGENERACY_TOL, check_footprint, dispersion,
                        ground_bloch, mode_angles)
 
 STEADY = "steady"
+
+# Rows per work item of _steady_maps; fixed so that chunking (and hence
+# every BLAS call shape) does not depend on the worker count.
+ROW_CHUNK = 64
 
 # Samples per chunk of the timed kernel: each of its temporaries holds
 # TIME_CHUNK x N/2 doubles (0.5 MB at N = 512).
@@ -121,30 +149,32 @@ class CorrelatorSet:
 # ---------------------------------------------------------------------------
 # Bloch-vector engine (arrays over modes, optionally broadcast over time)
 
-def _quench_blocks(quench: QuenchSpec):
-    """Per-mode data: phis, initial Bloch (gy, gz), final field (b_f, u_f)."""
-    phis = mode_angles(quench.initial.N)
-    a_i, b_i = dispersion(quench.initial, phis)
-    a_f, b_f = dispersion(quench.final, phis)
-    _, gy, gz = ground_bloch(a_i + quench.initial.h, b_i)
-    return phis, gy, gz, b_f, a_f + quench.final.h
+def _axes(kind: QuenchKind, base: ModelParams, qs: np.ndarray):
+    """A function fixed -> (phis, b, u): the inputs of both kernels, with
+    one row of b and of u = a + h per grid value.
 
-
-def _steady_bloch(gy, gz, b_f, u_f):
-    """Diagonal-ensemble Bloch vector: n projected on the final axis.
-
-    Degenerate final blocks (Lambda_f ~ 0) do not dephase at all, so
-    the full initial vector survives there.
+    fixed may differ from base only in the parameter the kind holds
+    fixed.  A field grid's dispersion depends on fixed.alpha, so each
+    call computes it.  A coupling grid's runs over the alpha axis and
+    does not depend on h, so it is computed here, once, and each call
+    adds its own h.
     """
-    lam_f = np.hypot(u_f, b_f)
-    degen = lam_f < STEADY_DEGENERACY_TOL
-    safe = np.where(degen, 1.0, lam_f)
-    dy = -b_f / safe
-    dz = -u_f / safe
-    kappa = gy * dy + gz * dz
-    ny = np.where(degen, gy, kappa * dy)
-    nz = np.where(degen, gz, kappa * dz)
-    return ny, nz, int(np.count_nonzero(degen))
+    phis = mode_angles(base.N)
+    if kind is QuenchKind.FIELD:
+        def axes(fixed):
+            a, b = dispersion(fixed, phis)
+            return phis, np.broadcast_to(b, (qs.size, phis.size)), a + qs[:, None]
+        return axes
+    a, b = dispersion(base, phis, alphas=qs)
+    return lambda fixed: (phis, b, a + fixed.h)
+
+
+def _quench_axis(quench: QuenchSpec):
+    """(phis, b, u) of the two-value grid [q_i, q_f] of one quench: row 0
+    is the initial Hamiltonian, row 1 the final one."""
+    name = QUENCHED[quench.kind]
+    qs = np.array([getattr(quench.initial, name), getattr(quench.final, name)])
+    return _axes(quench.kind, quench.initial, qs)(quench.initial)
 
 
 def _timed_mode_sums(phis, gy, gz, b_f, u_f, times):
@@ -199,10 +229,62 @@ def _correlators_from_sums(phis, sums, N):
     return mz, cxx, cyy, czz, cxy
 
 
+def _steady_maps(N: int, phis, b, u, blocks=((None, None),),
+                 workers: int = 1):
+    """Steady mz, cxx, cyy, czz over each (rows, cols) block of the grid.
+
+    b and u come from _axes.  rows and cols select initial and
+    final grid values by index array or slice (None: the whole axis).
+    Yields one (mz, cxx, cyy, czz) per block; the per-value mode
+    factors are computed once and shared by every block.
+    """
+    lam, gy, gz = ground_bloch(u, b)
+    lam2 = lam * lam
+    degen_f = lam < STEADY_DEGENERACY_TOL
+    safe2 = np.where(degen_f, 1.0, lam2)
+    ayy = np.where(degen_f, 1.0, b * b / safe2)
+    ayz = np.where(degen_f, 0.0, u * b / safe2)
+    azz = np.where(degen_f, 1.0, u * u / safe2)
+
+    cos_p, sin_p = np.cos(phis), np.sin(phis)
+    # j-side factors, pre-weighted by the mode weights, one row per value
+    final = (ayz, azz,                       # for sum nz
+             cos_p * ayz, cos_p * azz,       # for sum cos*nz
+             sin_p * ayy, sin_p * ayz)       # for sum sin*ny
+
+    for rows, cols in blocks:
+        gy_b, gz_b = (gy, gz) if rows is None else (gy[rows], gz[rows])
+        f_m_y, f_m_z, f_z_y, f_z_z, f_y_y, f_y_z = (
+            (f if cols is None else f[cols]).T for f in final)
+        n_rows, n_cols = gy_b.shape[0], f_m_y.shape[1]
+        s_z = np.empty((n_rows, n_cols))
+        m_cos = np.empty((n_rows, n_cols))
+        m_sin = np.empty((n_rows, n_cols))
+
+        def run_chunk(start):
+            stop = min(start + ROW_CHUNK, n_rows)
+            gy_c, gz_c = gy_b[start:stop], gz_b[start:stop]
+            s_z[start:stop] = gy_c @ f_m_y + gz_c @ f_m_z
+            m_cos[start:stop] = gy_c @ f_z_y + gz_c @ f_z_z
+            m_sin[start:stop] = gy_c @ f_y_y + gz_c @ f_y_z
+
+        starts = range(0, n_rows, ROW_CHUNK)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run_chunk, starts))
+        else:
+            for start in starts:
+                run_chunk(start)
+
+        # the steady state has no n_x, so its mode sum is 0
+        yield _correlators_from_sums(phis, (s_z, m_cos, m_sin, 0.0), N)[:4]
+
+
 def _timed_correlators(quench: QuenchSpec, times: np.ndarray):
     """(mz, cxx, cyy, czz, cxy) arrays, one entry per time."""
-    phis, gy, gz, b_f, u_f = _quench_blocks(quench)
-    sums = _timed_mode_sums(phis, gy, gz, b_f, u_f, times)
+    phis, b, u = _quench_axis(quench)
+    _, gy, gz = ground_bloch(u[0], b[0])
+    sums = _timed_mode_sums(phis, gy, gz, b[1], u[1], times)
     return _correlators_from_sums(phis, sums, quench.initial.N)
 
 
@@ -228,15 +310,14 @@ def steady_correlators(quench: QuenchSpec) -> CorrelatorSet:
     Every block keeps only the component of its Bloch vector along the
     final field axis, killing the oscillatory terms in closed form.
     The transverse n_x component dies entirely, so the steady state has
-    C_xy = C_yx = 0.
+    C_xy = C_yx = 0.  The values are the (q_i, q_f) cell of the sweep
+    kernel _steady_maps on the quench's two-value grid.
     """
-    phis, gy, gz, b_f, u_f = _quench_blocks(quench)
-    ny, nz, _ = _steady_bloch(gy, gz, b_f, u_f)
-    sums = (np.sum(nz), np.sum(np.cos(phis) * nz), np.sum(np.sin(phis) * ny), 0.0)
-    mz, cxx, cyy, czz, cxy = _correlators_from_sums(phis, sums, quench.initial.N)
-    return CorrelatorSet(mz=float(mz), cxx=float(cxx), cyy=float(cyy),
-                         czz=float(czz), cxy=float(cxy), cyx=float(cxy),
-                         t=STEADY)
+    (mz, cxx, cyy, czz), = _steady_maps(quench.initial.N, *_quench_axis(quench),
+                                        ((slice(0, 1), slice(1, 2)),))
+    return CorrelatorSet(mz=float(mz[0, 0]), cxx=float(cxx[0, 0]),
+                         cyy=float(cyy[0, 0]), czz=float(czz[0, 0]),
+                         cxy=0.0, cyx=0.0, t=STEADY)
 
 
 def correlator_arrays(quench: QuenchSpec, grid: TimeGrid):

@@ -7,7 +7,9 @@ the (alpha, h) plane are known in closed form and everything downstream
 (phase masks, same-phase areas, detection efficiencies) derives from
 them, so they live here as exact expressions.  phase_codes is the one
 classifier of quench-grid values; the sweep masks and the cross-phase
-cells of every threshold are built from it.
+cells of every threshold are built from it.  QUENCHED names the
+parameter each quench kind changes; QuenchSpec, make_quench and the
+quench axis of the dynamics engine read it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ COUPLING_H_MAX = 2.0 ** 0.5 - 1.0             # 0.41421...
 class QuenchKind(enum.Enum):
     FIELD = "field"
     COUPLING = "coupling"
+
+
+# The ModelParams field a quench of each kind changes: a grid value q.
+QUENCHED = {QuenchKind.FIELD: "h", QuenchKind.COUPLING: "alpha"}
 
 
 @dataclass(frozen=True)
@@ -88,26 +94,25 @@ class QuenchSpec:
     final: ModelParams
 
     def __post_init__(self):
-        a, b = self.initial, self.final
-        common = (a.N == b.N and a.J == b.J and a.gamma == b.gamma)
-        if self.kind is QuenchKind.FIELD:
-            if not (common and a.alpha == b.alpha):
-                raise ValueError("field quench must change only h")
-        else:
-            if not (common and a.h == b.h):
-                raise ValueError("coupling quench must change only alpha")
+        name = QUENCHED[self.kind]
+        if self.initial.replace(**{name: getattr(self.final, name)}) != self.final:
+            raise ValueError(f"{self.kind.value} quench must change only {name}")
+
+
+def make_quench(kind: QuenchKind, base: ModelParams, q_i: float,
+                q_f: float) -> QuenchSpec:
+    """The quench q_i -> q_f of the kind's parameter, the rest from base."""
+    name = QUENCHED[kind]
+    return QuenchSpec(kind, base.replace(**{name: q_i}), base.replace(**{name: q_f}))
 
 
 def field_quench(base: ModelParams, h_initial: float, h_final: float) -> QuenchSpec:
-    return QuenchSpec(QuenchKind.FIELD,
-                      base.replace(h=h_initial), base.replace(h=h_final))
+    return make_quench(QuenchKind.FIELD, base, h_initial, h_final)
 
 
 def coupling_quench(base: ModelParams, alpha_initial: float,
                     alpha_final: float) -> QuenchSpec:
-    return QuenchSpec(QuenchKind.COUPLING,
-                      base.replace(alpha=alpha_initial),
-                      base.replace(alpha=alpha_final))
+    return make_quench(QuenchKind.COUPLING, base, alpha_initial, alpha_final)
 
 
 def kac_factor(alpha: float, N: int) -> float:

@@ -32,13 +32,15 @@ states never enter a quench.  Three conventions are fixed here once:
   Lambda = hypot(u, b) falls below a cutoff, and each engine treats
   that case in closed form instead of dividing by Lambda.
   DEGENERACY_TOL (1e-14, initial blocks, ground_bloch): the state is
-  |pair>.  STEADY_DEGENERACY_TOL (1e-12, final blocks of the steady
-  engines, dynamics._steady_bloch and sweep._steady_maps): the block
-  does not dephase, so the whole initial vector survives; a gap that
-  small precesses with a period beyond 1e12.  TIMED_DEGENERACY_TOL
-  (1e-30, final blocks of dynamics._timed_mode_sums): the block has no
-  precession axis and the vector stays put; above it the exact
-  rotation is taken, however slow.
+  |pair>.  STEADY_DEGENERACY_TOL (1e-12, final blocks of the one
+  steady kernel, dynamics._steady_maps, which steady_correlators and
+  the sweeps share): the block does not dephase, so the whole initial
+  vector survives; a gap that small precesses with a period beyond
+  1e12.  TIMED_DEGENERACY_TOL (1e-30, final blocks of
+  dynamics._timed_mode_sums): the block has no precession axis and
+  the vector stays put; above it the exact rotation is taken, however
+  slow.  Pinned on one block on each side
+  of both cutoffs by test_dynamics.py::TestCutoffs.
 
 check_footprint is the one estimate of a run's peak memory; the
 sweeps, the threshold curves and dynamics.correlator_arrays call it

@@ -16,8 +16,6 @@ its ground state is obtained here by diagonalizing the even block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import CorrelatorSet, TimeGrid
@@ -41,17 +39,11 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _ID = np.eye(2, dtype=complex)
 
 
-@dataclass(frozen=True)
-class DenseHamiltonian:
-    dim: int
-    matrix: np.ndarray
-
-
 def _popcount(x: np.ndarray) -> np.ndarray:
     return np.bitwise_count(x.astype(np.uint64)).astype(np.int64)
 
 
-def build_spin_hamiltonian(params: ModelParams) -> DenseHamiltonian:
+def build_spin_hamiltonian(params: ModelParams) -> np.ndarray:
     """Full 2^N spin Hamiltonian with periodic boundaries.
 
     H = sum_j sum_{r=1}^{N/2} -J_r [ (1+gamma)/4 sx_j Z sx_{j+r}
@@ -89,7 +81,7 @@ def build_spin_hamiltonian(params: ModelParams) -> DenseHamiltonian:
             # <s'|YZY|s> = -(-1)**(b_j + b_j2) * <s'|XZX|s>
             ysign = -(1.0 - 2.0 * ((bj + bj2) % 2))
             h_mat[sp, s] += -j_r[r - 1] * zsign * (cx + cy * ysign)
-    return DenseHamiltonian(dim=dim, matrix=h_mat)
+    return h_mat
 
 
 def even_parity_indices(N: int) -> np.ndarray:
@@ -107,9 +99,9 @@ def ground_state_even(params: ModelParams) -> tuple[float, np.ndarray]:
     """
     dense = build_spin_hamiltonian(params)
     idx = even_parity_indices(params.N)
-    block = dense.matrix[np.ix_(idx, idx)]
+    block = dense[np.ix_(idx, idx)]
     vals, vecs = np.linalg.eigh(block)
-    psi = np.zeros(dense.dim, dtype=complex)
+    psi = np.zeros(dense.shape[0], dtype=complex)
     psi[idx] = vecs[:, 0]
     return float(vals[0]), psi
 
@@ -145,7 +137,7 @@ class OracleQuench:
         _, psi0 = ground_state_even(quench.initial)
         idx = even_parity_indices(N)
         h_final = build_spin_hamiltonian(quench.final)
-        block = h_final.matrix[np.ix_(idx, idx)]
+        block = h_final[np.ix_(idx, idx)]
         self._idx = idx
         self._energies, self._vecs = np.linalg.eigh(block)
         self._coeffs = self._vecs.conj().T @ psi0[idx]
@@ -248,6 +240,6 @@ def fermionic_spectrum(params: ModelParams) -> np.ndarray:
 
 def spectrum_match(params: ModelParams) -> float:
     """Max absolute deviation between dense and free-fermion spectra."""
-    dense = np.sort(np.linalg.eigvalsh(build_spin_hamiltonian(params).matrix))
+    dense = np.sort(np.linalg.eigvalsh(build_spin_hamiltonian(params)))
     fermi = fermionic_spectrum(params)
     return float(np.max(np.abs(dense - fermi)))

@@ -1,20 +1,10 @@
 """Quench-grid sweeps, benchmarking thresholds and efficiencies.
 
 A steady-state phase diagram evaluates the dephased correlators for
-every (q_i, q_f) pair on a grid.  The diagonal-ensemble Bloch vector
-of each mode is bilinear in initial-side and final-side factors,
-
-    n_y = gy_i * (b_f^2/L_f^2)   + gz_i * (u_f b_f/L_f^2)
-    n_z = gy_i * (u_f b_f/L_f^2) + gz_i * (u_f^2/L_f^2),
-
-so every mode sum needed by the correlators factorizes into a few
-(grid x modes) @ (modes x grid) matrix products.  One kernel,
-_steady_maps, evaluates them over any (rows, cols) block of the grid.
-sweep_all runs it over the whole grid and builds the three quantifier
-maps and the phase masks; sweep is one of its diagrams.  Worker
-parallelism splits the initial-axis rows into fixed-size chunks whose
-results are written into preallocated slots, so outputs are bitwise
-identical for every worker count.
+every (q_i, q_f) pair on a grid, through the steady kernel of
+dynamics (_axes, _steady_maps).  sweep_all runs it over the whole
+grid and builds the three quantifier maps and the phase mask; sweep
+is one of its diagrams.
 
 Both quench kinds run one protocol.  KIND_DEFAULTS holds what differs
 between them: the default grid, the default threshold policy
@@ -44,16 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import xstate_log_negativity
-from .dynamics import _correlators_from_sums
+from .dynamics import _axes, _steady_maps
 from .errors import ThresholdUndefinedError
-from .model import (ModelParams, QuenchKind, check_lines, coupling_quench,
-                    field_quench, phase_codes, same_phase_area)
-from .momentum import (STEADY_DEGENERACY_TOL, check_footprint, dispersion,
-                       ground_bloch, mode_angles)
-
-# Rows per work item; fixed so that chunking (and hence every BLAS call
-# shape) does not depend on the worker count.
-ROW_CHUNK = 64
+from .model import (ModelParams, QuenchKind, check_lines, make_quench,
+                    phase_codes, same_phase_area)
+from .momentum import check_footprint
 
 
 class Quantifier(enum.Enum):
@@ -121,13 +106,11 @@ KIND_DEFAULTS = {
 
 @dataclass(frozen=True)
 class PhaseDiagram:
-    """Steady-state quantifier over a quench grid plus phase masks.
+    """Steady-state quantifier over a quench grid plus its phase mask.
 
     values[i, j] belongs to the quench q_i = grid[i] -> q_f = grid[j].
-    same_phase_mask marks strictly same-phase pairs; boundary_mask
-    marks pairs with either endpoint on a critical line (counted as
-    cross-phase by the conservative convention, but kept separately so
-    threshold policies can be compared).
+    same_phase_mask marks strictly same-phase pairs: a pair with either
+    endpoint on a critical line is not one.
     """
 
     kind: QuenchKind
@@ -136,11 +119,6 @@ class PhaseDiagram:
     quantifier: Quantifier
     values: np.ndarray
     same_phase_mask: np.ndarray
-    boundary_mask: np.ndarray
-
-    @property
-    def cross_phase_mask(self) -> np.ndarray:
-        return ~self.same_phase_mask
 
 
 @dataclass(frozen=True)
@@ -152,80 +130,6 @@ class ThresholdReport:
     n_cross_cells: int
     n_same_cells: int
     n_detected_cells: int
-
-
-# ---------------------------------------------------------------------------
-# Steady-state engine
-
-def _axes(kind: QuenchKind, base: ModelParams, qs: np.ndarray):
-    """A function fixed -> (phis, b, u): the _steady_maps inputs, with
-    one row of b and of u = a + h per grid value.
-
-    fixed may differ from base only in the parameter the kind holds
-    fixed.  A field grid's dispersion depends on fixed.alpha, so each
-    call computes it.  A coupling grid's runs over the alpha axis and
-    does not depend on h, so it is computed here, once, and each call
-    adds its own h.
-    """
-    phis = mode_angles(base.N)
-    if kind is QuenchKind.FIELD:
-        def axes(fixed):
-            a, b = dispersion(fixed, phis)
-            return phis, np.broadcast_to(b, (qs.size, phis.size)), a + qs[:, None]
-        return axes
-    a, b = dispersion(base, phis, alphas=qs)
-    return lambda fixed: (phis, b, a + fixed.h)
-
-
-def _steady_maps(N: int, phis, b, u, blocks=((None, None),),
-                 workers: int = 1):
-    """Steady mz, cxx, cyy, czz over each (rows, cols) block of the grid.
-
-    b and u come from _axes.  rows and cols select initial and
-    final grid values by index array or slice (None: the whole axis).
-    Yields one (mz, cxx, cyy, czz) per block; the per-value mode
-    factors are computed once and shared by every block.
-    """
-    lam, gy, gz = ground_bloch(u, b)
-    lam2 = lam * lam
-    degen_f = lam < STEADY_DEGENERACY_TOL
-    safe2 = np.where(degen_f, 1.0, lam2)
-    ayy = np.where(degen_f, 1.0, b * b / safe2)
-    ayz = np.where(degen_f, 0.0, u * b / safe2)
-    azz = np.where(degen_f, 1.0, u * u / safe2)
-
-    cos_p, sin_p = np.cos(phis), np.sin(phis)
-    # j-side factors, pre-weighted by the mode weights, one row per value
-    final = (ayz, azz,                       # for sum nz
-             cos_p * ayz, cos_p * azz,       # for sum cos*nz
-             sin_p * ayy, sin_p * ayz)       # for sum sin*ny
-
-    for rows, cols in blocks:
-        gy_b, gz_b = (gy, gz) if rows is None else (gy[rows], gz[rows])
-        f_m_y, f_m_z, f_z_y, f_z_z, f_y_y, f_y_z = (
-            (f if cols is None else f[cols]).T for f in final)
-        n_rows, n_cols = gy_b.shape[0], f_m_y.shape[1]
-        s_z = np.empty((n_rows, n_cols))
-        m_cos = np.empty((n_rows, n_cols))
-        m_sin = np.empty((n_rows, n_cols))
-
-        def run_chunk(start):
-            stop = min(start + ROW_CHUNK, n_rows)
-            gy_c, gz_c = gy_b[start:stop], gz_b[start:stop]
-            s_z[start:stop] = gy_c @ f_m_y + gz_c @ f_m_z
-            m_cos[start:stop] = gy_c @ f_z_y + gz_c @ f_z_z
-            m_sin[start:stop] = gy_c @ f_y_y + gz_c @ f_y_z
-
-        starts = range(0, n_rows, ROW_CHUNK)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_chunk, starts))
-        else:
-            for start in starts:
-                run_chunk(start)
-
-        # the steady state has no n_x, so its mode sum is 0
-        yield _correlators_from_sums(phis, (s_z, m_cos, m_sin, 0.0), N)[:4]
 
 
 def _bell_map(cxx, cyy, czz):
@@ -327,9 +231,8 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
     qs = grid.values()
     (mz, cxx, cyy, czz), = _steady_maps(fixed.N, *_axes(kind, fixed, qs)(fixed),
                                         workers=workers)
-    code, boundary = phase_codes(kind, fixed, qs)
-    pair_boundary = boundary[:, None] | boundary[None, :]
-    same = (code[:, None] == code[None, :]) & ~pair_boundary
+    code, on = phase_codes(kind, fixed, qs)
+    same = (code[:, None] == code[None, :]) & ~(on[:, None] | on[None, :])
     out = {}
     for quantifier, values in ((Quantifier.BELL, _bell_map(cxx, cyy, czz)),
                                (Quantifier.ENTANGLEMENT,
@@ -337,8 +240,7 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
                                (Quantifier.CZZ, czz)):
         out[quantifier] = PhaseDiagram(kind=kind, fixed=fixed, grid=grid,
                                        quantifier=quantifier, values=values,
-                                       same_phase_mask=same,
-                                       boundary_mask=pair_boundary)
+                                       same_phase_mask=same)
     return out
 
 
@@ -433,6 +335,4 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
 def steady_cell(kind: QuenchKind, fixed: ModelParams, q_i: float, q_f: float):
     """The quench q_i -> q_f at fixed parameters: one cell of a quench
     grid, for scalar cross-checks of the engine and for evolve."""
-    if kind is QuenchKind.FIELD:
-        return field_quench(fixed, q_i, q_f)
-    return coupling_quench(fixed, q_i, q_f)
+    return make_quench(kind, fixed, q_i, q_f)

@@ -1,12 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bellquench.bell import bell_value, xstate_log_negativity
 from bellquench.model import ModelParams, coupling_quench, field_quench
+from bellquench.momentum import (STEADY_DEGENERACY_TOL, TIMED_DEGENERACY_TOL,
+                                 ground_bloch)
 from bellquench.dynamics import (MAX_TIME_SAMPLES, STEADY, TIME_CHUNK, TimeGrid,
-                                 correlator_arrays, correlator_time_series,
-                                 correlators_at, steady_correlators)
+                                 _correlators_from_sums, _steady_maps,
+                                 _timed_mode_sums, correlator_arrays,
+                                 correlator_time_series, correlators_at,
+                                 steady_correlators)
 from bellquench.errors import ResourceCapError
 from bellquench import oracle
+import steady_reference
 
 CORRELATOR_FIELDS = ("mz", "cxx", "cyy", "czz", "cxy", "cyx")
 
@@ -204,3 +213,78 @@ class TestXStateProperty:
             obs = oracle.pair_observables(rho12)
             for key in ("cxz", "czx", "cyz", "czy"):
                 assert abs(obs[key]) < 1e-10
+
+
+class TestCutoffs:
+    """One block on a hand-made two-row axis (row 0 initial, row 1
+    final), with the final gap Lambda_f on both sides of
+    STEADY_DEGENERACY_TOL and of TIMED_DEGENERACY_TOL."""
+
+    PHIS = np.array([0.9])
+
+    def correlators(self, sums):
+        """(mz, cxx, cyy, czz) of one block's mode sums."""
+        return np.ravel(_correlators_from_sums(self.PHIS, sums, 2)[:4])
+
+    def block(self, lam_f):
+        # initial and final fields point along different axes
+        b = np.array([[0.6], [0.6 * lam_f]])
+        u = np.array([[-0.3], [0.8 * lam_f]])
+        _, gy, gz = ground_bloch(u[0], b[0])
+        steady = np.ravel(next(_steady_maps(2, self.PHIS, b, u,
+                                            ((slice(0, 1), slice(1, 2)),))))
+        held = np.stack([gz, np.cos(self.PHIS) * gz, np.sin(self.PHIS) * gy,
+                         np.zeros(1)])
+        return b, u, gy, gz, steady, held
+
+    def test_cutoffs_ordered(self):
+        assert 0.0 < 1e-31 < TIMED_DEGENERACY_TOL < 1e-13
+        assert 1e-13 < STEADY_DEGENERACY_TOL < 1e-11
+
+    @pytest.mark.parametrize("lam_f", [1e-11, 1.0])
+    def test_steady_is_period_average(self, lam_f):
+        b, u, gy, gz, steady, held = self.block(lam_f)
+        times = (math.pi / lam_f) * np.arange(16) / 16
+        sums = _timed_mode_sums(self.PHIS, gy, gz, b[1], u[1], times)
+        average = self.correlators(sums.mean(axis=1))
+        assert np.max(np.abs(steady - average)) <= 1e-12
+        # the projection is not the initial vector: the cutoff decides
+        assert np.max(np.abs(steady - self.correlators(held))) > 1e-3
+
+    @pytest.mark.parametrize("lam_f", [0.0, 1e-31, 1e-13])
+    def test_below_steady_cutoff_vector_survives(self, lam_f):
+        b, u, gy, gz, steady, held = self.block(lam_f)
+        assert np.array_equal(steady, self.correlators(held))
+        times = np.array([0.0, 1.0, 1e3, 1e6])
+        sums = _timed_mode_sums(self.PHIS, gy, gz, b[1], u[1], times)
+        assert np.max(np.abs(sums - held)) <= 1e-6
+
+
+@st.composite
+def model_quenches(draw):
+    """Field or coupling quenches at N <= 64, with gamma = 0 and fields
+    exactly on h = +-1 and h_c(alpha) drawn alongside generic values."""
+    n = draw(st.integers(2, 32)) * 2
+    gamma = draw(st.just(0.0) | st.floats(0.0, 1.0))
+    alpha = draw(st.floats(0.3, 6.0))
+    fields = (st.sampled_from([1.0, -1.0, -1.0 + 2.0 ** (1.0 - alpha)])
+              | st.floats(-3.0, 3.0))
+    base = ModelParams(N=n, gamma=gamma, alpha=alpha, h=draw(fields))
+    if draw(st.booleans()):
+        return field_quench(base, draw(fields), draw(fields))
+    rates = st.floats(0.3, 6.0)
+    if -1.0 < base.h < 1.0:  # the coupling line alpha_c(h) > 0
+        rates = st.just(1.0 - math.log2(1.0 + base.h)) | rates
+    return coupling_quench(base, draw(rates), draw(rates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_quenches())
+def test_steady_cell_matches_reference(quench):
+    # steady_correlators is one cell of the sweep kernel; the reference
+    # projects mode by mode and sums with np.sum
+    steady = steady_correlators(quench)
+    assert max_dev(steady, steady_reference.steady_correlators(quench)) <= 1e-12
+    assert bell_value(steady) <= 2.0 * math.sqrt(2.0)
+    xstate_log_negativity(steady.mz, steady.cxx, steady.cyy, steady.czz,
+                          steady.cxy)

@@ -108,10 +108,14 @@ class TestSamePhase:
             assert c in (PhaseLabel.SAME, PhaseLabel.BOUNDARY)
 
     def test_quench_spec_validation(self):
-        with pytest.raises(ValueError):
-            # field quench may not change alpha
-            from bellquench.model import QuenchSpec
+        from bellquench.model import QuenchSpec
+        with pytest.raises(ValueError, match="field quench must change only h"):
             QuenchSpec(QuenchKind.FIELD, base(alpha=1.0), base(alpha=2.0))
+        with pytest.raises(ValueError,
+                           match="coupling quench must change only alpha"):
+            QuenchSpec(QuenchKind.COUPLING, base(h=0.1), base(h=0.2))
+        with pytest.raises(ValueError, match="coupling quench must change only alpha"):
+            QuenchSpec(QuenchKind.COUPLING, base(gamma=0.5), base(gamma=0.6))
 
 
 class TestSamePhaseArea:

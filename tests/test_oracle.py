@@ -16,13 +16,13 @@ def params(**kwargs):
 
 class TestBuildSpinHamiltonian:
     def test_hermitian_real(self):
-        h = oracle.build_spin_hamiltonian(params(gamma=0.4, alpha=1.1)).matrix
+        h = oracle.build_spin_hamiltonian(params(gamma=0.4, alpha=1.1))
         assert np.allclose(h, h.T)
 
     def test_field_only_spectrum(self):
         # J -> 0 proxy via gamma-independent check: h-term only
         p = ModelParams(N=6, gamma=0.5, alpha=2.0, h=0.8, J=1e-14)
-        spec = np.linalg.eigvalsh(oracle.build_spin_hamiltonian(p).matrix)
+        spec = np.linalg.eigvalsh(oracle.build_spin_hamiltonian(p))
         levels = sorted(-(p.h / 2.0) * (6 - 2 * bin(s).count("1"))
                         for s in range(64))
         assert np.allclose(spec, levels, atol=1e-10)
@@ -30,9 +30,9 @@ class TestBuildSpinHamiltonian:
     def test_ising_field_reflection_symmetry(self):
         # NN Ising spectrum is invariant under h -> -h
         a = np.linalg.eigvalsh(oracle.build_spin_hamiltonian(
-            params(N=4, alpha=100.0, h=0.7)).matrix)
+            params(N=4, alpha=100.0, h=0.7)))
         b = np.linalg.eigvalsh(oracle.build_spin_hamiltonian(
-            params(N=4, alpha=100.0, h=-0.7)).matrix)
+            params(N=4, alpha=100.0, h=-0.7)))
         assert np.allclose(a, b, atol=1e-10)
 
     def test_resource_cap(self):

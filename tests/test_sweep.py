@@ -3,14 +3,14 @@ import pytest
 
 from bellquench.bell import (bell_value, chsh_arrays, log_negativity,
                              reconstruct_rho12)
-from bellquench.dynamics import steady_correlators
 from bellquench.errors import ThresholdUndefinedError
-from bellquench.model import ModelParams, QuenchKind, same_phase_area
+from bellquench.model import ModelParams, QuenchKind, phase_codes, same_phase_area
 from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier, _axes,
                               _bell_map, _cross_blocks, _steady_maps,
                               critical_threshold, efficiency, steady_cell,
                               sweep, sweep_all, threshold_curve)
 from phase_reference import PhaseLabel, classify_pair
+from steady_reference import steady_correlators
 from bellquench import oracle
 from bellquench.dynamics import correlators_at
 
@@ -40,6 +40,8 @@ class TestGridSpec:
 
 
 class TestSweepValues:
+    # the grid kernel against the per-mode reference of steady_reference
+
     def test_diagonal_is_equilibrium(self):
         fixed = fixed_params()
         grid = GridSpec(-2.0, 2.0, 0.5)
@@ -95,7 +97,9 @@ class TestSweepValues:
         fixed = fixed_params(N=512, gamma=1.0, alpha=10.0)
         grid = GridSpec(-3.0, 3.0, 0.1)
         diagram = sweep(QuenchKind.FIELD, fixed, grid, Quantifier.BELL)
-        cross = diagram.values[diagram.cross_phase_mask & ~diagram.boundary_mask]
+        _, on = phase_codes(QuenchKind.FIELD, fixed, grid.values())
+        off_line = ~(on[:, None] | on[None, :])
+        cross = diagram.values[~diagram.same_phase_mask & off_line]
         same = diagram.values[diagram.same_phase_mask]
         assert np.median(cross) < np.median(same)
 
@@ -124,7 +128,7 @@ class TestThreshold:
         grid = GridSpec(-3.0, 3.0, 0.05)
         diagram = sweep(QuenchKind.FIELD, fixed, grid, Quantifier.BELL)
         q_c = critical_threshold(diagram)
-        cross = diagram.values[diagram.cross_phase_mask]
+        cross = diagram.values[~diagram.same_phase_mask]
         assert not np.any(cross > q_c)
 
     def test_undefined_without_cross_cells(self):
@@ -141,8 +145,7 @@ class TestThreshold:
         zeroed = type(diagram)(kind=diagram.kind, fixed=diagram.fixed,
                                grid=diagram.grid, quantifier=diagram.quantifier,
                                values=np.where(diagram.same_phase_mask, 1.0, 0.0),
-                               same_phase_mask=diagram.same_phase_mask,
-                               boundary_mask=diagram.boundary_mask)
+                               same_phase_mask=diagram.same_phase_mask)
         q_c = critical_threshold(zeroed)
         assert q_c == 0.0
         report = efficiency(zeroed, q_c)
@@ -216,15 +219,15 @@ class TestThresholdCurves:
     def test_dispersion_calls(self, monkeypatch):
         # a coupling curve builds its alpha-axis dispersion once and adds
         # each h to it; a field curve needs one dispersion per alpha
-        import bellquench.sweep as sw
+        import bellquench.dynamics as dyn
 
         calls = []
 
-        def counted(*args, real=sw.dispersion, **kwargs):
+        def counted(*args, real=dyn.dispersion, **kwargs):
             calls.append(kwargs.get("alphas") is not None)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sw, "dispersion", counted)
+        monkeypatch.setattr(dyn, "dispersion", counted)
         threshold_curve(QuenchKind.COUPLING, 0.5, [-0.5, -0.2, 0.1],
                         GridSpec(0.5, 3.0, 0.1), N=32, workers=2)
         assert calls == [True]
@@ -438,4 +441,4 @@ def test_efficiency_counts_cross_cells_of_the_policy():
     # the model-line policy (the default) counts the complement of the
     # same-phase mask
     assert efficiency(diagram, q_c).n_cross_cells == int(
-        np.count_nonzero(diagram.cross_phase_mask)) == 1679
+        np.count_nonzero(~diagram.same_phase_mask)) == 1679
