@@ -28,8 +28,8 @@ evolve and the sweep maps) is log2 of the sum of the absolute values
 of its eigenvalues.  PSD rule: a state eigenvalue below -PSD_TOL
 means a bug upstream, not a physical state, and raises
 InconsistentCorrelatorsError, here as in reconstruct_rho12.
-reconstruct_rho12, log_negativity and correlators_from_state work on
-the 4 x 4 matrix; they are the reference the tests compare with.
+reconstruct_rho12 and log_negativity work on the 4 x 4 matrix; they
+are the reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -41,15 +41,6 @@ from .errors import InconsistentCorrelatorsError
 
 # Most negative eigenvalue a reconstructed pair state may have.
 PSD_TOL = 1e-6
-
-
-def correlation_matrix(c: CorrelatorSet) -> np.ndarray:
-    """3x3 matrix T with T[k][l] = C^{kl}, rows/columns ordered (x, y, z)."""
-    return np.array([
-        [c.cxx, c.cxy, 0.0],
-        [c.cyx, c.cyy, 0.0],
-        [0.0, 0.0, c.czz],
-    ])
 
 
 def chsh_arrays(cxx, cyy, czz, cxy, cyx):
@@ -100,25 +91,6 @@ def reconstruct_rho12(c: CorrelatorSet) -> np.ndarray:
         raise InconsistentCorrelatorsError(
             "correlators give a non-positive two-qubit state")
     return rho
-
-
-def correlators_from_state(rho: np.ndarray, t: float | str = 0.0) -> CorrelatorSet:
-    """Inverse of reconstruct_rho12 (site-averaged magnetization)."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-
-    def expval(op):
-        return float(np.real(np.trace(rho @ op)))
-
-    mz = 0.5 * (expval(np.kron(sz, eye)) + expval(np.kron(eye, sz)))
-    return CorrelatorSet(mz=mz,
-                         cxx=expval(np.kron(sx, sx)),
-                         cyy=expval(np.kron(sy, sy)),
-                         czz=expval(np.kron(sz, sz)),
-                         cxy=expval(np.kron(sx, sy)),
-                         cyx=expval(np.kron(sy, sx)), t=t)
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:

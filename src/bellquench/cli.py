@@ -9,7 +9,9 @@ SETTINGS declares each subcommand's keys and their defaults once; the
 config-file reader, the resolver and the argument parser read it.
 Configuration comes from an optional `key = value` file plus command
 line flags; flags win.  Unknown keys and malformed lines are rejected
-with their line number.
+with their line number.  _parse is the one step from setting text to
+value, for file values and flags alike (argparse hands flags over as
+text).
 
 A command (cmd_*) takes the resolved config and returns its results
 and the files to write, {name: (writer, *data)}.  run_command, the one
@@ -40,31 +42,17 @@ from .dynamics import TimeGrid, correlator_arrays
 from .errors import (BellquenchError, ConfigError, InconsistentCorrelatorsError,
                      ResourceCapError, ThresholdUndefinedError)
 from .fit import fit_gaussian, fit_trigaussian
-from .model import (COUPLING_H_MAX, COUPLING_H_MIN, ModelParams, QuenchKind,
-                    field_quench, same_phase_area)
+from .model import (COUPLING_H_MAX, COUPLING_H_MIN, QUENCHED, ModelParams,
+                    QuenchKind, field_quench, make_quench, same_phase_area)
 from .output import sha256_file, write_csv, write_json, write_matrix_csv
 from .sweep import (KIND_DEFAULTS, GridSpec, Quantifier, check_policy,
                     critical_threshold, cross_cell_count, efficiency,
-                    steady_cell, sweep_all, threshold_curve)
+                    sweep_all, threshold_curve)
 from . import oracle as oracle_mod
 from . import dynamics, momentum
 
 SCHEMA_VERSION = 1
 OUT_ENV = "BELLQUENCH_OUT"
-
-
-def _parse_scalar(key, raw, kind, lineno=None):
-    where = f" (line {lineno})" if lineno is not None else ""
-    try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"invalid value for {key!r}: {raw!r}{where}") from None
 
 
 # key -> python type; "floats"/"strs" are comma-separated lists
@@ -79,6 +67,26 @@ _KEY_TYPES = {
     "t": float, "h_initial": float, "h_final": float,
     "workers": int, "seed": int, "out": str,
 }
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+
+
+def _parse(key, raw, where=""):
+    """The value of setting `key` written as `raw`, from a config-file
+    line or a flag alike.  A list skips empty items and needs one."""
+    kind = _KEY_TYPES[key]
+    try:
+        if kind is bool:
+            return _BOOLS[raw.lower()]
+        if kind not in ("floats", "strs"):
+            return kind(raw)
+        items = [tok.strip() for tok in raw.split(",") if tok.strip()]
+        if items:
+            return [float(tok) for tok in items] if kind == "floats" else items
+    except (KeyError, ValueError):
+        pass
+    raise ConfigError(f"invalid value for {key!r}: {raw!r}{where}")
+
 
 # command -> {key: default}: the keys each command accepts.  None leaves
 # a key unset: a required one is checked by _require, and the grid and
@@ -119,14 +127,7 @@ def read_config_file(path, command):
         key, raw = key.strip(), raw.strip()
         if key not in SETTINGS[command]:
             raise ConfigError(f"unknown key {key!r} for {command} (line {lineno})")
-        kind = _KEY_TYPES[key]
-        if kind == "floats":
-            values[key] = [_parse_scalar(key, tok.strip(), float, lineno)
-                           for tok in raw.split(",") if tok.strip()]
-        elif kind == "strs":
-            values[key] = [tok.strip() for tok in raw.split(",") if tok.strip()]
-        else:
-            values[key] = _parse_scalar(key, raw, kind, lineno)
+        values[key] = _parse(key, raw, f" (line {lineno})")
     return values
 
 
@@ -144,7 +145,7 @@ def resolve_config(args, command):
     for key in SETTINGS[command]:
         flag = getattr(args, key, None)
         if flag is not None:
-            config[key] = flag
+            config[key] = _parse(key, flag)
     if config.get("out") is None:
         config["out"] = os.environ.get(OUT_ENV, "out")
     return config
@@ -163,17 +164,19 @@ def _quench_kind(name):
         raise ConfigError(f"kind must be 'field' or 'coupling', got {name!r}") from None
 
 
-def _base_params(config):
-    """ModelParams of config; an unset alpha or h, the parameter a quench
-    grid or a quench replaces, is taken as 1 or 0."""
-    a = config.get("alpha")
-    field = config.get("h")
-    try:
-        return ModelParams(N=config["n"], J=config["j"], gamma=config["gamma"],
-                           alpha=1.0 if a is None else a,
-                           h=0.0 if field is None else field)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _base_params(config, kind, what):
+    """ModelParams of config for a `what` ("quench", "sweep") of `kind`.
+
+    The kind's held parameter is required; the quenched one, which the
+    quench or grid replaces, is dropped from config and taken as 1
+    (alpha) or 0 (h).
+    """
+    held = KIND_DEFAULTS[kind].fixed
+    if config.get(held) is None:
+        raise ConfigError(f"{kind.value} {what} needs {held}")
+    config.pop(QUENCHED[kind], None)
+    return ModelParams(N=config["n"], J=config["j"], gamma=config["gamma"],
+                       **{"alpha": 1.0, "h": 0.0, held: config[held]})
 
 
 def _write_manifest(out_dir, command, config, results, artifacts, started):
@@ -196,8 +199,10 @@ def run_command(args) -> int:
     path first."""
     started = time.time()
     config = resolve_config(args, args.command)
-    results, files = args.handler(config)
     out_dir = config["out"]
+    if not out_dir or (os.path.exists(out_dir) and not os.path.isdir(out_dir)):
+        raise ConfigError(f"out must name a directory, got {out_dir!r}")
+    results, files = args.handler(config)
     os.makedirs(out_dir, exist_ok=True)
     for name, (writer, *data) in files.items():
         writer(os.path.join(out_dir, name), *data)
@@ -208,11 +213,8 @@ def run_command(args) -> int:
 def cmd_evolve(config):
     _require(config, "gamma", "q_initial", "q_final")
     kind = _quench_kind(config["kind"])
-    held = KIND_DEFAULTS[kind].fixed
-    if config.get(held) is None:
-        raise ConfigError(f"{kind.value} quench needs {held}")
-    quench = steady_cell(kind, _base_params(config), config["q_initial"],
-                         config["q_final"])
+    quench = make_quench(kind, _base_params(config, kind, "quench"),
+                         config["q_initial"], config["q_final"])
     times, mz, cxx, cyy, czz, cxy = correlator_arrays(
         quench, TimeGrid(t_max=config["t_max"], dt=config["dt"]))
     bell = chsh_arrays(cxx, cyy, czz, cxy, cxy)[3]
@@ -228,8 +230,8 @@ def _resolve_quench(config):
 
     Grid and threshold settings left unset take the kind's defaults
     (sweep.KIND_DEFAULTS) and are written back into config, so the
-    manifest records what ran.  A policy the kind does not define is
-    refused before anything is computed.
+    manifest records what ran.  A policy the kind does not define, or
+    fewer than one worker, is refused before anything is computed.
     """
     kind = _quench_kind(config["kind"])
     defaults = KIND_DEFAULTS[kind]
@@ -242,17 +244,15 @@ def _resolve_quench(config):
             config[key] = value
     grid = GridSpec(config["q_min"], config["q_max"], config["step"])
     check_policy(kind, config["boundary"], config["cross_lines"])
+    if config["workers"] < 1:
+        raise ConfigError(f"workers must be at least 1, got {config['workers']}")
     return kind, grid
 
 
 def cmd_sweep(config):
     _require(config, "gamma")
     kind, grid = _resolve_quench(config)
-    held = KIND_DEFAULTS[kind].fixed
-    if config.get(held) is None:
-        raise ConfigError(f"{kind.value} sweep needs {held}")
-    config.pop("h" if held == "alpha" else "alpha", None)
-    fixed = _base_params(config)
+    fixed = _base_params(config, kind, "sweep")
     boundary, lines = config["boundary"], config["cross_lines"]
     if kind is QuenchKind.COUPLING and not COUPLING_H_MIN < fixed.h < COUPLING_H_MAX:
         print(f"warning: h={fixed.h} outside ({COUPLING_H_MIN}, "
@@ -267,7 +267,7 @@ def cmd_sweep(config):
     # would refuse stops the run before any map is computed
     momentum.check_footprint(fixed.N, grid.count, grid.count ** 2)
     cross_cell_count(kind, fixed, grid, boundary, lines)
-    same_phase_area(kind, getattr(fixed, held))
+    same_phase_area(kind, getattr(fixed, KIND_DEFAULTS[kind].fixed))
 
     diagrams = sweep_all(kind, fixed, grid, workers=config["workers"])
     qs = grid.values()
@@ -366,18 +366,11 @@ def build_parser():
     def add_common(p, keys):
         p.add_argument("--config", help="key = value configuration file")
         for key in sorted(keys):
-            kind = _KEY_TYPES[key]
             flag = "--" + key.replace("_", "-")
-            if kind == "floats":
-                p.add_argument(flag, dest=key,
-                               type=lambda s: [float(tok) for tok in s.split(",")])
-            elif kind == "strs":
-                p.add_argument(flag, dest=key,
-                               type=lambda s: [tok.strip() for tok in s.split(",")])
-            elif kind is bool:
-                p.add_argument(flag, dest=key, action="store_const", const=True)
+            if _KEY_TYPES[key] is bool:
+                p.add_argument(flag, dest=key, action="store_const", const="true")
             else:
-                p.add_argument(flag, dest=key, type=kind)
+                p.add_argument(flag, dest=key)
 
     handlers = {"evolve": cmd_evolve, "sweep": cmd_sweep,
                 "threshold-curve": cmd_threshold_curve, "fit": cmd_fit,
@@ -393,24 +386,17 @@ _LIST_FLAGS = {"--" + key.replace("_", "-")
                for key, kind in _KEY_TYPES.items() if kind == "floats"}
 
 
-def _is_float_list(token):
-    try:
-        [float(tok) for tok in token.split(",")]
-    except ValueError:
-        return False
-    return True
-
-
 def _join_list_values(argv):
     """Rewrite `--points -0.7,0.3` as `--points=-0.7,0.3`.
 
     argparse takes a token that starts with '-' for a flag unless it is
     one negative number, so a list that opens with a negative value
-    would leave its flag without an argument.
+    would leave its flag without an argument.  Any token but a `--`
+    flag is joined; _parse judges it.
     """
     joined = []
     for token in argv:
-        if joined and joined[-1] in _LIST_FLAGS and _is_float_list(token):
+        if joined and joined[-1] in _LIST_FLAGS and not token.startswith("--"):
             joined[-1] += "=" + token
         else:
             joined.append(token)

@@ -14,6 +14,7 @@ quench axis of the dynamics engine read it.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -79,10 +80,7 @@ class ModelParams:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
     def replace(self, **kwargs) -> "ModelParams":
-        fields = {"N": self.N, "gamma": self.gamma, "alpha": self.alpha,
-                  "h": self.h, "J": self.J}
-        fields.update(kwargs)
-        return ModelParams(**fields)
+        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

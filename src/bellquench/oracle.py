@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import CorrelatorSet, TimeGrid
-from .bell import bell_value
+from .dynamics import CorrelatorSet
 from .errors import ResourceCapError
 from .model import ModelParams, QuenchSpec, coupling_profile
 from .momentum import MEMORY_CAP, dispersion, mode_angles
@@ -27,11 +26,11 @@ from .momentum import MEMORY_CAP, dispersion, mode_angles
 # Peak bytes per entry of a dense 2^N x 2^N build: the float matrix and
 # the copy the eigensolver of spectrum_match works on.
 DENSE_ENTRY_BYTES = 16
-# Largest N whose build fits momentum.MEMORY_CAP: 13 at 2^30 B, where
-# N = 14 would need 4 GiB.
-BUILD_CAP = next(N for N in range(64)
-                 if DENSE_ENTRY_BYTES * 4 ** (N + 1) > MEMORY_CAP)
-EVOLVE_CAP = 12
+# Largest even N (ModelParams takes no odd N) whose build fits
+# momentum.MEMORY_CAP: 12 at 2^30 B, where N = 14 would need 4 GiB.
+# The one dense cap: OracleQuench is refused by its build.
+BUILD_CAP = next(N for N in range(0, 64, 2)
+                 if DENSE_ENTRY_BYTES * 4 ** (N + 2) > MEMORY_CAP)
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -106,32 +105,11 @@ def ground_state_even(params: ModelParams) -> tuple[float, np.ndarray]:
     return float(vals[0]), psi
 
 
-def _op_on_site(op: np.ndarray, site: int, N: int) -> np.ndarray:
-    """Dense operator acting on one site; site 0 is the least
-    significant bit, so it sits rightmost in the Kronecker product."""
-    out = np.array([[1.0 + 0j]])
-    for k in range(N - 1, -1, -1):
-        out = np.kron(out, op if k == site else _ID)
-    return out
-
-
-def jw_annihilation(site: int, N: int) -> np.ndarray:
-    """Dense fermion operator c_site = (prod_{m<site} sz_m) |up><down|."""
-    lower = np.array([[0, 1], [0, 0]], dtype=complex)
-    out = _op_on_site(lower, site, N)
-    for m in range(site):
-        out = _op_on_site(_SZ, m, N) @ out
-    return out
-
-
 class OracleQuench:
     """Exact evolution of one quench, reusable across sample times."""
 
     def __init__(self, quench: QuenchSpec):
         N = quench.initial.N
-        if N > EVOLVE_CAP:
-            raise ResourceCapError(
-                f"dense evolution capped at N={EVOLVE_CAP}, got {N}")
         self.N = N
         self.quench = quench
         _, psi0 = ground_state_even(quench.initial)
@@ -181,16 +159,6 @@ def oracle_quench(quench: QuenchSpec, t: float) -> tuple[CorrelatorSet, np.ndarr
     rho12 = runner.rho12_at(t)
     obs = pair_observables(rho12)
     return correlator_set_from_pair(obs, t), rho12
-
-
-def oracle_bell_trace(quench: QuenchSpec, grid: TimeGrid) -> np.ndarray:
-    """Bell value along the exact trajectory."""
-    runner = OracleQuench(quench)
-    values = []
-    for t in grid.times():
-        obs = pair_observables(runner.rho12_at(float(t)))
-        values.append(bell_value(correlator_set_from_pair(obs, float(t))))
-    return np.array(values)
 
 
 # ---------------------------------------------------------------------------

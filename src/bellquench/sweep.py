@@ -334,5 +334,5 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
 
 def steady_cell(kind: QuenchKind, fixed: ModelParams, q_i: float, q_f: float):
     """The quench q_i -> q_f at fixed parameters: one cell of a quench
-    grid, for scalar cross-checks of the engine and for evolve."""
+    grid, for scalar cross-checks of the engine."""
     return make_quench(kind, fixed, q_i, q_f)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellquench.bell import (bell_value, chsh_arrays, correlation_matrix,
-                             correlators_from_state, log_negativity,
+from bellquench import oracle
+from bellquench.bell import (bell_value, chsh_arrays, log_negativity,
                              partial_transpose, reconstruct_rho12,
                              xstate_log_negativity)
 from bellquench.dynamics import (CorrelatorSet, TimeGrid, correlator_arrays,
@@ -11,6 +11,20 @@ from bellquench.dynamics import (CorrelatorSet, TimeGrid, correlator_arrays,
                                  steady_correlators)
 from bellquench.errors import InconsistentCorrelatorsError
 from bellquench.model import ModelParams, coupling_quench, field_quench
+
+
+def correlation_matrix(c: CorrelatorSet) -> np.ndarray:
+    """3x3 matrix T with T[k][l] = C^{kl}, rows/columns ordered (x, y, z)."""
+    return np.array([
+        [c.cxx, c.cxy, 0.0],
+        [c.cyx, c.cyy, 0.0],
+        [0.0, 0.0, c.czz],
+    ])
+
+
+def correlators_from_state(rho):
+    """The CorrelatorSet of a 4 x 4 pair state, through the oracle's path."""
+    return oracle.correlator_set_from_pair(oracle.pair_observables(rho), 0.0)
 
 
 def cset(mz=0.0, cxx=0.0, cyy=0.0, czz=0.0, cxy=0.0, cyx=None, t=0.0):
@@ -107,7 +121,6 @@ class TestReconstructRho12:
                 assert abs(getattr(back, k) - getattr(c, k)) < 1e-12
 
     def test_matches_oracle_partial_trace(self):
-        from bellquench import oracle
         q = field_quench(ModelParams(N=10, gamma=1.0, alpha=10.0, h=0.5),
                          0.5, 2.5)
         reference, rho12 = oracle.oracle_quench(q, 2.0)

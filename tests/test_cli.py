@@ -444,3 +444,69 @@ def test_sweep_counts_cross_cells_of_its_policy(tmp_path):
     assert run(["sweep", "--gamma", "0.2", "--alpha", "10", "--kind", "field",
                 "--step", "0.1", "--n", "16", "--out", str(out)]) == 0
     assert read_json(out / "results.json")["bell"]["n_cross_cells"] == 1760
+
+
+class TestOneParser:
+    """Flags and config-file values go through the same text-to-value step."""
+
+    def test_bad_flag_value_names_key(self, tmp_path, capsys):
+        out = tmp_path / "n"
+        assert run(["oracle", "--n", "abc", "--out", str(out)]) == 2
+        assert "'n'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_list_items_skipped_alike(self, tmp_path):
+        cfg = tmp_path / "curve.cfg"
+        cfg.write_text("points = 1,,2\n")
+        curve = ["threshold-curve", "--gamma", "0.4", "--step", "0.1", "--n", "16"]
+        assert run(curve + ["--points", "1,,2", "--out", str(tmp_path / "f")]) == 0
+        assert run(curve + ["--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        flag, file = tmp_path / "f" / "curve.csv", tmp_path / "c" / "curve.csv"
+        assert sha256_file(flag) == sha256_file(file)
+        rows = flag.read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [1.0, 2.0]
+
+    def test_empty_list_refused_alike(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("quantifiers =\n")
+        sweep = ["sweep", "--gamma", "0.5", "--alpha", "2.0", "--step", "0.5",
+                 "--n", "16"]
+        for tag, extra in (("flag", ["--quantifiers", ""]),
+                           ("file", ["--config", str(cfg)])):
+            out = tmp_path / tag
+            assert run(sweep + extra + ["--out", str(out)]) == 2
+            assert "quantifiers" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "threshold-curve"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_refused(tmp_path, monkeypatch, capsys, command, workers):
+    import bellquench.cli as cli
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("a map was computed")
+
+    monkeypatch.setattr(cli, "sweep_all", no_map)
+    monkeypatch.setattr(cli, "threshold_curve", no_map)
+    out = tmp_path / "w"
+    held = {"sweep": ["--alpha", "2.0"], "threshold-curve": ["--points", "1"]}
+    assert run([command, "--gamma", "0.4", *held[command], "--step", "0.5",
+                "--n", "16", "--workers", workers, "--out", str(out)]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["empty", "file"])
+def test_unusable_out_refused_before_running(tmp_path, monkeypatch, capsys, target):
+    import bellquench.cli as cli
+
+    def never(config):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_oracle", never)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run(["oracle", "--out", "" if target == "empty" else str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"

@@ -15,6 +15,7 @@ from bellquench.dynamics import (MAX_TIME_SAMPLES, STEADY, TIME_CHUNK, TimeGrid,
                                  steady_correlators)
 from bellquench.errors import ResourceCapError
 from bellquench import oracle
+from bellquench.oracle import _ID, _SZ
 import steady_reference
 
 CORRELATOR_FIELDS = ("mz", "cxx", "cyy", "czz", "cxy", "cyx")
@@ -66,6 +67,24 @@ class TestCorrelatorsAt:
                 assert abs(getattr(c, k)) <= 1.0 + 1e-9
 
 
+def _op_on_site(op: np.ndarray, site: int, N: int) -> np.ndarray:
+    """Dense operator acting on one site; site 0 is the least
+    significant bit, so it sits rightmost in the Kronecker product."""
+    out = np.array([[1.0 + 0j]])
+    for k in range(N - 1, -1, -1):
+        out = np.kron(out, op if k == site else _ID)
+    return out
+
+
+def jw_annihilation(site: int, N: int) -> np.ndarray:
+    """Dense fermion operator c_site = (prod_{m<site} sz_m) |up><down|."""
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    out = _op_on_site(lower, site, N)
+    for m in range(site):
+        out = _op_on_site(_SZ, m, N) @ out
+    return out
+
+
 def one_body(quench, t):
     """(G0, G, F) = (<c+_j c_j>, <c+_j c_{j+1}>, <c_j c_{j+1}>), the Wick
     inputs of C_zz, from the spin correlators at time t."""
@@ -87,8 +106,8 @@ class TestOneBody:
     def test_matches_dense_jw(self):
         q = nn_quench(N=10, gamma=0.8, alpha=2.0, h_i=0.3, h_f=-0.9)
         runner = oracle.OracleQuench(q)
-        c0 = oracle.jw_annihilation(0, 10)
-        c1 = oracle.jw_annihilation(1, 10)
+        c0 = jw_annihilation(0, 10)
+        c1 = jw_annihilation(1, 10)
         t = 0.7
         psi = runner.state_at(t)
         g0, g, f = one_body(q, t)

@@ -88,10 +88,18 @@ class TestOracleQuench:
             oracle.OracleQuench(field_quench(params(N=14), 0.5, 2.5))
 
 
+def oracle_bell_trace(quench, grid):
+    """Bell value along the exact trajectory."""
+    runner = oracle.OracleQuench(quench)
+    return np.array([bell_value(oracle.correlator_set_from_pair(
+        oracle.pair_observables(runner.rho12_at(float(t))), float(t)))
+        for t in grid.times()])
+
+
 class TestOracleBellTrace:
     def test_monogamy_and_initial_value(self):
         q = field_quench(params(N=8), 0.5, 2.5)
-        trace = oracle.oracle_bell_trace(q, TimeGrid(5.0, 0.25))
+        trace = oracle_bell_trace(q, TimeGrid(5.0, 0.25))
         assert np.all(trace <= 2.0 + 1e-9)
         reference, _ = oracle.oracle_quench(q, 0.0)
         assert trace[0] == pytest.approx(bell_value(reference), abs=1e-12)
@@ -99,7 +107,7 @@ class TestOracleBellTrace:
     def test_matches_free_fermion_trace(self):
         q = field_quench(params(N=10), 0.5, 2.5)
         times = TimeGrid(3.0, 0.5)
-        dense = oracle.oracle_bell_trace(q, times)
+        dense = oracle_bell_trace(q, times)
         fermionic = [bell_value(correlators_at(q, float(t)))
                      for t in times.times()]
         assert np.allclose(dense, fermionic, atol=1e-6)
