@@ -200,7 +200,10 @@ def run_command(args) -> int:
     started = time.time()
     config = resolve_config(args, args.command)
     out_dir = config["out"]
-    if not out_dir or (os.path.exists(out_dir) and not os.path.isdir(out_dir)):
+    existing = os.path.abspath(out_dir)  # where os.makedirs will start
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not out_dir or not os.path.isdir(existing):
         raise ConfigError(f"out must name a directory, got {out_dir!r}")
     results, files = args.handler(config)
     os.makedirs(out_dir, exist_ok=True)

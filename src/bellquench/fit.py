@@ -7,13 +7,15 @@ models a dip) and widths no smaller than the data spacing, for
 coupling-quench thresholds.  Both use
 derivative-free Nelder-Mead with deterministic multi-starts (data-
 driven seeds plus seeded jitter); the best start wins, ties broken by
-start index.
+start index.  `minimize` is a NumPy port of SciPy's Nelder-Mead that
+reproduces its iterates bit for bit, so the fits need only numpy.
 """
 
 from __future__ import annotations
 
-import sys
+from contextlib import suppress
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,15 +64,72 @@ class TriGaussianFit:
         return out
 
 
-def __getattr__(name):
-    # `minimize` resolves on first access: importing scipy.optimize takes
-    # longer than everything else `import bellquench` does, and only the
-    # fits need it.
-    if name == "minimize":
-        global minimize
-        from scipy.optimize import minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+class _MaxFev(Exception):
+    """The next objective evaluation would exceed maxfev."""
+
+
+def _sorted(sim, fsim):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def minimize(fun, x0, *, maxfev, xatol, fatol):
+    """Unbounded Nelder-Mead (Nelder & Mead, Comput. J. 7, 308 (1965)).
+
+    Takes the steps of SciPy's non-adaptive `_minimize_neldermead`, so
+    x, fun and nfev have the same bits: x0 scaled by 1.05 per axis
+    (0.00025 where it is 0) as the initial simplex; rho = 1, chi = 2,
+    psi = sigma = 1/2, folded into the coefficients below; an argsort
+    after every iteration; its convergence test; fun the nan-propagating
+    minimum of the simplex values; and at maxfev the next evaluation is
+    refused, even inside an iteration, and the simplex re-sorted as is.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFev
+        nfev += 1
+        return fun(np.copy(x))
+
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    np.fill_diagonal(sim[1:], np.where(x0 != 0, 1.05 * x0, 0.00025))
+    fsim = np.full(n + 1, np.inf)
+    with suppress(_MaxFev):
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    # sorted twice, as SciPy does: argsort need not be stable under ties
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+    while nfev < maxfev:
+        with suppress(_MaxFev):
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc = (1.5 * xbar - 0.5 * sim[-1] if outside
+                      else 0.5 * xbar + 0.5 * sim[-1])
+                fxc = f(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        sim, fsim = _sorted(sim, fsim)
+    return SimpleNamespace(x=sim[0], fun=np.min(fsim), nfev=nfev)
 
 
 def _r_squared(y, residual_ss):
@@ -86,14 +145,12 @@ def _polish(objective, starts):
     Deterministic: starts are evaluated in order and a strictly lower
     objective is required to displace the incumbent.
     """
-    # looked up on the module, so a wrapper set on bellquench.fit.minimize
-    # is the one called
-    minimize = sys.modules[__name__].minimize
     best = None
     for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxfev": MAX_FEV, "xatol": 1e-12,
-                                "fatol": 1e-14})
+        # a module global, looked up per call: a wrapper set on
+        # bellquench.fit.minimize is the one called
+        res = minimize(objective, x0, maxfev=MAX_FEV, xatol=1e-12,
+                       fatol=1e-14)
         if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
             continue
         if best is None or res.fun < best[1]:
@@ -104,15 +161,24 @@ def _polish(objective, starts):
     return best
 
 
-def fit_gaussian(points, seed: int = 0) -> GaussianFit:
-    """Least-squares A*exp(-B*x**2) + C through (x, y) points."""
+def _curve(points, minimum):
+    """x, y sorted by x; a short, non-finite or repeated-x curve is
+    refused here, before any start spends its evaluations."""
     pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 4:
-        raise ValueError("need at least 4 (x, y) points")
+    if pts.ndim != 2 or pts.shape[0] < minimum:
+        raise ValueError(f"need at least {minimum} (x, y) points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("curve points must be finite")
     pts = pts[np.argsort(pts[:, 0])]
     x, y = pts[:, 0], pts[:, 1]
     if np.unique(x).size != x.size:
         raise ValueError("x values must be distinct")
+    return x, y
+
+
+def fit_gaussian(points, seed: int = 0) -> GaussianFit:
+    """Least-squares A*exp(-B*x**2) + C through (x, y) points."""
+    x, y = _curve(points, 4)
 
     def objective(p):
         a, b, c = p
@@ -166,13 +232,7 @@ def fit_trigaussian(points, seed: int = 0) -> TriGaussianFit:
     fewer than three, centers fall back to equal spacing and the
     result is flagged low-confidence.
     """
-    pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 10:
-        raise ValueError("need at least 10 (x, y) points")
-    pts = pts[np.argsort(pts[:, 0])]
-    x, y = pts[:, 0], pts[:, 1]
-    if np.unique(x).size != x.size:
-        raise ValueError("x values must be distinct")
+    x, y = _curve(points, 10)
     sigma_min = float(np.min(np.diff(x)))
     span = float(x[-1] - x[0])
 

@@ -161,6 +161,24 @@ class TestFitCommand:
         assert "line 3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["gaussian", "trigaussian"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_row_refused_at_once(self, tmp_path, capsys, model, bad):
+        import time
+
+        xs = np.arange(0.5, 6.01, 0.25)
+        rows = [f"{x:.17g},{1.7 + 0.3 * np.exp(-0.05 * x * x):.17g}" for x in xs]
+        rows[5] = f"{xs[5]:.17g},{bad}"
+        curve = tmp_path / "curve.csv"
+        curve.write_text("\n".join(["alpha,b_c"] + rows) + "\n")
+        out = tmp_path / "f"
+        started = time.perf_counter()
+        assert run(["fit", "--curve", str(curve), "--model", model,
+                    "--out", str(out)]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_default_validation_passes(self, tmp_path):
@@ -331,7 +349,8 @@ class TestResourceCap:
         assert not (tmp_path / "cap").exists()
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # a real `fit` in a fresh process: no scipy module at all is loaded
     import os
     import subprocess
     import sys
@@ -339,11 +358,21 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     import bellquench
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(bellquench.__file__)))
-    code = ("import sys, bellquench.cli; "
-            "sys.exit(int('scipy.optimize' in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", code],
-                            env=dict(os.environ, PYTHONPATH=src), check=False)
-    assert result.returncode == 0
+    curve = tmp_path / "curve.csv"
+    curve.write_text("alpha,b_c\n" + "".join(
+        f"{x:.17g},{1.7 + 0.3 * np.exp(-0.05 * x * x):.17g}\n"
+        for x in np.arange(0.5, 6.01, 0.25)))
+    code = ("import sys, bellquench.cli as cli; "
+            f"code = cli.main(['fit', '--curve', {str(curve)!r}, "
+            f"'--out', {str(tmp_path / 'fit')!r}]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.exit(code)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src),
+                            check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+    assert (tmp_path / "fit" / "fit.json").exists()
 
 
 EVOLVE_README = ["evolve", "--gamma", "1.0", "--alpha", "10", "--kind", "field",
@@ -497,7 +526,7 @@ def test_workers_below_one_refused(tmp_path, monkeypatch, capsys, command, worke
     assert not out.exists()
 
 
-@pytest.mark.parametrize("target", ["empty", "file"])
+@pytest.mark.parametrize("target", ["empty", "file", "under_file"])
 def test_unusable_out_refused_before_running(tmp_path, monkeypatch, capsys, target):
     import bellquench.cli as cli
 
@@ -507,6 +536,7 @@ def test_unusable_out_refused_before_running(tmp_path, monkeypatch, capsys, targ
     monkeypatch.setattr(cli, "cmd_oracle", never)
     out = tmp_path / "taken"
     out.write_text("not a directory\n")
-    assert run(["oracle", "--out", "" if target == "empty" else str(out)]) == 2
+    paths = {"empty": "", "file": str(out), "under_file": str(out / "sub" / "o")}
+    assert run(["oracle", "--out", paths[target]]) == 2
     assert "config error" in capsys.readouterr().err
     assert out.read_text() == "not a directory\n"

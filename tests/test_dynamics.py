@@ -292,8 +292,10 @@ def model_quenches(draw):
     if draw(st.booleans()):
         return field_quench(base, draw(fields), draw(fields))
     rates = st.floats(0.3, 6.0)
-    if -1.0 < base.h < 1.0:  # the coupling line alpha_c(h) > 0
-        rates = st.just(1.0 - math.log2(1.0 + base.h)) | rates
+    # the coupling line alpha_c(h); it rounds to 0 as h approaches 1
+    alpha_c = 1.0 - math.log2(1.0 + base.h) if -1.0 < base.h < 1.0 else 0.0
+    if alpha_c > 0.0:
+        rates = st.just(alpha_c) | rates
     return coupling_quench(base, draw(rates), draw(rates))
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import bellquench.fit as fit_module
 from bellquench.fit import (GaussComponent, TriGaussianFit, fit_gaussian,
-                            fit_trigaussian)
+                            fit_trigaussian, minimize)
 
 
 def gaussian_points(a, b, c, xs):
@@ -63,6 +64,20 @@ class TestFitGaussian:
         fit = fit_gaussian(points)
         assert fit.B > 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nonfinite_refused_before_any_start(self, monkeypatch, bad, column):
+        monkeypatch.setattr(fit_module, "minimize", never_minimize)
+        points = [list(p) for p in gaussian_points(0.3, 0.05, 1.7,
+                                                   np.arange(0.5, 4.01, 0.5))]
+        points[3][column] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_gaussian(points)
+
+
+def never_minimize(*args, **kwargs):
+    raise AssertionError("a start ran")
+
 
 class TestFitTriGaussian:
     COMPONENTS = [(0.8, -0.4, 0.08), (0.5, 0.0, 0.06), (0.9, 0.3, 0.07)]
@@ -110,6 +125,16 @@ class TestFitTriGaussian:
             fit_trigaussian(trigaussian_points(self.COMPONENTS,
                                                np.linspace(-0.7, 0.4, 9)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nonfinite_refused_before_any_start(self, monkeypatch, bad, column):
+        monkeypatch.setattr(fit_module, "minimize", never_minimize)
+        points = [list(p) for p in trigaussian_points(
+            self.COMPONENTS, np.arange(-0.74, 0.411, 0.05))]
+        points[7][column] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_trigaussian(points)
+
     def test_predict_matches_model(self):
         fit = TriGaussianFit(components=(GaussComponent(1.0, -0.5, 0.1),
                                          GaussComponent(0.5, 0.0, 0.2),
@@ -155,3 +180,83 @@ def test_fitted_centers_track_boundary_window():
     wide = centers(0.5, 0.40)       # boundary window h in (-0.75, 0.414)
     narrow = centers(1.5, -0.31)    # boundary window h in (-0.75, -0.293)
     assert narrow < wide
+
+
+def noisy_gaussian_points():
+    rng = np.random.default_rng(2)
+    return [(x, y + 0.01 * rng.standard_normal()) for x, y in
+            gaussian_points(0.3, 0.05, 1.7, np.arange(0.5, 10.01, 0.1))]
+
+
+def noisy_trigaussian_points():
+    rng = np.random.default_rng(5)
+    return [(x, y + 0.02 * rng.standard_normal()) for x, y in
+            trigaussian_points(TestFitTriGaussian.COMPONENTS,
+                               np.arange(-0.74, 0.411, 0.02))]
+
+
+FIT_CASES = {
+    "gaussian": lambda: fit_gaussian(
+        gaussian_points(0.3, 0.05, 1.7, np.arange(0.5, 10.01, 0.25))),
+    "trigaussian": lambda: fit_trigaussian(trigaussian_points(
+        TestFitTriGaussian.COMPONENTS, np.arange(-0.74, 0.411, 0.005))),
+    "noisy_gaussian": lambda: fit_gaussian(noisy_gaussian_points(), seed=3),
+    "noisy_trigaussian": lambda: fit_trigaussian(noisy_trigaussian_points()),
+}
+
+
+class TestMinimizeMatchesScipy:
+    """`fit.minimize` is a port of scipy's Nelder-Mead: same x, fun, nfev bits."""
+
+    @staticmethod
+    def assert_same(objective, x0, **options):
+        reference = pytest.importorskip("scipy.optimize").minimize(
+            objective, x0, method="Nelder-Mead", options=options)
+        port = minimize(objective, x0, **options)
+        assert port.x.tobytes() == reference.x.tobytes()
+        assert np.float64(port.fun).tobytes() == np.float64(reference.fun).tobytes()
+        assert port.nfev == reference.nfev
+
+    @pytest.mark.parametrize("case", sorted(FIT_CASES))
+    def test_every_start_of_a_fit(self, monkeypatch, case):
+        starts = []
+
+        def compared(objective, x0, **options):
+            self.assert_same(objective, x0, **options)
+            starts.append(x0)
+            return minimize(objective, x0, **options)
+
+        monkeypatch.setattr(fit_module, "minimize", compared)
+        FIT_CASES[case]()
+        assert len(starts) == fit_module.N_STARTS
+
+    def test_every_early_cut_of_a_fit(self, monkeypatch):
+        # maxfev 1 to 60 on each start of the noisy fit: cuts inside the
+        # initial simplex and at every step of the first iterations
+
+        def compared(objective, x0, **options):
+            for maxfev in range(1, 61):
+                self.assert_same(objective, x0, **dict(options, maxfev=maxfev))
+            return minimize(objective, x0, **options)
+
+        monkeypatch.setattr(fit_module, "minimize", compared)
+        fit_gaussian(noisy_gaussian_points())
+
+    @pytest.mark.parametrize("maxfev", [36, 37, 38])
+    def test_cut_inside_a_shrink(self, maxfev):
+        # on a flat objective each iteration after the 4 initial
+        # evaluations is a reflection, an inside contraction and a
+        # 3-vertex shrink; maxfev 36, 37 and 38 refuse the 1st, 2nd and
+        # 3rd evaluation of the seventh shrink, after its vertex moved
+        self.assert_same(lambda p: 1.0, np.array([1.0, 0.0, -3.0]),
+                         maxfev=maxfev, xatol=1e-12, fatol=1e-14)
+
+    @pytest.mark.parametrize("maxfev", [4, 6, 1000])
+    def test_nan_vertex(self, maxfev):
+        # argsort sorts a nan value last, yet fun is the nan-propagating
+        # np.min of the simplex values
+        def objective(p):
+            return np.nan if p[0] > 1.02 else float(np.sum(p * p))
+
+        self.assert_same(objective, np.ones(3), maxfev=maxfev, xatol=1e-12,
+                         fatol=1e-14)
