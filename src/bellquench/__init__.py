@@ -4,8 +4,7 @@ long-range anisotropic XY chain."""
 __version__ = "0.1.0"
 
 from .model import (ModelParams, QuenchKind, QuenchSpec, coupling_profile,
-                    coupling_quench, field_quench, kac_factor, phase_codes,
-                    same_phase_area)
+                    field_quench, kac_factor, phase_codes, same_phase_area)
 from .momentum import mode_angles
 from .dynamics import (CorrelatorSet, TimeGrid, correlator_arrays,
                        correlator_time_series, correlators_at,

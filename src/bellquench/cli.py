@@ -42,8 +42,8 @@ from .dynamics import TimeGrid, correlator_arrays
 from .errors import (BellquenchError, ConfigError, InconsistentCorrelatorsError,
                      ResourceCapError, ThresholdUndefinedError)
 from .fit import fit_gaussian, fit_trigaussian
-from .model import (COUPLING_H_MAX, COUPLING_H_MIN, QUENCHED, ModelParams,
-                    QuenchKind, field_quench, make_quench, same_phase_area)
+from .model import (QUENCHED, ModelParams, QuenchKind, field_quench,
+                    make_quench, same_phase_area)
 from .output import sha256_file, write_csv, write_json, write_matrix_csv
 from .sweep import (KIND_DEFAULTS, GridSpec, Quantifier, check_policy,
                     critical_threshold, cross_cell_count, efficiency,
@@ -62,13 +62,10 @@ _KEY_TYPES = {
     "t_max": float, "dt": float,
     "q_min": float, "q_max": float, "step": float,
     "quantifiers": "strs", "boundary": str, "cross_lines": str,
-    "absolute_czz": bool, "points": "floats",
-    "curve": str, "model": str,
+    "points": "floats", "curve": str, "model": str,
     "t": float, "h_initial": float, "h_final": float,
-    "workers": int, "seed": int, "out": str,
+    "seed": int, "out": str,
 }
-_BOOLS = {"true": True, "1": True, "yes": True,
-          "false": False, "0": False, "no": False}
 
 
 def _parse(key, raw, where=""):
@@ -76,14 +73,12 @@ def _parse(key, raw, where=""):
     line or a flag alike.  A list skips empty items and needs one."""
     kind = _KEY_TYPES[key]
     try:
-        if kind is bool:
-            return _BOOLS[raw.lower()]
         if kind not in ("floats", "strs"):
             return kind(raw)
         items = [tok.strip() for tok in raw.split(",") if tok.strip()]
         if items:
             return [float(tok) for tok in items] if kind == "floats" else items
-    except (KeyError, ValueError):
+    except ValueError:
         pass
     raise ConfigError(f"invalid value for {key!r}: {raw!r}{where}")
 
@@ -98,12 +93,11 @@ SETTINGS = {
     "sweep": {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
               "alpha": None, "h": None, "q_min": None, "q_max": None,
               "step": None, "quantifiers": ("bell",), "boundary": None,
-              "cross_lines": None, "absolute_czz": False, "workers": 1,
-              "out": None},
+              "cross_lines": None, "out": None},
     "threshold-curve": {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
                         "points": None, "q_min": None, "q_max": None,
                         "step": None, "boundary": None, "cross_lines": None,
-                        "workers": 1, "out": None},
+                        "out": None},
     "fit": {"curve": None, "model": "gaussian", "seed": 0, "out": None},
     "oracle": {"n": 8, "j": 1.0, "gamma": 1.0, "alpha": 10.0,
                "h_initial": 0.5, "h_final": 2.5, "t": 1.3, "out": None},
@@ -233,8 +227,8 @@ def _resolve_quench(config):
 
     Grid and threshold settings left unset take the kind's defaults
     (sweep.KIND_DEFAULTS) and are written back into config, so the
-    manifest records what ran.  A policy the kind does not define, or
-    fewer than one worker, is refused before anything is computed.
+    manifest records what ran.  A policy the kind does not define is
+    refused before anything is computed.
     """
     kind = _quench_kind(config["kind"])
     defaults = KIND_DEFAULTS[kind]
@@ -247,8 +241,6 @@ def _resolve_quench(config):
             config[key] = value
     grid = GridSpec(config["q_min"], config["q_max"], config["step"])
     check_policy(kind, config["boundary"], config["cross_lines"])
-    if config["workers"] < 1:
-        raise ConfigError(f"workers must be at least 1, got {config['workers']}")
     return kind, grid
 
 
@@ -257,22 +249,18 @@ def cmd_sweep(config):
     kind, grid = _resolve_quench(config)
     fixed = _base_params(config, kind, "sweep")
     boundary, lines = config["boundary"], config["cross_lines"]
-    if kind is QuenchKind.COUPLING and not COUPLING_H_MIN < fixed.h < COUPLING_H_MAX:
-        print(f"warning: h={fixed.h} outside ({COUPLING_H_MIN}, "
-              f"{COUPLING_H_MAX:.6f}); no magnetic boundary in the "
-              "alpha window", file=sys.stderr)
     try:
         quantifiers = [Quantifier(q) for q in config["quantifiers"]]
     except ValueError as exc:
         raise ConfigError(f"unknown quantifier: {exc}") from None
-    # what the memory cap (exit 4), the threshold (no cross cells:
-    # exit 3) and the efficiency (h outside the coupling window: exit 2)
-    # would refuse stops the run before any map is computed
+    # what the memory cap (exit 4), the efficiency (h outside the
+    # coupling window: exit 2, as threshold-curve) and the threshold (no
+    # cross cells: exit 3) would refuse stops the run before any map
     momentum.check_footprint(fixed.N, grid.count, grid.count ** 2)
-    cross_cell_count(kind, fixed, grid, boundary, lines)
     same_phase_area(kind, getattr(fixed, KIND_DEFAULTS[kind].fixed))
+    cross_cell_count(kind, fixed, grid, boundary, lines)
 
-    diagrams = sweep_all(kind, fixed, grid, workers=config["workers"])
+    diagrams = sweep_all(kind, fixed, grid)
     qs = grid.values()
     files = {"same_phase_mask.csv": (write_matrix_csv,
                                      diagrams[Quantifier.BELL].same_phase_mask, qs),
@@ -282,11 +270,8 @@ def cmd_sweep(config):
     for quant in quantifiers:
         diagram = diagrams[quant]
         files[f"values_{quant.value}.csv"] = (write_matrix_csv, diagram.values, qs)
-        absolute = quant is Quantifier.CZZ and config["absolute_czz"]
-        q_c = critical_threshold(diagram, boundary=boundary,
-                                 cross_lines=lines, absolute=absolute)
-        report = efficiency(diagram, q_c, absolute=absolute,
-                            boundary=boundary, cross_lines=lines)
+        q_c = critical_threshold(diagram, boundary=boundary, cross_lines=lines)
+        report = efficiency(diagram, q_c, boundary=boundary, cross_lines=lines)
         results[quant.value] = asdict(report)
     files["results.json"] = (write_json, results)
     return results, files
@@ -297,7 +282,6 @@ def cmd_threshold_curve(config):
     kind, grid = _resolve_quench(config)
     curve = threshold_curve(kind, config["gamma"], config["points"], grid,
                             N=config["n"], J=config["j"],
-                            workers=config["workers"],
                             boundary=config["boundary"],
                             cross_lines=config["cross_lines"])
     return {"points": len(curve)}, {"curve.csv": (
@@ -369,11 +353,7 @@ def build_parser():
     def add_common(p, keys):
         p.add_argument("--config", help="key = value configuration file")
         for key in sorted(keys):
-            flag = "--" + key.replace("_", "-")
-            if _KEY_TYPES[key] is bool:
-                p.add_argument(flag, dest=key, action="store_const", const="true")
-            else:
-                p.add_argument(flag, dest=key)
+            p.add_argument("--" + key.replace("_", "-"), dest=key)
 
     handlers = {"evolve": cmd_evolve, "sweep": cmd_sweep,
                 "threshold-curve": cmd_threshold_curve, "fit": cmd_fit,

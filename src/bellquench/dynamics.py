@@ -50,10 +50,9 @@ so every mode sum needed by the correlators factorizes into a few
 (grid x modes) @ (modes x grid) matrix products, over any (rows, cols)
 block of the grid.  The sweeps run it over whole grids and
 cross-phase blocks; steady_correlators is its (row 0, col 1) cell of
-the quench's two-value grid.  Worker parallelism splits the
-initial-axis rows into ROW_CHUNK-row chunks whose results are written
-into preallocated slots, so outputs are bitwise identical for every
-worker count.
+the quench's two-value grid.  The products run over ROW_CHUNK rows of
+the initial axis at a time.  The fixed chunk shape pins the bits of
+the maps: one product per block gives other last digits.
 
 Timed values come from one kernel, _timed_mode_sums: for a vector of
 times it rotates the Bloch vectors and takes the four mode sums
@@ -74,7 +73,6 @@ ResourceCapError before anything is allocated.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +85,9 @@ from .momentum import (MEMORY_CAP, SAMPLE_BYTES, STEADY_DEGENERACY_TOL,
 
 STEADY = "steady"
 
-# Rows per work item of _steady_maps; fixed so that chunking (and hence
-# every BLAS call shape) does not depend on the worker count.
+# Rows per matrix product of _steady_maps.  Every BLAS call shape, and
+# so every bit of the maps, follows from it: one product per block
+# changes the last digits of the sweep maps.
 ROW_CHUNK = 64
 
 # Samples per chunk of the timed kernel: each of its temporaries holds
@@ -229,8 +228,7 @@ def _correlators_from_sums(phis, sums, N):
     return mz, cxx, cyy, czz, cxy
 
 
-def _steady_maps(N: int, phis, b, u, blocks=((None, None),),
-                 workers: int = 1):
+def _steady_maps(N: int, phis, b, u, blocks=((None, None),)):
     """Steady mz, cxx, cyy, czz over each (rows, cols) block of the grid.
 
     b and u come from _axes.  rows and cols select initial and
@@ -260,21 +258,12 @@ def _steady_maps(N: int, phis, b, u, blocks=((None, None),),
         s_z = np.empty((n_rows, n_cols))
         m_cos = np.empty((n_rows, n_cols))
         m_sin = np.empty((n_rows, n_cols))
-
-        def run_chunk(start):
-            stop = min(start + ROW_CHUNK, n_rows)
-            gy_c, gz_c = gy_b[start:stop], gz_b[start:stop]
-            s_z[start:stop] = gy_c @ f_m_y + gz_c @ f_m_z
-            m_cos[start:stop] = gy_c @ f_z_y + gz_c @ f_z_z
-            m_sin[start:stop] = gy_c @ f_y_y + gz_c @ f_y_z
-
-        starts = range(0, n_rows, ROW_CHUNK)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_chunk, starts))
-        else:
-            for start in starts:
-                run_chunk(start)
+        for start in range(0, n_rows, ROW_CHUNK):
+            chunk = slice(start, start + ROW_CHUNK)
+            gy_c, gz_c = gy_b[chunk], gz_b[chunk]
+            s_z[chunk] = gy_c @ f_m_y + gz_c @ f_m_z
+            m_cos[chunk] = gy_c @ f_z_y + gz_c @ f_z_z
+            m_sin[chunk] = gy_c @ f_y_y + gz_c @ f_y_z
 
         # the steady state has no n_x, so its mode sum is 0
         yield _correlators_from_sums(phis, (s_z, m_cos, m_sin, 0.0), N)[:4]

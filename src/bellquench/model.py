@@ -108,11 +108,6 @@ def field_quench(base: ModelParams, h_initial: float, h_final: float) -> QuenchS
     return make_quench(QuenchKind.FIELD, base, h_initial, h_final)
 
 
-def coupling_quench(base: ModelParams, alpha_initial: float,
-                    alpha_final: float) -> QuenchSpec:
-    return make_quench(QuenchKind.COUPLING, base, alpha_initial, alpha_final)
-
-
 def kac_factor(alpha: float, N: int) -> float:
     """Normalization sum_{r=1}^{N/2} r**(-alpha); keeps energy extensive."""
     if N % 2 != 0 or N < 2:

@@ -20,15 +20,17 @@ grid.  A coupling curve computes the dispersion over its alpha axis
 once and shares it across every h, since only u = a + h depends on h
 (_axes).  The curve values agree with critical_threshold(sweep(...))
 to rounding (the block products have other shapes than the full-grid
-ones).  Each curve point is computed on its own, so curves too are
-identical for every worker count.
+ones).
+
+Every map and curve runs the steady kernel's products in the same
+fixed shapes (dynamics.ROW_CHUNK), so repeated runs write identical
+bytes at a given BLAS thread count.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,18 +221,17 @@ def cross_cell_count(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
 
 
 def sweep(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
-          quantifier: Quantifier, workers: int = 1) -> PhaseDiagram:
+          quantifier: Quantifier) -> PhaseDiagram:
     """Steady-state phase diagram of one quantifier over a quench grid."""
-    return sweep_all(kind, fixed, grid, workers)[quantifier]
+    return sweep_all(kind, fixed, grid)[quantifier]
 
 
-def sweep_all(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
-              workers: int = 1) -> dict[Quantifier, PhaseDiagram]:
+def sweep_all(kind: QuenchKind, fixed: ModelParams,
+              grid: GridSpec) -> dict[Quantifier, PhaseDiagram]:
     """All three quantifiers from one pass over the correlator maps."""
     check_footprint(fixed.N, grid.count, grid.count ** 2)
     qs = grid.values()
-    (mz, cxx, cyy, czz), = _steady_maps(fixed.N, *_axes(kind, fixed, qs)(fixed),
-                                        workers=workers)
+    (mz, cxx, cyy, czz), = _steady_maps(fixed.N, *_axes(kind, fixed, qs)(fixed))
     code, on = phase_codes(kind, fixed, qs)
     same = (code[:, None] == code[None, :]) & ~(on[:, None] | on[None, :])
     out = {}
@@ -245,8 +246,7 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
 
 
 def critical_threshold(diagram: PhaseDiagram, boundary: str = "cross",
-                       cross_lines: str = "model",
-                       absolute: bool = False) -> float:
+                       cross_lines: str = "model") -> float:
     """Smallest sound threshold: the quantifier maximum over cross cells.
 
     `boundary` selects how exactly-critical cells enter: "cross" (the
@@ -262,12 +262,11 @@ def critical_threshold(diagram: PhaseDiagram, boundary: str = "cross",
     """
     blocks = _cross_blocks(diagram.kind, diagram.fixed, diagram.grid.values(),
                            boundary, cross_lines)
-    values = np.abs(diagram.values) if absolute else diagram.values
-    return float(np.max([np.max(values[rows][:, cols]) for rows, cols in blocks]))
+    return float(np.max([np.max(diagram.values[rows][:, cols])
+                         for rows, cols in blocks]))
 
 
-def efficiency(diagram: PhaseDiagram, q_c: float, absolute: bool = False,
-               boundary: str = "cross",
+def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str = "cross",
                cross_lines: str = "model") -> ThresholdReport:
     """Fraction of the same-phase area certified by the threshold q_c.
 
@@ -278,9 +277,8 @@ def efficiency(diagram: PhaseDiagram, q_c: float, absolute: bool = False,
     like critical_threshold, raises ThresholdUndefinedError when that
     set is empty.
     """
-    values = np.abs(diagram.values) if absolute else diagram.values
     same = diagram.same_phase_mask
-    detected = same & (values >= q_c)
+    detected = same & (diagram.values >= q_c)
     n_same = int(np.count_nonzero(same))
     n_detected = int(np.count_nonzero(detected))
     step = diagram.grid.step
@@ -297,7 +295,7 @@ def efficiency(diagram: PhaseDiagram, q_c: float, absolute: bool = False,
 
 def threshold_curve(kind: QuenchKind, gamma: float, points,
                     grid: GridSpec | None = None, N: int = 512, J: float = 1.0,
-                    workers: int = 1, boundary: str | None = None,
+                    boundary: str | None = None,
                     cross_lines: str | None = None) -> list[tuple[float, float]]:
     """Threshold B_c at each point: fall-off rates for field quenches,
     fields inside the coupling window for coupling quenches.
@@ -317,19 +315,12 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
         raise ValueError("points must be nonempty")
     for fixed in params:
         same_phase_area(kind, getattr(fixed, defaults.fixed))  # coupling window
-    at_once = max(1, workers)  # points evaluated at the same time
-    check_footprint(N, at_once * grid.count, at_once * grid.count ** 2)
+    check_footprint(N, grid.count, grid.count ** 2)
     qs = grid.values()
     axes = _axes(kind, base, qs)
-
-    def one(fixed):
-        return getattr(fixed, defaults.fixed), _cross_max(
-            kind, fixed, qs, axes(fixed), boundary, cross_lines)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, params))
-    return [one(fixed) for fixed in params]
+    return [(getattr(fixed, defaults.fixed),
+             _cross_max(kind, fixed, qs, axes(fixed), boundary, cross_lines))
+            for fixed in params]
 
 
 def steady_cell(kind: QuenchKind, fixed: ModelParams, q_i: float, q_f: float):

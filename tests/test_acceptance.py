@@ -319,20 +319,32 @@ def test_criterion_9_area_consistency(field_diagrams, coupling_diagrams):
 
 
 def test_criterion_10_determinism(tmp_path):
+    # two runs in this process and one in a cold `python -m bellquench.cli`
+    import json
+    import subprocess
+    import sys
+
+    import bellquench
+
+    argv = ["sweep", "--gamma", "0.2", "--alpha", "10", "--kind", "field",
+            "--step", "0.05", "--n", "256"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bellquench.__file__)))
     digests = []
-    max_workers = max(os.cpu_count() or 1, 2)
-    for tag, workers in (("w1", 1), ("w4", 4), ("wmax", max_workers)):
+    for tag in ("first", "second", "cold"):
         out = tmp_path / tag
-        code = cli_main(["sweep", "--gamma", "0.2", "--alpha", "10",
-                         "--kind", "field", "--step", "0.05", "--n", "256",
-                         "--workers", str(workers), "--out", str(out)])
+        if tag == "cold":
+            code = subprocess.run(
+                [sys.executable, "-m", "bellquench.cli", *argv, "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=src), check=False).returncode
+        else:
+            code = cli_main(argv + ["--out", str(out)])
         assert code == 0
         names = sorted(name for name in os.listdir(out)
                        if name != "manifest.json")
         digests.append({name: sha256_file(out / name) for name in names})
-        manifest = __import__("json").loads((out / "manifest.json").read_text())
-        assert digests[-1] == {k: v for k, v in manifest["checksums"].items()}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert digests[-1] == manifest["checksums"]
     ok = digests[0] == digests[1] == digests[2]
     report(10, ok, f"({len(digests[0])} artifacts byte-identical across "
-                   f"workers 1/4/{max_workers})")
+                   "two runs in process and one cold process)")
     assert ok

@@ -10,7 +10,7 @@ from bellquench.dynamics import (CorrelatorSet, TimeGrid, correlator_arrays,
                                  correlator_time_series, correlators_at,
                                  steady_correlators)
 from bellquench.errors import InconsistentCorrelatorsError
-from bellquench.model import ModelParams, coupling_quench, field_quench
+from bellquench.model import ModelParams, QuenchKind, field_quench, make_quench
 
 
 def correlation_matrix(c: CorrelatorSet) -> np.ndarray:
@@ -300,7 +300,8 @@ def test_array_kernels_match_generic_on_model_states(gamma, h_i, h_f, t, n):
     # generic values; finite t gives C_xy != 0
     base = ModelParams(N=n, gamma=gamma, alpha=CRITICAL_ALPHA, h=h_i)
     quench = field_quench(base, h_i, h_f)
-    coupling = coupling_quench(base.replace(h=H_C), CRITICAL_ALPHA, 1.0 + t / 10)
+    coupling = make_quench(QuenchKind.COUPLING, base.replace(h=H_C),
+                           CRITICAL_ALPHA, 1.0 + t / 10)
     series = [correlators_at(quench, t), steady_correlators(quench),
               correlators_at(coupling, t)]
     assert_kernels_match_generic(series)

@@ -87,13 +87,13 @@ class TestSweepCommand:
         assert code == 3
         assert not (tmp_path / "x").exists()
 
-    def test_determinism_across_runs_and_workers(self, tmp_path):
+    def test_determinism_across_runs(self, tmp_path):
         digests = []
-        for tag, workers in (("a", "1"), ("b", "4")):
+        for tag in ("a", "b"):
             out = tmp_path / tag
             assert run(["sweep", "--gamma", "0.2", "--alpha", "10", "--kind",
-                        "field", "--step", "0.1", "--n", "128", "--workers",
-                        workers, "--out", str(out)]) == 0
+                        "field", "--step", "0.1", "--n", "128",
+                        "--out", str(out)]) == 0
             digests.append({name: sha256_file(out / name)
                             for name in ("values_bell.csv", "results.json",
                                          "same_phase_mask.csv", "axes.csv")})
@@ -250,13 +250,17 @@ class TestCouplingKind:
         assert manifest["config"]["boundary"] == "exclude"
         assert manifest["config"]["q_min"] == 0.5
 
-    def test_out_of_window_field_warns_then_undefined(self, tmp_path, capsys):
-        # outside the detectable window every pair is same-phase, so
-        # the run warns and then fails with the threshold-undefined code
-        assert run(["sweep", "--gamma", "0.4", "--h", "0.9", "--kind",
-                    "coupling", "--step", "0.25", "--n", "32",
-                    "--out", str(tmp_path / "w")]) == 3
-        assert "no magnetic boundary" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--h", "0.9"],
+        ["threshold-curve", "--points", "0.9"],
+    ], ids=["sweep", "threshold-curve"])
+    def test_out_of_window_field_refused(self, tmp_path, capsys, argv):
+        # outside the window the coupling line never enters the alpha
+        # grid: both commands refuse the field itself, before any map
+        assert run([*argv, "--gamma", "0.4", "--kind", "coupling",
+                    "--step", "0.25", "--n", "32",
+                    "--out", str(tmp_path / "w")]) == 2
+        assert "outside (-0.75, 0.414214)" in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
 
     def test_coupling_threshold_curve(self, tmp_path):
@@ -444,14 +448,34 @@ class TestEvolveArrays:
         assert "non-positive" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_workers_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(EVOLVE_README + ["--workers", "2", "--out", str(tmp_path / "w")])
-        assert exc.value.code == 2
-        config = tmp_path / "evolve.cfg"
-        config.write_text("workers = 2\n")
-        assert run(EVOLVE_README + ["--config", str(config),
-                                    "--out", str(tmp_path / "w")]) == 2
+
+REMOVED_SETTINGS_ARGV = {
+    "evolve": EVOLVE_README,
+    "sweep": ["sweep", "--gamma", "0.4", "--alpha", "2.0", "--step", "0.5",
+              "--n", "16"],
+    "threshold-curve": ["threshold-curve", "--gamma", "0.4", "--points", "1",
+                        "--step", "0.5", "--n", "16"],
+    "fit": ["fit", "--curve", "curve.csv"],
+    "oracle": ["oracle", "--n", "6"],
+}
+
+
+@pytest.mark.parametrize("command", list(REMOVED_SETTINGS_ARGV))
+@pytest.mark.parametrize("flag,line", [
+    (["--workers", "2"], "workers = 2"),
+    (["--absolute-czz"], "absolute_czz = true"),
+], ids=["workers", "absolute_czz"])
+def test_removed_settings_refused(tmp_path, command, flag, line):
+    # neither a flag nor a config-file line takes a setting that is gone
+    argv = REMOVED_SETTINGS_ARGV[command]
+    out = tmp_path / "w"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + flag + ["--out", str(out)])
+    assert exc.value.code == 2
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    assert run(argv + ["--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_negative_points_list_forms(tmp_path):
@@ -506,24 +530,6 @@ class TestOneParser:
             assert run(sweep + extra + ["--out", str(out)]) == 2
             assert "quantifiers" in capsys.readouterr().err
             assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["sweep", "threshold-curve"])
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_below_one_refused(tmp_path, monkeypatch, capsys, command, workers):
-    import bellquench.cli as cli
-
-    def no_map(*args, **kwargs):
-        raise AssertionError("a map was computed")
-
-    monkeypatch.setattr(cli, "sweep_all", no_map)
-    monkeypatch.setattr(cli, "threshold_curve", no_map)
-    out = tmp_path / "w"
-    held = {"sweep": ["--alpha", "2.0"], "threshold-curve": ["--points", "1"]}
-    assert run([command, "--gamma", "0.4", *held[command], "--step", "0.5",
-                "--n", "16", "--workers", workers, "--out", str(out)]) == 2
-    assert "workers" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["empty", "file", "under_file"])

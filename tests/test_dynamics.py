@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellquench.bell import bell_value, xstate_log_negativity
-from bellquench.model import ModelParams, coupling_quench, field_quench
+from bellquench.model import ModelParams, QuenchKind, field_quench, make_quench
 from bellquench.momentum import (STEADY_DEGENERACY_TOL, TIMED_DEGENERACY_TOL,
                                  ground_bloch)
 from bellquench.dynamics import (MAX_TIME_SAMPLES, STEADY, TIME_CHUNK, TimeGrid,
@@ -139,8 +139,8 @@ class TestSteadyState:
             assert abs(avg - getattr(steady, k)) < 1e-2
 
     def test_coupling_quench_steady(self):
-        q = coupling_quench(ModelParams(N=256, gamma=0.4, alpha=1.0, h=-0.5),
-                            1.0, 2.5)
+        q = make_quench(QuenchKind.COUPLING,
+                        ModelParams(N=256, gamma=0.4, alpha=1.0, h=-0.5), 1.0, 2.5)
         steady = steady_correlators(q)
         series = correlator_time_series(q, TimeGrid(300.0, 0.1))
         window = [c for c in series if c.t >= 150.0]
@@ -296,7 +296,7 @@ def model_quenches(draw):
     alpha_c = 1.0 - math.log2(1.0 + base.h) if -1.0 < base.h < 1.0 else 0.0
     if alpha_c > 0.0:
         rates = st.just(alpha_c) | rates
-    return coupling_quench(base, draw(rates), draw(rates))
+    return make_quench(QuenchKind.COUPLING, base, draw(rates), draw(rates))
 
 
 @settings(max_examples=300, deadline=None)

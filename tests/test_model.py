@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bellquench.model import (BOUNDARY_TOL, ModelParams, QuenchKind,
-                              coupling_profile, coupling_quench, field_quench,
-                              kac_factor, phase_codes, same_phase_area)
+                              coupling_profile, field_quench, kac_factor,
+                              make_quench, phase_codes, same_phase_area)
 from phase_reference import (PhaseLabel, classify_coupling_value,
                              classify_field_value, classify_pair,
                              phase_geometry, same_phase)
@@ -87,8 +87,8 @@ class TestSamePhase:
 
     def test_coupling_sides(self):
         p = base(h=-0.5, alpha=1.0)
-        assert same_phase(coupling_quench(p, 1.0, 1.5))
-        assert not same_phase(coupling_quench(p, 1.5, 2.5))
+        assert same_phase(make_quench(QuenchKind.COUPLING, p, 1.0, 1.5))
+        assert not same_phase(make_quench(QuenchKind.COUPLING, p, 1.5, 2.5))
 
     def test_boundary_raises_or_classifies(self):
         q = field_quench(base(), 1.0, 2.0)

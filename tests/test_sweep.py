@@ -110,18 +110,6 @@ class TestSweepValues:
         assert np.all(diagram.values <= 2.0 + 1e-9)
 
 
-class TestDeterminism:
-    def test_worker_counts_bitwise_identical(self):
-        fixed = fixed_params(N=128, gamma=0.5, alpha=2.0)
-        grid = GridSpec(-3.0, 3.0, 0.05)
-        baseline = sweep(QuenchKind.FIELD, fixed, grid, Quantifier.BELL,
-                         workers=1)
-        for workers in (2, 4, 7):
-            other = sweep(QuenchKind.FIELD, fixed, grid, Quantifier.BELL,
-                          workers=workers)
-            assert np.array_equal(baseline.values, other.values)
-
-
 class TestThreshold:
     def test_soundness(self):
         fixed = fixed_params(N=256, gamma=0.8)
@@ -229,19 +217,12 @@ class TestThresholdCurves:
 
         monkeypatch.setattr(dyn, "dispersion", counted)
         threshold_curve(QuenchKind.COUPLING, 0.5, [-0.5, -0.2, 0.1],
-                        GridSpec(0.5, 3.0, 0.1), N=32, workers=2)
+                        GridSpec(0.5, 3.0, 0.1), N=32)
         assert calls == [True]
         calls.clear()
         threshold_curve(QuenchKind.FIELD, 0.5, [1.0, 2.0, 4.0],
                         GridSpec(-3, 3, 0.1), N=32)
         assert calls == [False] * 3
-
-    def test_workers_consistent(self):
-        serial = threshold_curve(QuenchKind.FIELD, 0.5, [1.0, 2.0, 4.0],
-                                 GridSpec(-3, 3, 0.1), N=64, workers=1)
-        parallel = threshold_curve(QuenchKind.FIELD, 0.5, [1.0, 2.0, 4.0],
-                                   GridSpec(-3, 3, 0.1), N=64, workers=3)
-        assert serial == parallel
 
 
 POLICIES = [("cross", "model"), ("exclude", "model"),
@@ -372,21 +353,6 @@ class TestThresholdCurveEquivalence:
         for rows, cols in _cross_blocks(kind, fixed, qs, boundary, cross_lines):
             got[index[rows][:, None], index[cols][None, :]] = True
         assert np.array_equal(got, expected)
-
-    def test_workers_byte_identical_cli(self, tmp_path):
-        from bellquench.cli import main
-
-        for kind, points in (("field", "0.8,1.0,2.5,6.0"),
-                             ("coupling", "-0.6,-0.3,0.0,0.2")):
-            written = []
-            for workers in (1, 4):
-                out = tmp_path / f"{kind}{workers}"
-                assert main(["threshold-curve", "--gamma", "0.6", "--kind", kind,
-                             "--n", "64", "--step", "0.05",
-                             f"--points={points}", "--workers", str(workers),
-                             "--out", str(out)]) == 0
-                written.append((out / "curve.csv").read_bytes())
-            assert written[0] == written[1]
 
 
 def steady_entanglement_map(mz, cxx, cyy, czz):
