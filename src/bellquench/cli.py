@@ -46,8 +46,8 @@ from .model import (QUENCHED, ModelParams, QuenchKind, field_quench,
                     make_quench, same_phase_area)
 from .output import sha256_file, write_csv, write_json, write_matrix_csv
 from .sweep import (KIND_DEFAULTS, GridSpec, Quantifier, check_policy,
-                    critical_threshold, cross_cell_count, efficiency,
-                    sweep_all, threshold_curve)
+                    check_window, critical_threshold, cross_cell_count,
+                    efficiency, sweep_all, threshold_curve)
 from . import oracle as oracle_mod
 from . import dynamics, momentum
 
@@ -57,7 +57,7 @@ OUT_ENV = "BELLQUENCH_OUT"
 
 # key -> python type; "floats"/"strs" are comma-separated lists
 _KEY_TYPES = {
-    "n": int, "j": float, "gamma": float, "alpha": float, "h": float,
+    "n": int, "gamma": float, "alpha": float, "h": float,
     "kind": str, "q_initial": float, "q_final": float,
     "t_max": float, "dt": float,
     "q_min": float, "q_max": float, "step": float,
@@ -87,19 +87,19 @@ def _parse(key, raw, where=""):
 # a key unset: a required one is checked by _require, and the grid and
 # threshold keys take the quench kind's defaults in _resolve_quench.
 SETTINGS = {
-    "evolve": {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
+    "evolve": {"n": 512, "gamma": None, "kind": "field",
                "alpha": None, "h": None, "q_initial": None, "q_final": None,
                "t_max": 400.0, "dt": 0.1, "out": None},
-    "sweep": {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
+    "sweep": {"n": 512, "gamma": None, "kind": "field",
               "alpha": None, "h": None, "q_min": None, "q_max": None,
               "step": None, "quantifiers": ("bell",), "boundary": None,
               "cross_lines": None, "out": None},
-    "threshold-curve": {"n": 512, "j": 1.0, "gamma": None, "kind": "field",
+    "threshold-curve": {"n": 512, "gamma": None, "kind": "field",
                         "points": None, "q_min": None, "q_max": None,
                         "step": None, "boundary": None, "cross_lines": None,
                         "out": None},
     "fit": {"curve": None, "model": "gaussian", "seed": 0, "out": None},
-    "oracle": {"n": 8, "j": 1.0, "gamma": 1.0, "alpha": 10.0,
+    "oracle": {"n": 8, "gamma": 1.0, "alpha": 10.0,
                "h_initial": 0.5, "h_final": 2.5, "t": 1.3, "out": None},
 }
 
@@ -169,7 +169,7 @@ def _base_params(config, kind, what):
     if config.get(held) is None:
         raise ConfigError(f"{kind.value} {what} needs {held}")
     config.pop(QUENCHED[kind], None)
-    return ModelParams(N=config["n"], J=config["j"], gamma=config["gamma"],
+    return ModelParams(N=config["n"], gamma=config["gamma"],
                        **{"alpha": 1.0, "h": 0.0, held: config[held]})
 
 
@@ -226,21 +226,19 @@ def _resolve_quench(config):
     """Kind and grid of sweep and threshold-curve, with their policy.
 
     Grid and threshold settings left unset take the kind's defaults
-    (sweep.KIND_DEFAULTS) and are written back into config, so the
-    manifest records what ran.  A policy the kind does not define is
-    refused before anything is computed.
+    (sweep.KIND_DEFAULTS, the policy through check_policy) and are
+    written back into config, so the manifest records what ran.  A
+    policy the kind does not define is refused before anything is
+    computed.
     """
     kind = _quench_kind(config["kind"])
-    defaults = KIND_DEFAULTS[kind]
-    for key, value in (("q_min", defaults.grid.q_min),
-                       ("q_max", defaults.grid.q_max),
-                       ("step", defaults.grid.step),
-                       ("boundary", defaults.boundary),
-                       ("cross_lines", defaults.cross_lines)):
+    window = KIND_DEFAULTS[kind].grid
+    for key in ("q_min", "q_max", "step"):
         if config.get(key) is None:
-            config[key] = value
+            config[key] = getattr(window, key)
     grid = GridSpec(config["q_min"], config["q_max"], config["step"])
-    check_policy(kind, config["boundary"], config["cross_lines"])
+    config["boundary"], config["cross_lines"] = check_policy(
+        kind, config["boundary"], config["cross_lines"])
     return kind, grid
 
 
@@ -253,12 +251,13 @@ def cmd_sweep(config):
         quantifiers = [Quantifier(q) for q in config["quantifiers"]]
     except ValueError as exc:
         raise ConfigError(f"unknown quantifier: {exc}") from None
-    # what the memory cap (exit 4), the efficiency (h outside the
-    # coupling window: exit 2, as threshold-curve) and the threshold (no
-    # cross cells: exit 3) would refuse stops the run before any map
+    # what the memory cap (exit 4), the coupling window (exit 2, as
+    # threshold-curve), the cross set (none: exit 3) and the efficiency's
+    # grid window (exit 2) would refuse stops the run before any map
     momentum.check_footprint(fixed.N, grid.count, grid.count ** 2)
     same_phase_area(kind, getattr(fixed, KIND_DEFAULTS[kind].fixed))
     cross_cell_count(kind, fixed, grid, boundary, lines)
+    check_window(kind, grid)
 
     diagrams = sweep_all(kind, fixed, grid)
     qs = grid.values()
@@ -281,8 +280,7 @@ def cmd_threshold_curve(config):
     _require(config, "gamma", "points")
     kind, grid = _resolve_quench(config)
     curve = threshold_curve(kind, config["gamma"], config["points"], grid,
-                            N=config["n"], J=config["j"],
-                            boundary=config["boundary"],
+                            N=config["n"], boundary=config["boundary"],
                             cross_lines=config["cross_lines"])
     return {"points": len(curve)}, {"curve.csv": (
         write_csv, [KIND_DEFAULTS[kind].fixed, "b_c"], curve)}
@@ -318,7 +316,7 @@ def cmd_fit(config):
 
 
 def cmd_oracle(config):
-    params = ModelParams(N=config["n"], J=config["j"], gamma=config["gamma"],
+    params = ModelParams(N=config["n"], gamma=config["gamma"],
                          alpha=config["alpha"], h=config["h_initial"])
     spectrum_dev = oracle_mod.spectrum_match(params)
     quench = field_quench(params, config["h_initial"], config["h_final"])
@@ -387,11 +385,11 @@ def _join_list_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_list_values(
-        sys.argv[1:] if argv is None else argv))
+    argv = _join_list_values(sys.argv[1:] if argv is None else argv)
     try:
-        return run_command(args)
+        return run_command(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse: 2 for a bad flag, 0 for --help
+        return exc.code
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

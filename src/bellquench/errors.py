@@ -22,10 +22,6 @@ class InconsistentCorrelatorsError(BellquenchError):
 class FitFailedError(BellquenchError):
     """No optimizer start converged to a usable fit."""
 
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
-
 
 class ConfigError(BellquenchError):
     """Invalid run configuration (bad key, bad value, malformed file)."""

@@ -156,8 +156,7 @@ def _polish(objective, starts):
         if best is None or res.fun < best[1]:
             best = (res.x, float(res.fun))
     if best is None or best[1] >= _PENALTY:
-        raise FitFailedError("no start converged",
-                             best_residual=None if best is None else best[1])
+        raise FitFailedError("no start converged")
     return best
 
 

@@ -1,8 +1,9 @@
 """Model parameters, coupling profile and exact phase geometry.
 
 The chain couples spins at distances r = 1 .. N/2 with strength
-J / (kac * r**alpha), where the Kac factor keeps the total coupling per
-site at J for every fall-off rate.  The equilibrium phase boundaries in
+1 / (kac * r**alpha), where the Kac factor keeps the total coupling per
+site at 1 for every fall-off rate: energies, fields and times are in
+units of that Kac-normalized coupling.  The equilibrium phase boundaries in
 the (alpha, h) plane are known in closed form and everything downstream
 (phase masks, same-phase areas, detection efficiencies) derives from
 them, so they live here as exact expressions.  phase_codes is the one
@@ -47,15 +48,12 @@ class ModelParams:
     ----------
     N : int
         Number of spins; must be even and at least 4.
-    J : float
-        Overall coupling strength, > 0.  Fields are measured in units
-        of J, so J = 1 is the standard choice.
     gamma : float
         Anisotropy in [0, 1]; gamma = 1 is the Ising limit.
     alpha : float
         Power-law fall-off rate of the couplings, > 0.
     h : float
-        Dimensionless transverse field.
+        Transverse field, in units of the Kac-normalized coupling.
 
     Every float must be finite; ValueError otherwise.
     """
@@ -64,16 +62,13 @@ class ModelParams:
     gamma: float
     alpha: float
     h: float
-    J: float = 1.0
 
     def __post_init__(self):
-        for name in ("J", "gamma", "alpha", "h"):
+        for name in ("gamma", "alpha", "h"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.N % 2 != 0 or self.N < 4:
             raise ValueError(f"N must be even and >= 4, got {self.N}")
-        if self.J <= 0:
-            raise ValueError(f"J must be positive, got {self.J}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -119,9 +114,9 @@ def kac_factor(alpha: float, N: int) -> float:
 
 
 def coupling_profile(params: ModelParams) -> np.ndarray:
-    """Couplings J_r = J / (kac * r**alpha) for r = 1 .. N/2."""
+    """Couplings J_r = 1 / (kac * r**alpha) for r = 1 .. N/2; they sum to 1."""
     r = np.arange(1, params.N // 2 + 1, dtype=float)
-    return params.J * r ** (-params.alpha) / kac_factor(params.alpha, params.N)
+    return r ** (-params.alpha) / kac_factor(params.alpha, params.N)
 
 
 def check_lines(kind: QuenchKind, lines: str) -> None:

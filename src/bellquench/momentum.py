@@ -14,7 +14,7 @@ states never enter a quench.  Three conventions are fixed here once:
   test_oracle.py::TestSpectrumEquivalence and
   test_momentum.py::TestGroundEnergy.
 
-* Coupling sign: with ferromagnetic couplings (J > 0) the quadratic
+* Coupling sign: with ferromagnetic couplings (J_r > 0) the quadratic
   fermion form carries hopping and pairing amplitudes -J_r, so the
   block amplitudes are a = -sum_r J_r cos(phi r) and
   b = -gamma * sum_r J_r sin(phi r).  This is what places the critical

@@ -85,10 +85,10 @@ COUPLING_GRID = GridSpec(0.5, 3.0, 0.01)
 class KindDefaults:
     """The per-kind settings of a quench grid.
 
-    grid, boundary and cross_lines are the defaults of threshold_curve
-    and of the CLI's sweep and threshold-curve.  fixed names the
-    ModelParams field a diagram or a quench holds fixed, the one a
-    curve steps through.
+    grid is the default grid and the window same_phase_area covers;
+    boundary and cross_lines are the threshold policy (check_policy).
+    fixed names the ModelParams field a diagram or a quench holds
+    fixed, the one a curve steps through.
     """
 
     grid: GridSpec
@@ -149,17 +149,31 @@ def _bell_map(cxx, cyy, czz):
     return 2.0 * np.sqrt(lam_plus + second)
 
 
-def check_policy(kind: QuenchKind, boundary: str, cross_lines: str) -> None:
-    """ValueError unless (boundary, cross_lines) is a threshold policy of
-    the quench kind.  _cross_blocks, threshold_curve and the CLI run it
-    first, so a refused policy costs no map."""
+def check_policy(kind: QuenchKind, boundary: str | None = None,
+                 cross_lines: str | None = None) -> tuple[str, str]:
+    """(boundary, cross_lines), a None taken from KIND_DEFAULTS[kind];
+    ValueError unless the kind defines that policy.  _cross_blocks,
+    threshold_curve and the CLI run it first, so a refusal costs no map."""
+    defaults = KIND_DEFAULTS[kind]
+    boundary = defaults.boundary if boundary is None else boundary
+    cross_lines = defaults.cross_lines if cross_lines is None else cross_lines
     if boundary not in ("cross", "exclude"):
         raise ValueError(f"unknown boundary policy {boundary!r}")
     check_lines(kind, cross_lines)
+    return boundary, cross_lines
+
+
+def check_window(kind: QuenchKind, grid: GridSpec) -> None:
+    """ValueError unless grid spans the kind's default window, the one
+    model.same_phase_area integrates over."""
+    window = KIND_DEFAULTS[kind].grid
+    if (grid.q_min, grid.q_max) != (window.q_min, window.q_max):
+        raise ValueError(f"efficiency needs the {kind.value} window "
+                         f"[{window.q_min}, {window.q_max}]")
 
 
 def _cross_blocks(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray,
-                  boundary: str, cross_lines: str):
+                  boundary: str | None, cross_lines: str | None):
     """The cross-phase cells of a quench grid as (rows, cols) blocks.
 
     Each policy splits the grid values into two phase classes plus the
@@ -172,7 +186,7 @@ def _cross_blocks(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray,
     indices are consecutive.  Raises ThresholdUndefinedError when the
     set is empty.
     """
-    check_policy(kind, boundary, cross_lines)
+    boundary, cross_lines = check_policy(kind, boundary, cross_lines)
     code, line = phase_codes(kind, fixed, qs, cross_lines)
     first = np.flatnonzero((code == 0) & ~line)
     second = np.flatnonzero((code == 1) & ~line)
@@ -211,7 +225,8 @@ def _cross_max(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray, axis,
 
 
 def cross_cell_count(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
-                     boundary: str = "cross", cross_lines: str = "model") -> int:
+                     boundary: str | None = None,
+                     cross_lines: str | None = None) -> int:
     """Cells in the cross set of a policy, the cells critical_threshold
     takes its maximum over; ThresholdUndefinedError when there are none,
     ValueError for a policy check_policy refuses.  Needs no map."""
@@ -245,20 +260,17 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams,
     return out
 
 
-def critical_threshold(diagram: PhaseDiagram, boundary: str = "cross",
-                       cross_lines: str = "model") -> float:
+def critical_threshold(diagram: PhaseDiagram, boundary: str | None = None,
+                       cross_lines: str | None = None) -> float:
     """Smallest sound threshold: the quantifier maximum over cross cells.
 
-    `boundary` selects how exactly-critical cells enter: "cross" (the
-    conservative default) includes them in the maximum, "exclude"
-    drops them from both cell classes.
-
-    `cross_lines` selects the critical lines that define the cross
-    set.  "model" uses the fall-off-dependent boundary; "nn_limit"
-    (field diagrams only) classifies against the fixed lines h = +-1
-    of the short-range limit.  The benchmark field-quench thresholds
-    track the nn_limit construction; areas and efficiencies always use
-    the model topology.
+    `boundary` selects how exactly-critical cells enter: "cross"
+    (conservative) includes them in the maximum, "exclude" drops them
+    from both cell classes.  `cross_lines` selects the critical lines
+    that define the cross set: "model", the fall-off-dependent lines,
+    or "nn_limit" (field diagrams only), the short-range lines h = +-1;
+    areas and efficiencies always use the model lines.  A setting left
+    None is the kind's (KIND_DEFAULTS), so the default is the CLI's B_c.
     """
     blocks = _cross_blocks(diagram.kind, diagram.fixed, diagram.grid.values(),
                            boundary, cross_lines)
@@ -266,16 +278,15 @@ def critical_threshold(diagram: PhaseDiagram, boundary: str = "cross",
                          for rows, cols in blocks]))
 
 
-def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str = "cross",
-               cross_lines: str = "model") -> ThresholdReport:
+def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str | None = None,
+               cross_lines: str | None = None) -> ThresholdReport:
     """Fraction of the same-phase area certified by the threshold q_c.
 
     Detection is inclusive (value >= q_c); the denominator is the
-    analytic same-phase area, not the discretized cell count.
-    n_cross_cells counts the cross set of the policy (boundary,
-    cross_lines), the cells critical_threshold takes its maximum over;
-    like critical_threshold, raises ThresholdUndefinedError when that
-    set is empty.
+    analytic same-phase area of the kind's window, not the discretized
+    cell count, so a grid over another window raises ValueError.
+    n_cross_cells counts the cross set of the policy, as in
+    critical_threshold (ThresholdUndefinedError when it is empty).
     """
     same = diagram.same_phase_mask
     detected = same & (diagram.values >= q_c)
@@ -287,6 +298,7 @@ def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str = "cross",
         diagram.fixed, KIND_DEFAULTS[diagram.kind].fixed))
     n_cross = cross_cell_count(diagram.kind, diagram.fixed, diagram.grid,
                                boundary, cross_lines)
+    check_window(diagram.kind, diagram.grid)
     return ThresholdReport(q_c=q_c, eta=area_detected / area_same,
                            area_detected=area_detected, area_same=area_same,
                            n_cross_cells=n_cross,
@@ -294,7 +306,7 @@ def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str = "cross",
 
 
 def threshold_curve(kind: QuenchKind, gamma: float, points,
-                    grid: GridSpec | None = None, N: int = 512, J: float = 1.0,
+                    grid: GridSpec | None = None, N: int = 512,
                     boundary: str | None = None,
                     cross_lines: str | None = None) -> list[tuple[float, float]]:
     """Threshold B_c at each point: fall-off rates for field quenches,
@@ -306,10 +318,8 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
     """
     defaults = KIND_DEFAULTS[kind]
     grid = defaults.grid if grid is None else grid
-    boundary = defaults.boundary if boundary is None else boundary
-    cross_lines = defaults.cross_lines if cross_lines is None else cross_lines
-    check_policy(kind, boundary, cross_lines)
-    base = ModelParams(N=N, gamma=gamma, alpha=1.0, h=0.0, J=J)
+    boundary, cross_lines = check_policy(kind, boundary, cross_lines)
+    base = ModelParams(N=N, gamma=gamma, alpha=1.0, h=0.0)
     params = [base.replace(**{defaults.fixed: float(q)}) for q in points]
     if not params:
         raise ValueError("points must be nonempty")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import bellquench.cli as cli
 from bellquench.cli import main
 from bellquench.output import sha256_file
 
@@ -205,12 +206,6 @@ class TestOracleCommand:
         assert run(["oracle", "--n", "16",
                     "--out", str(tmp_path / "o")]) == 4
 
-    def test_trivial_coupling_spectrum(self, tmp_path):
-        out = tmp_path / "j0"
-        assert run(["oracle", "--n", "6", "--j", "1e-13", "--gamma", "0.5",
-                    "--alpha", "2.0", "--h-initial", "0.8", "--h-final",
-                    "0.8", "--out", str(out)]) == 0
-
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BELLQUENCH_OUT", str(tmp_path / "envout"))
@@ -289,6 +284,8 @@ class TestCouplingKind:
     # alpha_c(0.9) = 0.074 lies inside this grid, so the cross set is
     # not empty, but the same-phase area formula has no value there
     (["--kind", "coupling", "--h", "0.9", "--q-min", "0.05", "--q-max", "3.05"], 2),
+    # cross cells exist, but same_phase_area is the area over [-3, 3]^2
+    (["--alpha", "10", "--q-min", "-1.5", "--q-max", "1.5"], 2),
 ])
 def test_sweep_refuses_before_writing(tmp_path, flags, code):
     out = tmp_path / "s"
@@ -436,8 +433,6 @@ class TestEvolveArrays:
         assert not (tmp_path / "cap").exists()
 
     def test_non_psd_state_exit_code(self, tmp_path, monkeypatch, capsys):
-        import bellquench.cli as cli
-
         def bad_arrays(quench, grid):
             one = np.ones(2)
             return 0.5 * np.arange(2), 0.9 * one, one, -one, one, 0.0 * one
@@ -464,14 +459,13 @@ REMOVED_SETTINGS_ARGV = {
 @pytest.mark.parametrize("flag,line", [
     (["--workers", "2"], "workers = 2"),
     (["--absolute-czz"], "absolute_czz = true"),
-], ids=["workers", "absolute_czz"])
+    (["--j", "2"], "j = 2"),
+], ids=["workers", "absolute_czz", "j"])
 def test_removed_settings_refused(tmp_path, command, flag, line):
     # neither a flag nor a config-file line takes a setting that is gone
     argv = REMOVED_SETTINGS_ARGV[command]
     out = tmp_path / "w"
-    with pytest.raises(SystemExit) as exc:
-        run(argv + flag + ["--out", str(out)])
-    assert exc.value.code == 2
+    assert run(argv + flag + ["--out", str(out)]) == 2
     config = tmp_path / "run.cfg"
     config.write_text(line + "\n")
     assert run(argv + ["--config", str(config), "--out", str(out)]) == 2
@@ -490,6 +484,34 @@ def test_negative_points_list_forms(tmp_path):
     assert digests[0] == digests[1]
     rows = (tmp_path / "split" / "curve.csv").read_text().splitlines()
     assert [float(r.split(",")[0]) for r in rows[1:]] == [-0.7, 0.3]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["--version"]])
+def test_help_and_version_return_zero(argv, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr().out
+
+
+def test_every_key_type_belongs_to_a_setting():
+    assert set(cli._KEY_TYPES) == set().union(*cli.SETTINGS.values())
+
+
+@pytest.mark.parametrize("flags,kind,fixed", [
+    (["--kind", "field", "--alpha", "10"], "field", dict(alpha=10.0, h=0.0)),
+    (["--kind", "coupling", "--h", "-0.5"], "coupling", dict(alpha=1.0, h=-0.5)),
+])
+def test_library_default_policy_is_the_cli_threshold(tmp_path, flags, kind, fixed):
+    from bellquench.model import ModelParams, QuenchKind
+    from bellquench.sweep import (KIND_DEFAULTS, GridSpec, Quantifier,
+                                  critical_threshold, sweep)
+
+    out = tmp_path / kind
+    assert run(["sweep", "--gamma", "0.4", "--step", "0.25", "--n", "16",
+                *flags, "--out", str(out)]) == 0
+    window = KIND_DEFAULTS[QuenchKind(kind)].grid
+    diagram = sweep(QuenchKind(kind), ModelParams(N=16, gamma=0.4, **fixed),
+                    GridSpec(window.q_min, window.q_max, 0.25), Quantifier.BELL)
+    assert critical_threshold(diagram) == read_json(out / "results.json")["bell"]["q_c"]
 
 
 def test_sweep_counts_cross_cells_of_its_policy(tmp_path):
@@ -534,8 +556,6 @@ class TestOneParser:
 
 @pytest.mark.parametrize("target", ["empty", "file", "under_file"])
 def test_unusable_out_refused_before_running(tmp_path, monkeypatch, capsys, target):
-    import bellquench.cli as cli
-
     def never(config):
         raise AssertionError("the command ran")
 

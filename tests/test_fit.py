@@ -79,6 +79,25 @@ def never_minimize(*args, **kwargs):
     raise AssertionError("a start ran")
 
 
+def test_no_finite_start_fails(tmp_path, monkeypatch):
+    # every start ends non-finite: the library raises, the CLI exits 1
+    # and writes nothing
+    from types import SimpleNamespace
+    from bellquench.cli import main
+    from bellquench.errors import FitFailedError
+
+    monkeypatch.setattr(fit_module, "minimize", lambda *args, **kwargs:
+                        SimpleNamespace(x=np.full(3, np.nan), fun=np.nan))
+    points = gaussian_points(0.3, 0.05, 1.7, np.arange(0.5, 4.01, 0.5))
+    with pytest.raises(FitFailedError):
+        fit_gaussian(points)
+    curve = tmp_path / "curve.csv"
+    curve.write_text("alpha,b_c\n" + "".join(f"{x!r},{y!r}\n" for x, y in points))
+    out = tmp_path / "fit"
+    assert main(["fit", "--curve", str(curve), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 class TestFitTriGaussian:
     COMPONENTS = [(0.8, -0.4, 0.08), (0.5, 0.0, 0.06), (0.9, 0.3, 0.07)]
 

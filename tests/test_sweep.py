@@ -115,7 +115,7 @@ class TestThreshold:
         fixed = fixed_params(N=256, gamma=0.8)
         grid = GridSpec(-3.0, 3.0, 0.05)
         diagram = sweep(QuenchKind.FIELD, fixed, grid, Quantifier.BELL)
-        q_c = critical_threshold(diagram)
+        q_c = critical_threshold(diagram, boundary="cross", cross_lines="model")
         cross = diagram.values[~diagram.same_phase_mask]
         assert not np.any(cross > q_c)
 
@@ -128,15 +128,16 @@ class TestThreshold:
 
     def test_trivial_detection(self):
         fixed = fixed_params(gamma=0.5, alpha=2.0)
-        grid = GridSpec(-2.0, 2.0, 0.25)
+        grid = GridSpec(-3.0, 3.0, 0.25)
         diagram = sweep(QuenchKind.FIELD, fixed, grid, Quantifier.BELL)
         zeroed = type(diagram)(kind=diagram.kind, fixed=diagram.fixed,
                                grid=diagram.grid, quantifier=diagram.quantifier,
                                values=np.where(diagram.same_phase_mask, 1.0, 0.0),
                                same_phase_mask=diagram.same_phase_mask)
-        q_c = critical_threshold(zeroed)
+        policy = dict(boundary="cross", cross_lines="model")
+        q_c = critical_threshold(zeroed, **policy)
         assert q_c == 0.0
-        report = efficiency(zeroed, q_c)
+        report = efficiency(zeroed, q_c, **policy)
         assert report.n_detected_cells == report.n_same_cells
 
     def test_policies(self):
@@ -164,14 +165,29 @@ class TestEfficiency:
         fixed = fixed_params(N=128, gamma=0.5, alpha=2.0)
         diagram = sweep(QuenchKind.FIELD, fixed, GridSpec(-3, 3, 0.1),
                         Quantifier.BELL)
-        q_c = critical_threshold(diagram)
-        report = efficiency(diagram, q_c)
+        policy = dict(boundary="cross", cross_lines="model")
+        q_c = critical_threshold(diagram, **policy)
+        report = efficiency(diagram, q_c, **policy)
         step = diagram.grid.step
         assert report.area_detected == pytest.approx(
             report.n_detected_cells * step * step, rel=1e-12)
         assert report.eta == pytest.approx(
             report.area_detected / report.area_same, rel=1e-12)
         assert 0.0 <= report.eta <= 1.0
+
+    @pytest.mark.parametrize("kind,fixed,grid", [
+        (QuenchKind.FIELD, fixed_params(N=16, gamma=0.8, alpha=3.5),
+         GridSpec(-1.5, 1.5, 0.25)),
+        (QuenchKind.FIELD, fixed_params(N=16, gamma=0.8, alpha=3.5),
+         GridSpec(-1.0, 3.0, 0.25)),
+        (QuenchKind.COUPLING, fixed_params(N=16, gamma=0.8, h=-0.5),
+         GridSpec(1.0, 3.0, 0.25)),
+    ])
+    def test_window_other_than_the_kind_refused(self, kind, fixed, grid):
+        # same_phase_area integrates over the kind's default window only
+        diagram = sweep(kind, fixed, grid, Quantifier.BELL)
+        with pytest.raises(ValueError, match="window"):
+            efficiency(diagram, critical_threshold(diagram))
 
     def test_discretized_area_matches_analytic(self):
         step = 0.01
@@ -401,10 +417,10 @@ def test_bell_map_is_chsh_at_zero_cxy(kind, fixed, grid):
 def test_efficiency_counts_cross_cells_of_the_policy():
     fixed = fixed_params(N=16, gamma=0.2, alpha=10.0)
     diagram = sweep(QuenchKind.FIELD, fixed, GridSpec(-3, 3, 0.1), Quantifier.BELL)
-    q_c = critical_threshold(diagram, boundary="cross", cross_lines="nn_limit")
-    report = efficiency(diagram, q_c, boundary="cross", cross_lines="nn_limit")
-    assert report.n_cross_cells == 1760
-    # the model-line policy (the default) counts the complement of the
-    # same-phase mask
-    assert efficiency(diagram, q_c).n_cross_cells == int(
+    q_c = critical_threshold(diagram)
+    # the field default, (cross, nn_limit)
+    assert efficiency(diagram, q_c).n_cross_cells == 1760
+    # the model-line policy counts the complement of the same-phase mask
+    report = efficiency(diagram, q_c, boundary="cross", cross_lines="model")
+    assert report.n_cross_cells == int(
         np.count_nonzero(~diagram.same_phase_mask)) == 1679
