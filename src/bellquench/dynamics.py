@@ -39,7 +39,7 @@ of (b, u = a + h) per value, and one quench is the two-value grid
 [q_i, q_f] (_quench_axis): row 0 is the initial Hamiltonian, row 1
 the final one.  Both paths start there.
 
-Steady values come from one kernel, _steady_maps.  The
+Steady values come from one kernel, SteadyKernel.  The
 diagonal-ensemble Bloch vector of each mode is bilinear in
 initial-side and final-side factors,
 
@@ -50,9 +50,13 @@ so every mode sum needed by the correlators factorizes into a few
 (grid x modes) @ (modes x grid) matrix products, over any (rows, cols)
 block of the grid.  The sweeps run it over whole grids and
 cross-phase blocks; steady_correlators is its (row 0, col 1) cell of
-the quench's two-value grid.  The products run over ROW_CHUNK rows of
-the initial axis at a time.  The fixed chunk shape pins the bits of
-the maps: one product per block gives other last digits.
+the quench's two-value grid.  A kernel keeps the arrays of one grid
+size (gy, gz, the six final-side factors and a buffer for the columns
+an index array gathers), so a threshold curve refills them at each
+point instead of allocating some 30 MB that the allocator hands back
+to the system and the next point faults in again.  It fills them
+ROW_CHUNK values at a time and yields each block's correlators
+ROW_CHUNK rows at a time, so its temporaries stay chunk-sized.
 
 Timed values come from one kernel, _timed_mode_sums: for a vector of
 times it rotates the Bloch vectors and takes the four mode sums
@@ -78,16 +82,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceCapError
-from .model import QUENCHED, ModelParams, QuenchKind, QuenchSpec
+from .model import QUENCHED, QuenchKind, QuenchSpec
 from .momentum import (MEMORY_CAP, SAMPLE_BYTES, STEADY_DEGENERACY_TOL,
                        TIMED_DEGENERACY_TOL, check_footprint, dispersion,
                        ground_bloch, mode_angles)
 
 STEADY = "steady"
 
-# Rows per matrix product of _steady_maps.  Every BLAS call shape, and
-# so every bit of the maps, follows from it: one product per block
-# changes the last digits of the sweep maps.
+# Rows per chunk of SteadyKernel: its temporaries hold ROW_CHUNK rows.
+# Every BLAS call shape, and so every bit of the maps, follows from it
+# (each chunk of a block against all of the block's columns): one
+# product per block changes the last digits of the sweep maps.
 ROW_CHUNK = 64
 
 # Samples per chunk of the timed kernel: each of its temporaries holds
@@ -148,24 +153,22 @@ class CorrelatorSet:
 # ---------------------------------------------------------------------------
 # Bloch-vector engine (arrays over modes, optionally broadcast over time)
 
-def _axes(kind: QuenchKind, base: ModelParams, qs: np.ndarray):
-    """A function fixed -> (phis, b, u): the inputs of both kernels, with
-    one row of b and of u = a + h per grid value.
-
-    fixed may differ from base only in the parameter the kind holds
-    fixed.  A field grid's dispersion depends on fixed.alpha, so each
-    call computes it.  A coupling grid's runs over the alpha axis and
-    does not depend on h, so it is computed here, once, and each call
-    adds its own h.
+def _axes(kind: QuenchKind, qs: np.ndarray, params):
+    """(phis, axes): the mode angles and an iterator over params of the
+    inputs (b, u) of both kernels, one row of b and of u = a + h per
+    grid value.  The params differ only in the parameter the kind holds
+    fixed, and one dispersion call serves them all: a field grid's over
+    the params' alphas, a coupling grid's over its alpha axis qs, to
+    which each entry adds its own h.
     """
-    phis = mode_angles(base.N)
+    phis = mode_angles(params[0].N)
     if kind is QuenchKind.FIELD:
-        def axes(fixed):
-            a, b = dispersion(fixed, phis)
-            return phis, np.broadcast_to(b, (qs.size, phis.size)), a + qs[:, None]
-        return axes
-    a, b = dispersion(base, phis, alphas=qs)
-    return lambda fixed: (phis, b, a + fixed.h)
+        a, b = dispersion(params[0], phis, alphas=[p.alpha for p in params])
+        shape = (qs.size, phis.size)
+        return phis, ((np.broadcast_to(b_k, shape), a_k + qs[:, None])
+                      for a_k, b_k in zip(a, b))
+    a, b = dispersion(params[0], phis, alphas=qs)
+    return phis, ((b, a + p.h) for p in params)
 
 
 def _quench_axis(quench: QuenchSpec):
@@ -173,7 +176,8 @@ def _quench_axis(quench: QuenchSpec):
     is the initial Hamiltonian, row 1 the final one."""
     name = QUENCHED[quench.kind]
     qs = np.array([getattr(quench.initial, name), getattr(quench.final, name)])
-    return _axes(quench.kind, quench.initial, qs)(quench.initial)
+    phis, ((b, u),) = _axes(quench.kind, qs, [quench.initial])
+    return phis, b, u
 
 
 def _timed_mode_sums(phis, gy, gz, b_f, u_f, times):
@@ -228,45 +232,65 @@ def _correlators_from_sums(phis, sums, N):
     return mz, cxx, cyy, czz, cxy
 
 
-def _steady_maps(N: int, phis, b, u, blocks=((None, None),)):
-    """Steady mz, cxx, cyy, czz over each (rows, cols) block of the grid.
+class SteadyKernel:
+    """Steady mz, cxx, cyy, czz over blocks of a grid of n values.
 
-    b and u come from _axes.  rows and cols select initial and
-    final grid values by index array or slice (None: the whole axis).
-    Yields one (mz, cxx, cyy, czz) per block; the per-value mode
-    factors are computed once and shared by every block.
+    It owns the per-value arrays of the grid (module docstring), so a
+    threshold curve allocates them once for all of its points.  One
+    maps pass runs at a time.
     """
-    lam, gy, gz = ground_bloch(u, b)
-    lam2 = lam * lam
-    degen_f = lam < STEADY_DEGENERACY_TOL
-    safe2 = np.where(degen_f, 1.0, lam2)
-    ayy = np.where(degen_f, 1.0, b * b / safe2)
-    ayz = np.where(degen_f, 0.0, u * b / safe2)
-    azz = np.where(degen_f, 1.0, u * u / safe2)
 
-    cos_p, sin_p = np.cos(phis), np.sin(phis)
-    # j-side factors, pre-weighted by the mode weights, one row per value
-    final = (ayz, azz,                       # for sum nz
-             cos_p * ayz, cos_p * azz,       # for sum cos*nz
-             sin_p * ayy, sin_p * ayz)       # for sum sin*ny
+    def __init__(self, N: int, phis, n: int):
+        self.N, self.phis = N, phis
+        self.gy, self.gz = np.empty((n, phis.size)), np.empty((n, phis.size))
+        self.final = np.empty((6, n, phis.size))
+        self.gather = np.empty(self.final.size)
 
-    for rows, cols in blocks:
-        gy_b, gz_b = (gy, gz) if rows is None else (gy[rows], gz[rows])
-        f_m_y, f_m_z, f_z_y, f_z_z, f_y_y, f_y_z = (
-            (f if cols is None else f[cols]).T for f in final)
-        n_rows, n_cols = gy_b.shape[0], f_m_y.shape[1]
-        s_z = np.empty((n_rows, n_cols))
-        m_cos = np.empty((n_rows, n_cols))
-        m_sin = np.empty((n_rows, n_cols))
-        for start in range(0, n_rows, ROW_CHUNK):
-            chunk = slice(start, start + ROW_CHUNK)
-            gy_c, gz_c = gy_b[chunk], gz_b[chunk]
-            s_z[chunk] = gy_c @ f_m_y + gz_c @ f_m_z
-            m_cos[chunk] = gy_c @ f_z_y + gz_c @ f_z_z
-            m_sin[chunk] = gy_c @ f_y_y + gz_c @ f_y_z
+    def _fill(self, b, u):
+        """The per-value factors of b and u (from _axes)."""
+        cos_p, sin_p = np.cos(self.phis), np.sin(self.phis)
+        for start in range(0, self.gy.shape[0], ROW_CHUNK):
+            part = slice(start, start + ROW_CHUNK)
+            u_c, b_c = u[part], b[part]
+            lam, self.gy[part], self.gz[part] = ground_bloch(u_c, b_c)
+            degen_f = lam < STEADY_DEGENERACY_TOL
+            safe2 = np.where(degen_f, 1.0, lam * lam)
+            ayy = np.where(degen_f, 1.0, b_c * b_c / safe2)
+            ayz = np.where(degen_f, 0.0, u_c * b_c / safe2)
+            azz = np.where(degen_f, 1.0, u_c * u_c / safe2)
+            # j-side factors, pre-weighted by the mode weights: for sum nz,
+            # sum cos*nz and sum sin*ny
+            f = self.final[:, part]
+            f[0], f[1] = ayz, azz
+            np.multiply(cos_p, ayz, out=f[2])
+            np.multiply(cos_p, azz, out=f[3])
+            np.multiply(sin_p, ayy, out=f[4])
+            np.multiply(sin_p, ayz, out=f[5])
 
-        # the steady state has no n_x, so its mode sum is 0
-        yield _correlators_from_sums(phis, (s_z, m_cos, m_sin, 0.0), N)[:4]
+    def maps(self, b, u, blocks=((slice(None), slice(None)),)):
+        """Yields (rows, mz, cxx, cyy, czz) per ROW_CHUNK rows of each
+        (rows, cols) block, whose slices or index arrays select initial
+        and final grid values.  The yielded arrays are fresh."""
+        self._fill(b, u)
+        for rows, cols in blocks:
+            if isinstance(cols, slice):
+                final = self.final[:, cols]
+            else:  # C-contiguous out and mode "clip" let np.take skip a temporary
+                final = self.gather[:6 * cols.size * self.phis.size].reshape(
+                    6, cols.size, -1)
+                np.take(self.final, cols, axis=1, out=final, mode="clip")
+            f_m_y, f_m_z, f_z_y, f_z_z, f_y_y, f_y_z = (f.T for f in final)
+            if isinstance(rows, slice):
+                rows = range(self.gy.shape[0])[rows]
+            for start in range(0, len(rows), ROW_CHUNK):
+                part = rows[start:start + ROW_CHUNK]
+                if isinstance(part, range):  # a view, as rows was a slice
+                    part = slice(part.start, part.stop)
+                gy_c, gz_c = self.gy[part], self.gz[part]
+                # the steady state has no n_x, so its mode sum is 0
+                sums = (gy_c @ f_m_y + gz_c @ f_m_z, gy_c @ f_z_y + gz_c @ f_z_z,
+                        gy_c @ f_y_y + gz_c @ f_y_z, 0.0)
+                yield (part, *_correlators_from_sums(self.phis, sums, self.N)[:4])
 
 
 def _timed_correlators(quench: QuenchSpec, times: np.ndarray):
@@ -300,10 +324,11 @@ def steady_correlators(quench: QuenchSpec) -> CorrelatorSet:
     final field axis, killing the oscillatory terms in closed form.
     The transverse n_x component dies entirely, so the steady state has
     C_xy = C_yx = 0.  The values are the (q_i, q_f) cell of the sweep
-    kernel _steady_maps on the quench's two-value grid.
+    kernel on the quench's two-value grid.
     """
-    (mz, cxx, cyy, czz), = _steady_maps(quench.initial.N, *_quench_axis(quench),
-                                        ((slice(0, 1), slice(1, 2)),))
+    phis, b, u = _quench_axis(quench)
+    (_, mz, cxx, cyy, czz), = SteadyKernel(quench.initial.N, phis, 2).maps(
+        b, u, ((slice(0, 1), slice(1, 2)),))
     return CorrelatorSet(mz=float(mz[0, 0]), cxx=float(cxx[0, 0]),
                          cyy=float(cyy[0, 0]), czz=float(czz[0, 0]),
                          cxy=0.0, cyx=0.0, t=STEADY)

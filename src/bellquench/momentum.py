@@ -33,7 +33,7 @@ states never enter a quench.  Three conventions are fixed here once:
   that case in closed form instead of dividing by Lambda.
   DEGENERACY_TOL (1e-14, initial blocks, ground_bloch): the state is
   |pair>.  STEADY_DEGENERACY_TOL (1e-12, final blocks of the one
-  steady kernel, dynamics._steady_maps, which steady_correlators and
+  steady kernel, dynamics.SteadyKernel, which steady_correlators and
   the sweeps share): the block does not dephase, so the whole initial
   vector survives; a gap that small precesses with a period beyond
   1e12.  TIMED_DEGENERACY_TOL (1e-30, final blocks of

@@ -2,7 +2,7 @@
 
 A steady-state phase diagram evaluates the dephased correlators for
 every (q_i, q_f) pair on a grid, through the steady kernel of
-dynamics (_axes, _steady_maps).  sweep_all runs it over the whole
+dynamics (_axes, SteadyKernel).  sweep_all runs it over the whole
 grid and builds the three quantifier maps and the phase mask; sweep
 is one of its diagrams.
 
@@ -14,13 +14,13 @@ The threshold B_c is the Bell maximum over the cross-phase cells.
 Under every boundary and cross-line policy those cells form at most
 three rectangles of the grid (_cross_blocks, from model.phase_codes),
 and `critical_threshold` reduces a diagram over exactly those.
-`threshold_curve` evaluates the kernel on the rectangles alone and
-never builds a diagram: about 44 % of the cells of a 601 x 601 field
-grid.  A coupling curve computes the dispersion over its alpha axis
-once and shares it across every h, since only u = a + h depends on h
-(_axes).  The curve values agree with critical_threshold(sweep(...))
-to rounding (the block products have other shapes than the full-grid
-ones).
+`threshold_curve` evaluates one kernel, reused by every point, on
+the rectangles alone and never builds a diagram: about 44 % of the
+cells of a 601 x 601 field grid.  Each curve makes one dispersion
+call (_axes): over its alphas, or over a coupling grid's alpha axis,
+shared by every h.  The curve values agree with
+critical_threshold(sweep(...)) to rounding (the block products have
+other shapes than the full-grid ones).
 
 Every map and curve runs the steady kernel's products in the same
 fixed shapes (dynamics.ROW_CHUNK), so repeated runs write identical
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import xstate_log_negativity
-from .dynamics import _axes, _steady_maps
+from .dynamics import SteadyKernel, _axes
 from .errors import ThresholdUndefinedError
 from .model import (ModelParams, QuenchKind, check_lines, make_quench,
                     phase_codes, same_phase_area)
@@ -211,17 +211,17 @@ def _span(idx: np.ndarray):
     return idx
 
 
-def _cross_max(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray, axis,
-               boundary: str, cross_lines: str) -> float:
-    """Bell maximum over the cross-phase cells, block by block.
+def _cross_max(kernel: SteadyKernel, kind: QuenchKind, fixed: ModelParams,
+               qs: np.ndarray, axis, boundary: str, cross_lines: str) -> float:
+    """Bell maximum over the cross-phase cells, chunk by chunk.
 
     The threshold path: the same value as critical_threshold on the
     Bell diagram, without evaluating the same-phase cells.  `axis` is
-    _axes(kind, ..., qs)(fixed).
+    fixed's (b, u) from _axes.
     """
     blocks = _cross_blocks(kind, fixed, qs, boundary, cross_lines)
-    return float(np.max([np.max(_bell_map(cxx, cyy, czz)) for _, cxx, cyy, czz
-                         in _steady_maps(fixed.N, *axis, blocks)]))
+    return float(np.max([np.max(_bell_map(cxx, cyy, czz)) for _, _, cxx, cyy, czz
+                         in kernel.maps(*axis, blocks)]))
 
 
 def cross_cell_count(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
@@ -246,7 +246,11 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams,
     """All three quantifiers from one pass over the correlator maps."""
     check_footprint(fixed.N, grid.count, grid.count ** 2)
     qs = grid.values()
-    (mz, cxx, cyy, czz), = _steady_maps(fixed.N, *_axes(kind, fixed, qs)(fixed))
+    phis, ((b, u),) = _axes(kind, qs, [fixed])
+    maps = np.empty((4, qs.size, qs.size))
+    for rows, *values in SteadyKernel(fixed.N, phis, qs.size).maps(b, u):
+        maps[:, rows] = values
+    mz, cxx, cyy, czz = maps
     code, on = phase_codes(kind, fixed, qs)
     same = (code[:, None] == code[None, :]) & ~(on[:, None] | on[None, :])
     out = {}
@@ -327,10 +331,11 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
         same_phase_area(kind, getattr(fixed, defaults.fixed))  # coupling window
     check_footprint(N, grid.count, grid.count ** 2)
     qs = grid.values()
-    axes = _axes(kind, base, qs)
+    phis, axes = _axes(kind, qs, params)
+    kernel = SteadyKernel(N, phis, qs.size)
     return [(getattr(fixed, defaults.fixed),
-             _cross_max(kind, fixed, qs, axes(fixed), boundary, cross_lines))
-            for fixed in params]
+             _cross_max(kernel, kind, fixed, qs, axis, boundary, cross_lines))
+            for fixed, axis in zip(params, axes)]
 
 
 def steady_cell(kind: QuenchKind, fixed: ModelParams, q_i: float, q_f: float):

@@ -1,6 +1,6 @@
 """Scalar steady-state correlators of one quench, mode by mode.
 
-An independent reference for the steady kernel dynamics._steady_maps
+An independent reference for the steady kernel dynamics.SteadyKernel
 (and so for dynamics.steady_correlators, one cell of it): each mode's
 Bloch vector is projected on its final field axis one quench at a
 time, with the initial and final dispersions computed apart, and the

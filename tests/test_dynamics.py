@@ -8,8 +8,8 @@ from bellquench.bell import bell_value, xstate_log_negativity
 from bellquench.model import ModelParams, QuenchKind, field_quench, make_quench
 from bellquench.momentum import (STEADY_DEGENERACY_TOL, TIMED_DEGENERACY_TOL,
                                  ground_bloch)
-from bellquench.dynamics import (MAX_TIME_SAMPLES, STEADY, TIME_CHUNK, TimeGrid,
-                                 _correlators_from_sums, _steady_maps,
+from bellquench.dynamics import (MAX_TIME_SAMPLES, STEADY, TIME_CHUNK,
+                                 SteadyKernel, TimeGrid, _correlators_from_sums,
                                  _timed_mode_sums, correlator_arrays,
                                  correlator_time_series, correlators_at,
                                  steady_correlators)
@@ -250,8 +250,9 @@ class TestCutoffs:
         b = np.array([[0.6], [0.6 * lam_f]])
         u = np.array([[-0.3], [0.8 * lam_f]])
         _, gy, gz = ground_bloch(u[0], b[0])
-        steady = np.ravel(next(_steady_maps(2, self.PHIS, b, u,
-                                            ((slice(0, 1), slice(1, 2)),))))
+        (_, *steady), = SteadyKernel(2, self.PHIS, 2).maps(
+            b, u, ((slice(0, 1), slice(1, 2)),))
+        steady = np.ravel(steady)
         held = np.stack([gz, np.cos(self.PHIS) * gz, np.sin(self.PHIS) * gy,
                          np.zeros(1)])
         return b, u, gy, gz, steady, held

@@ -147,6 +147,28 @@ class TestFootprint:
             tracemalloc.stop()
         assert peak < check_footprint(256, grid.count, grid.count ** 2)
 
+    @pytest.mark.parametrize("kind,gamma,points", [
+        ("field", 1.0, [1.5, 3.5]),
+        ("coupling", 0.8, [-0.5, 0.1]),
+    ])
+    def test_bounds_the_traced_curve_peak(self, kind, gamma, points):
+        # the estimate threshold_curve checks, against the steady
+        # kernel's arrays and its chunks on the default grids
+        import tracemalloc
+
+        from bellquench.model import QuenchKind
+        from bellquench.sweep import KIND_DEFAULTS, threshold_curve
+
+        kind = QuenchKind(kind)
+        grid = KIND_DEFAULTS[kind].grid
+        tracemalloc.start()
+        try:
+            threshold_curve(kind, gamma, points, N=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < check_footprint(512, grid.count, grid.count ** 2)
+
 
 class TestGroundEnergy:
     @pytest.mark.parametrize("kwargs", [

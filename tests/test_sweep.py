@@ -1,18 +1,22 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import bellquench
 from bellquench.bell import (bell_value, chsh_arrays, log_negativity,
                              reconstruct_rho12)
 from bellquench.errors import ThresholdUndefinedError
 from bellquench.model import ModelParams, QuenchKind, phase_codes, same_phase_area
-from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier, _axes,
-                              _bell_map, _cross_blocks, _steady_maps,
-                              critical_threshold, efficiency, steady_cell,
-                              sweep, sweep_all, threshold_curve)
+from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier, _bell_map,
+                              _cross_blocks, critical_threshold, efficiency,
+                              steady_cell, sweep, sweep_all, threshold_curve)
 from phase_reference import PhaseLabel, classify_pair
 from steady_reference import steady_correlators
 from bellquench import oracle
-from bellquench.dynamics import correlators_at
+from bellquench.dynamics import SteadyKernel, _axes, correlators_at
 
 
 def fixed_params(**kwargs):
@@ -222,7 +226,7 @@ class TestThresholdCurves:
 
     def test_dispersion_calls(self, monkeypatch):
         # a coupling curve builds its alpha-axis dispersion once and adds
-        # each h to it; a field curve needs one dispersion per alpha
+        # each h to it; a field curve builds one row per alpha in one call
         import bellquench.dynamics as dyn
 
         calls = []
@@ -238,7 +242,44 @@ class TestThresholdCurves:
         calls.clear()
         threshold_curve(QuenchKind.FIELD, 0.5, [1.0, 2.0, 4.0],
                         GridSpec(-3, 3, 0.1), N=32)
-        assert calls == [False] * 3
+        assert calls == [True]
+
+    @pytest.mark.parametrize("kind,points,grid", [
+        # the model lines move with alpha, so the cross blocks, and the
+        # gathered columns among them, change shape from point to point
+        (QuenchKind.FIELD, [0.7, 1.0, 3.5], GridSpec(-3, 3, 0.05)),
+        (QuenchKind.COUPLING, [-0.5, -0.2, 0.1], GridSpec(0.5, 3.0, 0.05)),
+    ])
+    def test_points_do_not_depend_on_earlier_points(self, kind, points, grid):
+        # one kernel serves every point of a curve
+        def curve(qs):
+            return threshold_curve(kind, 0.5, qs, grid, N=64, cross_lines="model")
+
+        alone = [curve([q])[0] for q in points]
+        assert curve(points) == alone
+        assert curve(points[::-1]) == alone[::-1]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads Linux's count of minor page faults")
+    def test_curve_points_reuse_memory(self):
+        # the kernel's arrays are allocated once per curve, so a point
+        # faults in few fresh pages (about 1,400 each when every point
+        # allocated its own)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bellquench.__file__)))
+        code = ("import resource\n"
+                "from bellquench.model import QuenchKind\n"
+                "from bellquench.sweep import GridSpec, threshold_curve\n"
+                "grid = GridSpec(-3.0, 3.0, 0.02)\n"
+                "threshold_curve(QuenchKind.FIELD, 1.0, [1.0], grid, N=256)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "threshold_curve(QuenchKind.FIELD, 1.0, [0.5, 1.0, 2.0, 3.5, 6.0, 10.0],\n"
+                "                grid, N=256)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env=dict(os.environ, PYTHONPATH=src),
+                                check=False)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) / 6 < 500
 
 
 POLICIES = [("cross", "model"), ("exclude", "model"),
@@ -387,14 +428,24 @@ def steady_entanglement_map(mz, cxx, cyy, czz):
     return np.log2(trace_norm)
 
 
+def kernel_maps(kind, fixed, grid):
+    """(mz, cxx, cyy, czz) over the whole grid, stacked from the steady
+    kernel's row chunks; they cover the grid's rows in order."""
+    qs = grid.values()
+    phis, ((b, u),) = _axes(kind, qs, [fixed])
+    chunks = list(SteadyKernel(fixed.N, phis, qs.size).maps(b, u))
+    rows = np.concatenate([np.arange(qs.size)[c[0]] for c in chunks])
+    assert np.array_equal(rows, np.arange(qs.size))
+    return [np.concatenate(maps) for maps in list(zip(*chunks))[1:]]
+
+
 @pytest.mark.parametrize("kind, fixed, grid", [
     (QuenchKind.FIELD, fixed_params(N=128, gamma=0.2, alpha=10.0), GridSpec(-3, 3, 0.05)),
     (QuenchKind.FIELD, fixed_params(N=64, gamma=0.0, alpha=1.0), GridSpec(-3, 3, 0.1)),
     (QuenchKind.COUPLING, fixed_params(N=128, gamma=0.8, h=-0.5), GridSpec(0.5, 3.0, 0.05)),
 ])
 def test_entanglement_map_bits_unchanged(kind, fixed, grid):
-    (mz, cxx, cyy, czz), = _steady_maps(
-        fixed.N, *_axes(kind, fixed, grid.values())(fixed))
+    mz, cxx, cyy, czz = kernel_maps(kind, fixed, grid)
     maps = sweep_all(kind, fixed, grid)
     assert np.array_equal(maps[Quantifier.CZZ].values, czz)
     assert np.array_equal(maps[Quantifier.ENTANGLEMENT].values,
@@ -408,8 +459,7 @@ def test_entanglement_map_bits_unchanged(kind, fixed, grid):
     (QuenchKind.COUPLING, fixed_params(N=128, gamma=0.8, h=-0.5), GridSpec(0.5, 3.0, 0.05)),
 ])
 def test_bell_map_is_chsh_at_zero_cxy(kind, fixed, grid):
-    (_, cxx, cyy, czz), = _steady_maps(
-        fixed.N, *_axes(kind, fixed, grid.values())(fixed))
+    _, cxx, cyy, czz = kernel_maps(kind, fixed, grid)
     assert np.max(np.abs(_bell_map(cxx, cyy, czz)
                          - chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3])) <= 1e-15
 
