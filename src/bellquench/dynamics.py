@@ -47,16 +47,17 @@ initial-side and final-side factors,
     n_z = gy_i * (u_f b_f/L_f^2) + gz_i * (u_f^2/L_f^2),
 
 so every mode sum needed by the correlators factorizes into a few
-(grid x modes) @ (modes x grid) matrix products, over any (rows, cols)
-block of the grid.  The sweeps run it over whole grids and
-cross-phase blocks; steady_correlators is its (row 0, col 1) cell of
-the quench's two-value grid.  A kernel keeps the arrays of one grid
-size (gy, gz, the six final-side factors and a buffer for the columns
-an index array gathers), so a threshold curve refills them at each
-point instead of allocating some 30 MB that the allocator hands back
-to the system and the next point faults in again.  It fills them
-ROW_CHUNK values at a time and yields each block's correlators
-ROW_CHUNK rows at a time, so its temporaries stay chunk-sized.
+(grid x modes) @ (modes x grid) matrix products, over any block of
+contiguous kernel rows and columns.  A kernel row holds one grid value,
+in grid order or in an order the caller gives: the sweeps run whole
+grids, the threshold curves the cross-phase rectangles of the
+phase-ordered grid.  A kernel keeps the arrays of one grid size (gy,
+gz and the six final-side factors), so a threshold curve refills them
+at each point instead of allocating some 30 MB that the allocator
+hands back to the system and the next point faults in again.  It
+fills them ROW_CHUNK values at a time and yields each block's
+correlators ROW_CHUNK rows at a time, so its temporaries stay
+chunk-sized.
 
 Timed values come from one kernel, _timed_mode_sums: for a vector of
 times it rotates the Bloch vectors and takes the four mode sums
@@ -233,7 +234,7 @@ def _correlators_from_sums(phis, sums, N):
 
 
 class SteadyKernel:
-    """Steady mz, cxx, cyy, czz over blocks of a grid of n values.
+    """Steady mz, cxx, cyy, czz over slice blocks of a grid of n values.
 
     It owns the per-value arrays of the grid (module docstring), so a
     threshold curve allocates them once for all of its points.  One
@@ -244,14 +245,15 @@ class SteadyKernel:
         self.N, self.phis = N, phis
         self.gy, self.gz = np.empty((n, phis.size)), np.empty((n, phis.size))
         self.final = np.empty((6, n, phis.size))
-        self.gather = np.empty(self.final.size)
 
-    def _fill(self, b, u):
-        """The per-value factors of b and u (from _axes)."""
+    def _fill(self, b, u, order):
+        """The per-value factors of b and u (from _axes), row r from grid
+        value order[r] (value r when order is None)."""
         cos_p, sin_p = np.cos(self.phis), np.sin(self.phis)
         for start in range(0, self.gy.shape[0], ROW_CHUNK):
             part = slice(start, start + ROW_CHUNK)
-            u_c, b_c = u[part], b[part]
+            take = part if order is None else order[part]
+            u_c, b_c = u[take], b[take]
             lam, self.gy[part], self.gz[part] = ground_bloch(u_c, b_c)
             degen_f = lam < STEADY_DEGENERACY_TOL
             safe2 = np.where(degen_f, 1.0, lam * lam)
@@ -267,25 +269,18 @@ class SteadyKernel:
             np.multiply(sin_p, ayy, out=f[4])
             np.multiply(sin_p, ayz, out=f[5])
 
-    def maps(self, b, u, blocks=((slice(None), slice(None)),)):
+    def maps(self, b, u, blocks=((slice(None), slice(None)),), order=None):
         """Yields (rows, mz, cxx, cyy, czz) per ROW_CHUNK rows of each
-        (rows, cols) block, whose slices or index arrays select initial
-        and final grid values.  The yielded arrays are fresh."""
-        self._fill(b, u)
+        (rows, cols) block, a pair of slices of the kernel's rows: row r
+        holds grid value order[r], or r when order is None.  The yielded
+        arrays are fresh."""
+        self._fill(b, u, order)
         for rows, cols in blocks:
-            if isinstance(cols, slice):
-                final = self.final[:, cols]
-            else:  # C-contiguous out and mode "clip" let np.take skip a temporary
-                final = self.gather[:6 * cols.size * self.phis.size].reshape(
-                    6, cols.size, -1)
-                np.take(self.final, cols, axis=1, out=final, mode="clip")
-            f_m_y, f_m_z, f_z_y, f_z_z, f_y_y, f_y_z = (f.T for f in final)
-            if isinstance(rows, slice):
-                rows = range(self.gy.shape[0])[rows]
-            for start in range(0, len(rows), ROW_CHUNK):
-                part = rows[start:start + ROW_CHUNK]
-                if isinstance(part, range):  # a view, as rows was a slice
-                    part = slice(part.start, part.stop)
+            f_m_y, f_m_z, f_z_y, f_z_z, f_y_y, f_y_z = (
+                f.T for f in self.final[:, cols])
+            start, stop, _ = rows.indices(self.gy.shape[0])
+            for lo in range(start, stop, ROW_CHUNK):
+                part = slice(lo, min(lo + ROW_CHUNK, stop))
                 gy_c, gz_c = self.gy[part], self.gz[part]
                 # the steady state has no n_x, so its mode sum is 0
                 sums = (gy_c @ f_m_y + gz_c @ f_m_z, gy_c @ f_z_y + gz_c @ f_z_z,

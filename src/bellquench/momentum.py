@@ -64,10 +64,10 @@ TIMED_DEGENERACY_TOL = 1e-30
 MEMORY_CAP = 2 ** 30
 # Peak bytes per element, traced with tracemalloc at N = 512 on the
 # 601 x 601 grid and rounded up: 24 per (phi, r) entry of the dispersion
-# tables; 115 (field) and 123 (coupling) per (grid value, mode) entry of
-# the axis and factor arrays of the steady maps; 80 per cell of the maps
-# a sweep holds; 147 per sample of an evolve time grid (its output
-# columns and the kernels' temporaries over them).
+# tables; 94 (field) and 113 (coupling) per (grid value, mode) entry for
+# a threshold curve's whole peak (axis, SteadyKernel arrays and chunks);
+# 80 per cell of the maps a sweep holds; 147 per sample of an evolve
+# time grid (its output columns and the kernels' temporaries over them).
 TABLE_BYTES = 32
 FACTOR_BYTES = 128
 MAP_BYTES = 96

@@ -37,13 +37,9 @@ def _json_value(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def json_text(obj) -> str:
-    return _json_value(obj) + "\n"
-
-
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_text(obj))
+        fh.write(_json_value(obj) + "\n")
 
 
 # Cells formatted per write: the text and the Python floats of one

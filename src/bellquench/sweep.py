@@ -11,9 +11,10 @@ between them: the default grid, the default threshold policy
 (boundary, cross_lines) and the parameter a diagram holds fixed.
 
 The threshold B_c is the Bell maximum over the cross-phase cells.
-Under every boundary and cross-line policy those cells form at most
-three rectangles of the grid (_cross_blocks, from model.phase_codes),
-and `critical_threshold` reduces a diagram over exactly those.
+With the grid values in phase order (first class, line values, second
+class), those cells form at most three rectangles under every boundary
+and cross-line policy (_cross_blocks, from model.phase_codes), and
+`critical_threshold` reduces a diagram over exactly those.
 `threshold_curve` evaluates one kernel, reused by every point, on
 the rectangles alone and never builds a diagram: about 44 % of the
 cells of a 601 x 601 field grid.  Each curve makes one dispersion
@@ -66,6 +67,8 @@ class GridSpec:
         if self.q_min >= self.q_max:
             raise ValueError("q_min must be below q_max")
         n = (self.q_max - self.q_min) / self.step
+        if not math.isfinite(n):
+            raise ValueError("grid bounds and step must give a finite number of steps")
         if abs(n - round(n)) > 1e-9:
             raise ValueError("grid span must be an integer number of steps")
 
@@ -174,41 +177,36 @@ def check_window(kind: QuenchKind, grid: GridSpec) -> None:
 
 def _cross_blocks(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray,
                   boundary: str | None, cross_lines: str | None):
-    """The cross-phase cells of a quench grid as (rows, cols) blocks.
+    """The cross-phase cells of a quench grid as (order, blocks).
 
     Each policy splits the grid values into two phase classes plus the
-    values on a critical line (model.phase_codes).  Cross cells pair one
-    class with the other; with boundary="cross" every pair with an
-    endpoint on a line joins them, with "exclude" none does.  So the
-    cross set is the union of at most three rectangles: first class x
-    (second class + lines), second class x (first class + lines), lines
-    x everything.  rows and cols are index arrays, or slices where the
-    indices are consecutive.  Raises ThresholdUndefinedError when the
-    set is empty.
+    values on a critical line (model.phase_codes).  order lists the grid
+    indices in phase order: first class, lines, second class, each in
+    ascending grid order.  Cross cells pair one class with the other;
+    with boundary="cross" every pair with an endpoint on a line joins
+    them, with "exclude" none does.  So in phase order the cross set is
+    at most three rectangles, each a (rows, cols) pair of slices of
+    order: first class x (lines + second class), second class x (first
+    class + lines), lines x everything.  Raises ThresholdUndefinedError
+    when the set is empty.
     """
     boundary, cross_lines = check_policy(kind, boundary, cross_lines)
     code, line = phase_codes(kind, fixed, qs, cross_lines)
-    first = np.flatnonzero((code == 0) & ~line)
-    second = np.flatnonzero((code == 1) & ~line)
+    classes = [np.flatnonzero((code == 0) & ~line), np.flatnonzero(line),
+               np.flatnonzero((code == 1) & ~line)]
+    order = np.concatenate(classes)
+    a, b, n = classes[0].size, classes[0].size + classes[1].size, qs.size
+    first, lines, second = slice(0, a), slice(a, b), slice(b, n)
     if boundary == "exclude":
         blocks = [(first, second), (second, first)]
     else:
-        on = np.flatnonzero(line)
-        blocks = [(first, np.union1d(second, on)),
-                  (second, np.union1d(first, on)),
-                  (on, np.arange(qs.size))]
-    blocks = [(_span(rows), _span(cols)) for rows, cols in blocks
-              if rows.size and cols.size]
+        blocks = [(first, slice(a, n)), (second, slice(0, b)),
+                  (lines, slice(0, n))]
+    blocks = [(rows, cols) for rows, cols in blocks
+              if rows.start < rows.stop and cols.start < cols.stop]
     if not blocks:
         raise ThresholdUndefinedError("phase diagram has no cross-phase cells")
-    return blocks
-
-
-def _span(idx: np.ndarray):
-    """A run of consecutive indices as a slice: indexing it takes a view."""
-    if idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
+    return order, blocks
 
 
 def _cross_max(kernel: SteadyKernel, kind: QuenchKind, fixed: ModelParams,
@@ -219,9 +217,9 @@ def _cross_max(kernel: SteadyKernel, kind: QuenchKind, fixed: ModelParams,
     Bell diagram, without evaluating the same-phase cells.  `axis` is
     fixed's (b, u) from _axes.
     """
-    blocks = _cross_blocks(kind, fixed, qs, boundary, cross_lines)
+    order, blocks = _cross_blocks(kind, fixed, qs, boundary, cross_lines)
     return float(np.max([np.max(_bell_map(cxx, cyy, czz)) for _, _, cxx, cyy, czz
-                         in kernel.maps(*axis, blocks)]))
+                         in kernel.maps(*axis, blocks, order)]))
 
 
 def cross_cell_count(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
@@ -230,9 +228,9 @@ def cross_cell_count(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
     """Cells in the cross set of a policy, the cells critical_threshold
     takes its maximum over; ThresholdUndefinedError when there are none,
     ValueError for a policy check_policy refuses.  Needs no map."""
-    axis = np.arange(grid.count)
-    return sum(axis[rows].size * axis[cols].size for rows, cols in
-               _cross_blocks(kind, fixed, grid.values(), boundary, cross_lines))
+    _, blocks = _cross_blocks(kind, fixed, grid.values(), boundary, cross_lines)
+    return sum((rows.stop - rows.start) * (cols.stop - cols.start)
+               for rows, cols in blocks)
 
 
 def sweep(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
@@ -276,9 +274,9 @@ def critical_threshold(diagram: PhaseDiagram, boundary: str | None = None,
     areas and efficiencies always use the model lines.  A setting left
     None is the kind's (KIND_DEFAULTS), so the default is the CLI's B_c.
     """
-    blocks = _cross_blocks(diagram.kind, diagram.fixed, diagram.grid.values(),
-                           boundary, cross_lines)
-    return float(np.max([np.max(diagram.values[rows][:, cols])
+    order, blocks = _cross_blocks(diagram.kind, diagram.fixed,
+                                  diagram.grid.values(), boundary, cross_lines)
+    return float(np.max([np.max(diagram.values[order[rows]][:, order[cols]])
                          for rows, cols in blocks]))
 
 

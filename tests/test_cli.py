@@ -1,7 +1,10 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bellquench.cli as cli
 from bellquench.cli import main
@@ -313,6 +316,17 @@ class TestNonFiniteInput:
         name = flag[2:].replace("-", "_")
         assert f"{name} must be finite, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alpha", "10"],
+        ["threshold-curve", "--points", "1"],
+    ], ids=["sweep", "threshold-curve"])
+    def test_infinite_step_count(self, tmp_path, capsys, argv):
+        out = tmp_path / "g"
+        assert run([*argv, "--gamma", "0.5", "--q-min=-1e308", "--n", "16",
+                    "--out", str(out)]) == 2
+        assert "finite number of steps" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_oracle_non_finite_time(self, tmp_path, capsys, t):
         out = tmp_path / "t"
@@ -566,3 +580,67 @@ def test_unusable_out_refused_before_running(tmp_path, monkeypatch, capsys, targ
     assert run(["oracle", "--out", paths[target]]) == 2
     assert "config error" in capsys.readouterr().err
     assert out.read_text() == "not a directory\n"
+
+
+# Setting text for the contract fuzz below: small valid values (n <= 16,
+# grids of at most 41 points), per kind where the kind sets what is
+# valid, and adversarial ones.
+FUZZ_VALID = {
+    "n": ["4", "8", "16"],
+    "gamma": ["0", "0.4", "1"],
+    "alpha": ["0.5", "1", "3.5", "10"],
+    "h": ["-0.7", "-0.5", "0", "0.3"],
+    "quantifiers": ["bell", "entanglement,czz", "bell,entanglement,czz"],
+    "boundary": ["cross", "exclude"],
+}
+FUZZ_KINDS = {
+    "field": {"grid": [("-3", "3", "0.15"), ("-3", "3", "0.5"), ("-1.5", "1.5", "0.25")],
+              "points": ["1", "1,3.5", "0.5,2,10"],
+              "cross_lines": ["model", "nn_limit"]},
+    "coupling": {"grid": [("0.5", "3", "0.0625"), ("0.5", "3", "0.25"), ("1", "2", "0.5")],
+                 "points": ["-0.5", "0.3,-0.7"], "cross_lines": ["model"]},
+}
+FUZZ_ADVERSARIAL = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "0", "-0.0", "-1",
+                    "", "bogus"]
+
+
+@st.composite
+def fuzz_argv(draw, command):
+    """`command` and flags for each of its keys but out: a grid always,
+    each other key mostly valid, sometimes omitted, and up to two keys
+    adversarial."""
+    kind = draw(st.sampled_from(sorted(FUZZ_KINDS)))
+    pools = dict(FUZZ_VALID, kind=[kind], **FUZZ_KINDS[kind])
+    values = dict(zip(("q_min", "q_max", "step"), draw(st.sampled_from(pools["grid"]))))
+    keys = [k for k in cli.SETTINGS[command] if k != "out"]
+    for key in keys:
+        if key not in values and draw(st.integers(0, 9)):
+            values[key] = draw(st.sampled_from(pools[key]))
+    bad = draw(st.sampled_from([0, 0, 1, 2]))
+    for key in draw(st.lists(st.sampled_from(keys), min_size=bad, max_size=bad)):
+        values[key] = draw(st.sampled_from(FUZZ_ADVERSARIAL))
+    return [command, *(f"--{key.replace('_', '-')}={value}"
+                       for key, value in values.items())]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.sampled_from(["sweep", "threshold-curve"]).flatmap(fuzz_argv))
+# finite bounds whose step count overflows to infinity
+@example(argv=["sweep", "--gamma=0.5", "--alpha=10", "--n=16", "--q-min=-1e308",
+               "--q-max=3", "--step=0.15"])
+@example(argv=["threshold-curve", "--gamma=0.5", "--points=1", "--n=16",
+               "--q-min=-3", "--q-max=3", "--step=1e-308"])
+def test_cli_contract_fuzz(tmp_path, capsys, argv):
+    # exit codes, no output from a refused run, and checksums that match
+    out = os.path.join(tempfile.mkdtemp(dir=tmp_path), "out")
+    code = run([*argv, f"--out={out}"])
+    capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert not os.path.exists(out)
+        return
+    manifest = read_json(os.path.join(out, "manifest.json"))
+    assert set(manifest["checksums"]) | {"manifest.json"} == set(os.listdir(out))
+    for name, digest in manifest["checksums"].items():
+        assert sha256_file(os.path.join(out, name)) == digest

@@ -11,9 +11,11 @@ from bellquench.bell import (bell_value, chsh_arrays, log_negativity,
 from bellquench.errors import ThresholdUndefinedError
 from bellquench.model import ModelParams, QuenchKind, phase_codes, same_phase_area
 from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier, _bell_map,
-                              _cross_blocks, critical_threshold, efficiency,
-                              steady_cell, sweep, sweep_all, threshold_curve)
-from phase_reference import PhaseLabel, classify_pair
+                              _cross_blocks, critical_threshold, cross_cell_count,
+                              efficiency, steady_cell, sweep, sweep_all,
+                              threshold_curve)
+from phase_reference import (PhaseLabel, classify_coupling_value,
+                             classify_field_value, classify_pair)
 from steady_reference import steady_correlators
 from bellquench import oracle
 from bellquench.dynamics import SteadyKernel, _axes, correlators_at
@@ -41,6 +43,10 @@ class TestGridSpec:
             GridSpec(1.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, -0.1)
+        # finite bounds whose step count overflows to infinity
+        for q_min, q_max, step in ((-1e308, 3.0, 0.01), (-1e308, 1e308, 1.0)):
+            with pytest.raises(ValueError, match="finite number of steps"):
+                GridSpec(q_min, q_max, step)
 
 
 class TestSweepValues:
@@ -378,38 +384,69 @@ class TestThresholdCurveEquivalence:
 
     @pytest.mark.parametrize("boundary,cross_lines", POLICIES)
     @pytest.mark.parametrize("kind,fixed,grid", [
+        # both classes and every line (h_c = 0 under alpha = 1; alpha_c = 1)
         (QuenchKind.FIELD, fixed_params(N=16, alpha=1.0), GridSpec(-1.5, 1.5, 0.25)),
         (QuenchKind.COUPLING, fixed_params(N=16, alpha=1.0, h=0.0),
+         GridSpec(0.5, 1.5, 0.25)),
+        # no value on a line
+        (QuenchKind.FIELD, fixed_params(N=16, alpha=1.0), GridSpec(-1.3, 1.3, 0.2)),
+        (QuenchKind.COUPLING, fixed_params(N=16, alpha=1.0, h=0.0),
+         GridSpec(0.5, 1.5, 0.2)),
+        # no first-class value: the line h = 1 and the lobe above it
+        (QuenchKind.FIELD, fixed_params(N=16, alpha=1.0), GridSpec(1.0, 2.0, 0.25)),
+        # no second-class value: the values from h = 0 to the line h = 1
+        (QuenchKind.FIELD, fixed_params(N=16, alpha=1.0), GridSpec(0.0, 1.0, 0.25)),
+        # h = -1: one class and no line, so no cross cell
+        (QuenchKind.COUPLING, fixed_params(N=16, alpha=1.0, h=-1.0),
          GridSpec(0.5, 1.5, 0.25)),
     ])
     def test_cross_blocks_match_pair_classification(self, kind, fixed, grid,
                                                     boundary, cross_lines):
-        # the blocks both threshold paths reduce over, against the scalar
-        # classify_pair (model lines) or the lines h = +-1 (nn_limit)
+        # the phase order and the slice blocks every threshold path
+        # reduces over, against the scalar classify_pair (model lines) or
+        # the lines h = +-1 (nn_limit)
         qs = grid.values()
+        args = (kind, fixed, qs, boundary, cross_lines)
         if cross_lines == "nn_limit":
             if kind is QuenchKind.COUPLING:
                 with pytest.raises(ValueError):
-                    _cross_blocks(kind, fixed, qs, boundary, cross_lines)
+                    _cross_blocks(*args)
                 return
-            inside = np.abs(qs) < 1.0
             on = np.abs(np.abs(qs) - 1.0) <= 1e-12
+            rank = np.where(on, 1, np.where(np.abs(qs) < 1.0, 0, 2))
             line = on[:, None] | on[None, :]
-            cross = (inside[:, None] != inside[None, :]) & ~line
+            cross = (rank[:, None] != rank[None, :]) & ~line
         else:
+            classify = (classify_field_value if kind is QuenchKind.FIELD
+                        else classify_coupling_value)
+            held = fixed.alpha if kind is QuenchKind.FIELD else fixed.h
+            rank = np.array([{0: 0, PhaseLabel.BOUNDARY: 1, 1: 2}[
+                classify(float(q), held)] for q in qs])
             labels = np.array([[classify_pair(steady_cell(kind, fixed, float(a),
                                                           float(b))).value
                                 for b in qs] for a in qs])
             cross = labels == PhaseLabel.CROSS.value
             line = labels == PhaseLabel.BOUNDARY.value
         expected = cross | line if boundary == "cross" else cross
-        assert line.any() and cross.any()
+        count_args = (kind, fixed, grid, boundary, cross_lines)
+        if not expected.any():
+            with pytest.raises(ThresholdUndefinedError):
+                _cross_blocks(*args)
+            with pytest.raises(ThresholdUndefinedError):
+                cross_cell_count(*count_args)
+            return
 
-        got = np.zeros_like(expected)
-        index = np.arange(qs.size)
-        for rows, cols in _cross_blocks(kind, fixed, qs, boundary, cross_lines):
-            got[index[rows][:, None], index[cols][None, :]] = True
-        assert np.array_equal(got, expected)
+        order, blocks = _cross_blocks(*args)
+        # first class, lines, second class, each in ascending grid order
+        assert np.array_equal(np.sort(order), np.arange(qs.size))
+        assert np.array_equal(order, np.lexsort((np.arange(qs.size), rank)))
+        hits = np.zeros(expected.shape, dtype=int)
+        for rows, cols in blocks:
+            assert isinstance(rows, slice) and isinstance(cols, slice)
+            hits[np.ix_(order[rows], order[cols])] += 1
+        assert hits.max() == 1
+        assert np.array_equal(hits == 1, expected)
+        assert cross_cell_count(*count_args) == np.count_nonzero(expected)
 
 
 def steady_entanglement_map(mz, cxx, cyy, czz):
