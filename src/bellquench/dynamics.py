@@ -59,17 +59,21 @@ fills them ROW_CHUNK values at a time and yields each block's
 correlators ROW_CHUNK rows at a time, so its temporaries stay
 chunk-sized.
 
-Timed values come from one kernel, _timed_mode_sums: for a vector of
-times it rotates the Bloch vectors and takes the four mode sums
-sum n_z, sum cos(phi) n_z, sum sin(phi) n_y and sum sin(phi) n_x
-(sum cos(phi) is the fifth, time-independent one).  It works through
-the times TIME_CHUNK samples at a time, so its temporaries take
-O(TIME_CHUNK x modes) memory whatever the length of the grid, and it
-applies to each (time, mode) element the same operations in the same
-order as a one-sample call: a sample's correlators do not depend on
-the chunk it falls in.  correlators_at, correlator_time_series and
-correlator_arrays (the array form evolve writes) all call it; they
-refuse a NaN, infinite or negative time with ValueError.
+Timed values come from one kernel, _timed_mode_sums: it rotates the
+Bloch vectors and takes the four mode sums sum n_z, sum cos(phi) n_z,
+sum sin(phi) n_y and sum sin(phi) n_x (sum cos(phi) is the fifth,
+time-independent one) at the times start + offset of a vector of
+starts and one of offsets.  By angle addition a start costs one row
+of cos and sin over the modes and one small BLAS product with a table
+of the offsets built once per call, where a direct evaluation costs a
+cos and a sin per (time, mode) entry.  A uniform grid is TIME_CHUNK
+offsets k * dt after every TIME_CHUNK-th sample, so the temporaries
+take O(TIME_CHUNK x modes) memory whatever the grid's length; the last
+chunk runs whole and is trimmed, so a sample's bits do not depend on
+that length.  A single time is one start and the offset 0.
+correlators_at, correlator_time_series and correlator_arrays (the
+array form evolve writes) all call it; they refuse a NaN, infinite or
+negative time with ValueError.
 correlator_arrays checks momentum.check_footprint and TimeGrid.times()
 refuses a grid above MAX_TIME_SAMPLES samples, both with
 ResourceCapError before anything is allocated.
@@ -96,13 +100,13 @@ STEADY = "steady"
 # product per block changes the last digits of the sweep maps.
 ROW_CHUNK = 64
 
-# Samples per chunk of the timed kernel: each of its temporaries holds
-# TIME_CHUNK x N/2 doubles (0.5 MB at N = 512).
+# Samples per chunk of the timed kernel: its table of offsets holds
+# TIME_CHUNK x N doubles (1 MB at N = 512).
 TIME_CHUNK = 256
 
 # Largest time grid the timed path accepts.  `bellquench evolve` keeps
-# at most SAMPLE_BYTES per sample at its peak (traced at N = 512: 3.4 MB
-# for 12001 samples, 19.3 MB for 120001), while the chunks and the CSV
+# at most SAMPLE_BYTES per sample at its peak (traced at N = 512: 3.0 MB
+# for 12001 samples, 16.4 MB for 120001), while the chunks and the CSV
 # blocks are of fixed size.
 MAX_TIME_SAMPLES = MEMORY_CAP // SAMPLE_BYTES
 
@@ -181,11 +185,24 @@ def _quench_axis(quench: QuenchSpec):
     return phis, b, u
 
 
-def _timed_mode_sums(phis, gy, gz, b_f, u_f, times):
-    """Mode sums of the rotated Bloch vectors at each time, shape (4, T).
+def _timed_mode_sums(phis, gy, gz, b_f, u_f, starts, offsets=(0.0,)):
+    """Mode sums of the rotated Bloch vectors, shape (4, A * R): column
+    a * R + r is the time starts[a] + offsets[r], for the A starts and
+    R offsets.
 
     Rows: sum n_z, sum cos(phi) n_z, sum sin(phi) n_y, sum sin(phi) n_x.
-    The rotation is evaluated TIME_CHUNK samples at a time.
+    With theta = 2 Lambda_f t, n_y and n_z are para + swing cos(theta)
+    and n_x is cross_x sin(theta): each row is a constant (the para
+    terms) plus sum_k w_k cos(A_k + B_k), or sum_k v_k sin(A_k + B_k)
+    for n_x, with A = 2 Lambda_f start and B = 2 Lambda_f offset.  By
+    angle addition the R columns of one start are
+
+        [cos B | sin B] @ [[w cos A, v sin A], [-w sin A, v cos A]],
+
+    an (R x 2 modes) table built once per call times a (2 modes x 4)
+    matrix built from one row of trig per start.  Every start runs the
+    whole product, so a column's bits depend on its start, its offset
+    and the offsets, not on the number of starts.
     """
     lam_f = np.hypot(u_f, b_f)
     degen = lam_f < TIMED_DEGENERACY_TOL
@@ -198,22 +215,30 @@ def _timed_mode_sums(phis, gy, gz, b_f, u_f, times):
     swing_y, swing_z = gy - para_y, gz - para_z
     two_lam = 2.0 * lam_f
     cos_p, sin_p = np.cos(phis), np.sin(phis)
-    sums = np.empty((4, times.size))
-    for start in range(0, times.size, TIME_CHUNK):
-        part = slice(start, start + TIME_CHUNK)
-        theta = np.multiply.outer(times[part], two_lam)
-        cos_t = np.cos(theta)
-        nx = np.sin(theta, out=theta)
-        nx *= cross_x
-        ny = cos_t * swing_y
-        ny += para_y
-        nz = np.multiply(cos_t, swing_z, out=cos_t)
-        nz += para_z
-        sums[0, part] = np.sum(nz, axis=-1)
-        sums[1, part] = np.sum(cos_p * nz, axis=-1)
-        sums[2, part] = np.sum(np.multiply(sin_p, ny, out=ny), axis=-1)
-        sums[3, part] = np.sum(np.multiply(sin_p, nx, out=nx), axis=-1)
-    return sums
+    para = np.array([np.sum(para_z), np.sum(cos_p * para_z),
+                     np.sum(sin_p * para_y), 0.0])
+    w = np.stack([swing_z, cos_p * swing_z, sin_p * swing_y], axis=1)
+    v = sin_p * cross_x
+    modes = phis.size
+    table = np.empty((len(offsets), 2 * modes))
+    # offsets past the end of a grid are computed and then dropped; at a
+    # step near the largest double they overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset_angle = np.multiply.outer(np.asarray(offsets, dtype=float), two_lam)
+        np.cos(offset_angle, out=table[:, :modes])
+        np.sin(offset_angle, out=table[:, modes:])
+    mat = np.empty((2 * modes, 4))
+    sums = np.empty((len(starts), len(offsets), 4))
+    for a, start in enumerate(starts):
+        angle = start * two_lam
+        cos_a, sin_a = np.cos(angle), np.sin(angle)
+        np.multiply(w, cos_a[:, None], out=mat[:modes, :3])
+        np.multiply(w, -sin_a[:, None], out=mat[modes:, :3])
+        np.multiply(v, sin_a, out=mat[:modes, 3])
+        np.multiply(v, cos_a, out=mat[modes:, 3])
+        np.matmul(table, mat, out=sums[a])
+    sums += para
+    return sums.reshape(-1, 4).T
 
 
 def _correlators_from_sums(phis, sums, N):
@@ -288,11 +313,12 @@ class SteadyKernel:
                 yield (part, *_correlators_from_sums(self.phis, sums, self.N)[:4])
 
 
-def _timed_correlators(quench: QuenchSpec, times: np.ndarray):
-    """(mz, cxx, cyy, czz, cxy) arrays, one entry per time."""
+def _timed_correlators(quench: QuenchSpec, starts, offsets=(0.0,)):
+    """(mz, cxx, cyy, czz, cxy) arrays, one entry per time of
+    _timed_mode_sums."""
     phis, b, u = _quench_axis(quench)
     _, gy, gz = ground_bloch(u[0], b[0])
-    sums = _timed_mode_sums(phis, gy, gz, b[1], u[1], times)
+    sums = _timed_mode_sums(phis, gy, gz, b[1], u[1], starts, offsets)
     return _correlators_from_sums(phis, sums, quench.initial.N)
 
 
@@ -334,7 +360,11 @@ def correlator_arrays(quench: QuenchSpec, grid: TimeGrid):
     arrays (C_yx = C_xy).  Each sample is exact: no time stepping."""
     check_footprint(quench.initial.N, TIME_CHUNK, samples=grid.count)
     times = grid.times()
-    return (times, *_timed_correlators(quench, times))
+    # sample n = a * TIME_CHUNK + r is start times[a * TIME_CHUNK] plus
+    # offset r * dt; the last chunk runs whole and is trimmed
+    values = _timed_correlators(quench, times[::TIME_CHUNK],
+                                grid.dt * np.arange(TIME_CHUNK))
+    return (times, *(v[:times.size] for v in values))
 
 
 def correlator_time_series(quench: QuenchSpec, grid: TimeGrid) -> list[CorrelatorSet]:

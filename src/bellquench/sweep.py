@@ -71,6 +71,8 @@ class GridSpec:
             raise ValueError("grid bounds and step must give a finite number of steps")
         if abs(n - round(n)) > 1e-9:
             raise ValueError("grid span must be an integer number of steps")
+        if round(n) < 1:
+            raise ValueError("grid span must be at least one step")
 
     @property
     def count(self) -> int:

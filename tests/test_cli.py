@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bellquench.cli as cli
 from bellquench.cli import main
+from bellquench.dynamics import MAX_TIME_SAMPLES
 from bellquench.output import sha256_file
 
 
@@ -327,6 +328,19 @@ class TestNonFiniteInput:
         assert "finite number of steps" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alpha", "10"],
+        ["threshold-curve", "--points", "1"],
+    ], ids=["sweep", "threshold-curve"])
+    def test_step_beyond_span(self, tmp_path, capsys, argv):
+        # 6e-10 steps round to a one-value grid: a configuration error,
+        # not a run without cross-phase cells (exit 3)
+        out = tmp_path / "g"
+        assert run([*argv, "--gamma", "0.5", "--step", "1e10", "--n", "16",
+                    "--out", str(out)]) == 2
+        assert "at least one step" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_oracle_non_finite_time(self, tmp_path, capsys, t):
         out = tmp_path / "t"
@@ -414,7 +428,7 @@ class TestEvolveArrays:
             assert np.max(np.abs(rows[k, 1:] - expected)) < 1e-12
 
     def test_memory_bound(self, tmp_path):
-        # N = 512, 12001 samples: the whole command (3.4 MB traced) and
+        # N = 512, 12001 samples: the whole command (3.0 MB traced) and
         # the CorrelatorSet list (4.0 MB) stay far below one (T x N/2)
         # float array (24.6 MB)
         import tracemalloc
@@ -435,6 +449,26 @@ class TestEvolveArrays:
             tracemalloc.stop()
         assert evolve_peak < 8e6
         assert series_peak < 8e6
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the timed kernel's BLAS product gives the same timeseries.csv
+        # at one and at two OpenBLAS threads
+        import subprocess
+        import sys
+
+        import bellquench
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bellquench.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "bellquench.cli", *EVOLVE_README,
+                            "--t-max", "1200", "--dt", "0.1", "--out", str(out)],
+                           env=dict(os.environ, PYTHONPATH=src,
+                                    OPENBLAS_NUM_THREADS=threads),
+                           check=True, capture_output=True)
+            digests.append(sha256_file(out / "timeseries.csv"))
+        assert digests[0] == digests[1]
 
     def test_time_grid_cap_exit_code(self, tmp_path, capsys):
         import time
@@ -583,8 +617,8 @@ def test_unusable_out_refused_before_running(tmp_path, monkeypatch, capsys, targ
 
 
 # Setting text for the contract fuzz below: small valid values (n <= 16,
-# grids of at most 41 points), per kind where the kind sets what is
-# valid, and adversarial ones.
+# grids of at most 41 points, time grids of at most 201 samples), per
+# kind where the kind sets what is valid, and adversarial ones.
 FUZZ_VALID = {
     "n": ["4", "8", "16"],
     "gamma": ["0", "0.4", "1"],
@@ -596,22 +630,34 @@ FUZZ_VALID = {
 FUZZ_KINDS = {
     "field": {"grid": [("-3", "3", "0.15"), ("-3", "3", "0.5"), ("-1.5", "1.5", "0.25")],
               "points": ["1", "1,3.5", "0.5,2,10"],
-              "cross_lines": ["model", "nn_limit"]},
+              "cross_lines": ["model", "nn_limit"],
+              "quench": ["-1", "-0.5", "0.3", "1", "2.5"]},
     "coupling": {"grid": [("0.5", "3", "0.0625"), ("0.5", "3", "0.25"), ("1", "2", "0.5")],
-                 "points": ["-0.5", "0.3,-0.7"], "cross_lines": ["model"]},
+                 "points": ["-0.5", "0.3,-0.7"], "cross_lines": ["model"],
+                 "quench": ["0.5", "1.5", "3.5"]},
 }
+# evolve's (t_max, dt): small grids, and grids of MAX_TIME_SAMPLES + 1
+# and + 2 samples, which must exit 4 before the times are allocated
+FUZZ_TIMES = [("1", "0.1"), ("20", "0.25"), ("0.5", "0.5"), ("7", "0.035")]
+FUZZ_CAPPED_TIMES = [(repr(0.5 * MAX_TIME_SAMPLES), "0.5"),
+                     (repr(MAX_TIME_SAMPLES + 1.0), "1")]
 FUZZ_ADVERSARIAL = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "0", "-0.0", "-1",
                     "", "bogus"]
 
 
 @st.composite
 def fuzz_argv(draw, command):
-    """`command` and flags for each of its keys but out: a grid always,
-    each other key mostly valid, sometimes omitted, and up to two keys
-    adversarial."""
+    """`command` and flags for each of its keys but out: a grid (a time
+    grid for evolve) always, each other key mostly valid, sometimes
+    omitted, and up to two keys adversarial."""
     kind = draw(st.sampled_from(sorted(FUZZ_KINDS)))
     pools = dict(FUZZ_VALID, kind=[kind], **FUZZ_KINDS[kind])
-    values = dict(zip(("q_min", "q_max", "step"), draw(st.sampled_from(pools["grid"]))))
+    pools["q_initial"] = pools["q_final"] = pools["quench"]
+    if command == "evolve":
+        values = dict(zip(("t_max", "dt"),
+                          draw(st.sampled_from(FUZZ_TIMES + FUZZ_CAPPED_TIMES))))
+    else:
+        values = dict(zip(("q_min", "q_max", "step"), draw(st.sampled_from(pools["grid"]))))
     keys = [k for k in cli.SETTINGS[command] if k != "out"]
     for key in keys:
         if key not in values and draw(st.integers(0, 9)):
@@ -623,20 +669,44 @@ def fuzz_argv(draw, command):
                        for key, value in values.items())]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=450, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=st.sampled_from(["sweep", "threshold-curve"]).flatmap(fuzz_argv))
+@given(argv=st.sampled_from(["sweep", "threshold-curve", "evolve"]).flatmap(fuzz_argv))
 # finite bounds whose step count overflows to infinity
 @example(argv=["sweep", "--gamma=0.5", "--alpha=10", "--n=16", "--q-min=-1e308",
                "--q-max=3", "--step=0.15"])
 @example(argv=["threshold-curve", "--gamma=0.5", "--points=1", "--n=16",
                "--q-min=-3", "--q-max=3", "--step=1e-308"])
+# a time grid of infinitely many steps (2), one of 1e308 steps (4) and
+# one just above the cap (4)
+@example(argv=["evolve", "--gamma=1", "--alpha=10", "--q-initial=0.5",
+               "--q-final=2.5", "--t-max=1e308", "--dt=0.1"])
+@example(argv=["evolve", "--gamma=1", "--alpha=10", "--q-initial=0.5",
+               "--q-final=2.5", "--t-max=1", "--dt=1e-308"])
+@example(argv=["evolve", "--gamma=1", "--alpha=10", "--q-initial=0.5",
+               "--q-final=2.5", f"--t-max={FUZZ_CAPPED_TIMES[0][0]}", "--dt=0.5"])
 def test_cli_contract_fuzz(tmp_path, capsys, argv):
-    # exit codes, no output from a refused run, and checksums that match
+    # exit codes, no output from a refused run, and checksums that match;
+    # an evolve refused for its size (exit 4) traces less than 1 MiB,
+    # where the times of a capped grid alone take 32 MiB
+    import tracemalloc
+
     out = os.path.join(tempfile.mkdtemp(dir=tmp_path), "out")
-    code = run([*argv, f"--out={out}"])
+    traced = argv[0] == "evolve"
+    if traced:
+        tracemalloc.start()
+    try:
+        code = run([*argv, f"--out={out}"])
+        peak = tracemalloc.get_traced_memory()[1] if traced else 0
+    finally:
+        if traced:
+            tracemalloc.stop()
     capsys.readouterr()
     assert code in (0, 2, 3, 4)
+    if traced and code == 4:
+        assert peak < 2 ** 20
+    if any(f"--t-max={t_max}" in argv for t_max, _ in FUZZ_CAPPED_TIMES):
+        assert code in (2, 4)
     if code:
         assert not os.path.exists(out)
         return

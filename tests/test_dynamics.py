@@ -9,7 +9,8 @@ from bellquench.model import ModelParams, QuenchKind, field_quench, make_quench
 from bellquench.momentum import (STEADY_DEGENERACY_TOL, TIMED_DEGENERACY_TOL,
                                  ground_bloch)
 from bellquench.dynamics import (MAX_TIME_SAMPLES, STEADY, TIME_CHUNK,
-                                 SteadyKernel, TimeGrid, _correlators_from_sums,
+                                 CorrelatorSet, SteadyKernel, TimeGrid,
+                                 _correlators_from_sums, _quench_axis,
                                  _timed_mode_sums, correlator_arrays,
                                  correlator_time_series, correlators_at,
                                  steady_correlators)
@@ -179,6 +180,39 @@ class TestTimeSeries:
         assert late.std() < 0.02
 
 
+def rotation_reference(phis, gy, gz, b_f, u_f, steps, dt):
+    """The four mode sums of _timed_mode_sums at the times steps * dt,
+    rotated in long double from the same double inputs, and a bound on
+    the double kernel's error in each.
+
+    With u the unit roundoff of a double, each of the kernel's angles
+    2 Lambda_k start and 2 Lambda_k offset carries at most three
+    relative roundings (Lambda_k, the time, their product), so their
+    sum theta_k is off by at most 3 u theta_k.  The cos and sin of both
+    angles add 2 u each, the weights and the (2 modes)-term products of
+    the BLAS call at most 2 modes + 8 more.  A sum with mode weights
+    w_k (|w_k| <= 1) is thus within u sum_k |w_k| (3 theta_k + 2 modes
+    + 16), plus modes u sum_k |para_k| for its constant para terms.
+    """
+    ld = np.longdouble
+    gy, gz, b_f, u_f, phis = (np.asarray(v, dtype=ld) for v in (gy, gz, b_f, u_f, phis))
+    lam = np.sqrt(u_f * u_f + b_f * b_f)
+    dy, dz = -b_f / lam, -u_f / lam
+    kappa = gy * dy + gz * dz
+    para_y, para_z = kappa * dy, kappa * dz
+    cos_p, sin_p = np.cos(phis), np.sin(phis)
+    weights = np.stack([gz - para_z, cos_p * (gz - para_z), sin_p * (gy - para_y),
+                        sin_p * (dy * gz - dz * gy)])
+    para = np.stack([para_z, cos_p * para_z, sin_p * para_y, 0.0 * para_z])
+    theta = np.multiply.outer(np.asarray(steps, dtype=ld) * ld(dt), 2.0 * lam)
+    trig = np.stack([np.cos(theta)] * 3 + [np.sin(theta)])
+    sums = np.sum(weights[:, None, :] * trig, axis=-1) + np.sum(para, axis=-1)[:, None]
+    modes, unit = phis.size, np.finfo(np.float64).eps / 2
+    bound = unit * (np.abs(weights) @ (3.0 * theta.T + 2 * modes + 16)
+                    + modes * np.sum(np.abs(para), axis=-1)[:, None])
+    return sums.astype(np.float64), bound.astype(np.float64)
+
+
 class TestTimedKernel:
     def test_chunk_boundaries_match_single_time(self):
         q = nn_quench(N=64, gamma=0.7, alpha=1.5, h_i=0.3, h_f=1.9)
@@ -188,6 +222,36 @@ class TestTimedKernel:
         for k in (TIME_CHUNK - 1, TIME_CHUNK, 2 * TIME_CHUNK - 1,
                   2 * TIME_CHUNK, len(series) - 1):
             assert max_dev(series[k], correlators_at(q, series[k].t)) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 13, TIME_CHUNK + 5])
+    def test_prefix_of_longer_grid(self, k):
+        # every chunk runs whole, so a sample's bits do not depend on
+        # where the grid ends
+        q = nn_quench(N=64, gamma=0.7, alpha=1.5, h_i=0.3, h_f=1.9)
+        long = correlator_arrays(q, TimeGrid(0.1 * 3 * TIME_CHUNK, 0.1))
+        short = correlator_arrays(q, TimeGrid(0.1 * (k - 1), 0.1))
+        assert short[0].size == k
+        for a, b in zip(short, long):
+            assert np.array_equal(a, b[:k])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than double here")
+    def test_long_time_sums_match_long_double(self):
+        # README quench at N = 512 to t = 1.2e4 (angles 2 Lambda t up to
+        # 8e4), the kernel's chunks as correlator_arrays forms them,
+        # against the same rotation in long double at 300 samples and
+        # the last
+        q = field_quench(ModelParams(N=512, gamma=1.0, alpha=10.0, h=0.5),
+                         0.5, 2.5)
+        grid = TimeGrid(1.2e4, 0.1)
+        phis, b, u = _quench_axis(q)
+        _, gy, gz = ground_bloch(u[0], b[0])
+        times = grid.times()
+        sums = _timed_mode_sums(phis, gy, gz, b[1], u[1], times[::TIME_CHUNK],
+                                grid.dt * np.arange(TIME_CHUNK))
+        picks = np.append(np.random.default_rng(5).choice(times.size, 300), times.size - 1)
+        reference, bound = rotation_reference(phis, gy, gz, b[1], u[1], picks, grid.dt)
+        assert np.all(np.abs(sums[:, picks] - reference) <= bound)
 
     def test_arrays_match_series(self):
         q = nn_quench(N=16, h_i=0.4, h_f=1.8)
@@ -281,10 +345,11 @@ class TestCutoffs:
 
 
 @st.composite
-def model_quenches(draw):
-    """Field or coupling quenches at N <= 64, with gamma = 0 and fields
-    exactly on h = +-1 and h_c(alpha) drawn alongside generic values."""
-    n = draw(st.integers(2, 32)) * 2
+def model_quenches(draw, max_n=64):
+    """Field or coupling quenches at N <= max_n, with gamma = 0 and
+    fields exactly on h = +-1 and h_c(alpha) drawn alongside generic
+    values."""
+    n = draw(st.integers(2, max_n // 2)) * 2
     gamma = draw(st.just(0.0) | st.floats(0.0, 1.0))
     alpha = draw(st.floats(0.3, 6.0))
     fields = (st.sampled_from([1.0, -1.0, -1.0 + 2.0 ** (1.0 - alpha)])
@@ -310,3 +375,35 @@ def test_steady_cell_matches_reference(quench):
     assert bell_value(steady) <= 2.0 * math.sqrt(2.0)
     xstate_log_negativity(steady.mz, steady.cxx, steady.cyy, steady.czz,
                           steady.cxy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_quenches(max_n=10), st.floats(1.0, 1e3), st.integers(2, 3 * TIME_CHUNK),
+       st.integers(0, 3 * TIME_CHUNK))
+def test_timed_matches_oracle(quench, t_max, count, pick):
+    # a grid of `count` samples to t_max <= 1e3, so the angle addition
+    # meets large starts and nonzero offsets; correlators_at and
+    # correlator_arrays at two of its samples against the dense
+    # evolution.  Tolerance, with u the unit roundoff of a double and D
+    # the even sector's dimension (D >= 8): each momentum angle
+    # 2 Lambda_k t is off by at most 3 u 2 Lambda_k t
+    # (rotation_reference); the dense phases E_j t by D u |H_f| t
+    # (eigh's backward error p(D) u |H_f|, taken with p(D) = D, acting
+    # for a time t), and its initial vector and reduced-state sums of
+    # at most D terms by D u.  A correlator moves by at most 10 times
+    # these (C_zz: 2 |m_z| + 8 (|F| + |G|) <= 10), so the two paths
+    # agree within 16 D u (1 + (2 Lambda + |H_f|) t).
+    grid = TimeGrid(t_max, t_max / (count - 1))
+    times, *arrays = correlator_arrays(quench, grid)
+    runner = oracle.OracleQuench(quench)
+    _, b, u = _quench_axis(quench)
+    rates = 2.0 * np.max(np.hypot(u[1], b[1])) + np.max(np.abs(runner._energies))
+    dim = 2 ** (quench.initial.N - 1)
+    for k in (pick % times.size, times.size - 1):
+        t = float(times[k])
+        dense = oracle.correlator_set_from_pair(
+            oracle.pair_observables(runner.rho12_at(t)), t)
+        tol = 16 * dim * (np.finfo(float).eps / 2) * (1.0 + rates * t)
+        assert max_dev(correlators_at(quench, t), dense) <= tol
+        row = CorrelatorSet(*(float(a[k]) for a in arrays), cyx=float(arrays[4][k]), t=t)
+        assert max_dev(row, dense) <= tol

@@ -47,6 +47,9 @@ class TestGridSpec:
         for q_min, q_max, step in ((-1e308, 3.0, 0.01), (-1e308, 1e308, 1.0)):
             with pytest.raises(ValueError, match="finite number of steps"):
                 GridSpec(q_min, q_max, step)
+        # a step beyond the span rounds to zero steps: a one-value grid
+        with pytest.raises(ValueError, match="at least one step"):
+            GridSpec(-3.0, 3.0, 1e10)
 
 
 class TestSweepValues:
