@@ -14,9 +14,9 @@ This remains the Horodecki maximum even when C_zz**2 exceeds
 lambda_plus, since the two largest eigenvalues are then C_zz**2 and
 lambda_plus; the generic-eigensolver cross-check in the tests covers
 all orderings.  chsh_arrays evaluates it elementwise over arrays,
-and returns lambda_plus, lambda_minus and C_zz**2 beside B; bell_value
-and the evolve time series call it.  The steady maps use its C_xy = 0
-form, sweep._bell_map.
+and returns lambda_plus, lambda_minus and C_zz**2 beside B.  It is the
+one Bell kernel: bell_value, the evolve time series, the steady maps
+and the threshold curves all call it.
 
 The pair state is an X-state with equal local magnetizations:
 diagonal r00, r33 = (1 +- 2 m_z + C_zz)/4, r11 = r22 = (1 - C_zz)/4,
@@ -116,7 +116,6 @@ def xstate_log_negativity(mz, cxx, cyy, czz, cxy):
     half_sum = (r00 + r33) / 2.0
     half_diff_sq = (r00 - r33) / 2.0
     half_diff_sq *= half_diff_sq
-    del r00, r33  # grid-sized on sweep maps: keeps sweep_all's peak down
     r11 = (1.0 - czz) / 4.0
     rho_12 = (cxx + cyy) / 4.0
     rho_03 = np.hypot(cxx - cyy, 2.0 * cxy) / 4.0

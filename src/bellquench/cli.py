@@ -15,15 +15,16 @@ text).
 
 A command (cmd_*) takes the resolved config and returns its results
 and the files to write, {name: (writer, *data)}.  run_command, the one
-run frame, calls it and only then makes the output directory, writes
-each file and a manifest.json carrying the resolved config, checksums
-of each artifact and the (volatile) wall-clock duration.  So a refused
-run writes no file.
+run frame, calls it, refuses a NaN or infinite number bound for a CSV
+file, and only then makes the output directory, writes each file and
+a manifest.json carrying the resolved config, checksums of each
+artifact and the (volatile) wall-clock duration.  So a refused run
+writes no file.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract
-violation (undefined threshold, non-positive state; also a failed
-oracle report, which is still written), 4 resource cap, 1 unexpected
-failure.
+violation (undefined threshold, non-positive state, a non-finite CSV
+value; also a failed oracle report, which is still written), 4
+resource cap, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from . import __version__
 from .bell import chsh_arrays, xstate_log_negativity
 from .dynamics import TimeGrid, correlator_arrays
 from .errors import (BellquenchError, ConfigError, InconsistentCorrelatorsError,
-                     ResourceCapError, ThresholdUndefinedError)
+                     NonFiniteResultError, ResourceCapError,
+                     ThresholdUndefinedError)
 from .fit import fit_gaussian, fit_trigaussian
 from .model import (QUENCHED, ModelParams, QuenchKind, field_quench,
                     make_quench, same_phase_area)
@@ -200,6 +202,10 @@ def run_command(args) -> int:
     if not out_dir or not os.path.isdir(existing):
         raise ConfigError(f"out must name a directory, got {out_dir!r}")
     results, files = args.handler(config)
+    for name, (_, *data) in files.items():
+        arrays = map(np.asarray, data) if name.endswith(".csv") else ()
+        if not all(np.isfinite(a).all() for a in arrays if a.dtype.kind == "f"):
+            raise NonFiniteResultError(f"{name} would hold NaN or infinite values")
     os.makedirs(out_dir, exist_ok=True)
     for name, (writer, *data) in files.items():
         writer(os.path.join(out_dir, name), *data)
@@ -393,7 +399,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ThresholdUndefinedError, InconsistentCorrelatorsError) as exc:
+    except (ThresholdUndefinedError, InconsistentCorrelatorsError,
+            NonFiniteResultError) as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return 3
     except ResourceCapError as exc:

@@ -19,6 +19,11 @@ class InconsistentCorrelatorsError(BellquenchError):
     """Correlators do not define a positive semidefinite two-qubit state."""
 
 
+class NonFiniteResultError(BellquenchError):
+    """A number bound for a CSV artifact is NaN or infinite (CLI exit
+    code 3), as when a huge field or time overflows the kernels."""
+
+
 class FitFailedError(BellquenchError):
     """No optimizer start converged to a usable fit."""
 

@@ -35,10 +35,6 @@ class GaussianFit:
     C: float
     r_squared: float
 
-    def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.A * np.exp(-self.B * x * x) + self.C
-
 
 @dataclass(frozen=True)
 class GaussComponent:
@@ -54,14 +50,6 @@ class TriGaussianFit:
     components: tuple[GaussComponent, GaussComponent, GaussComponent]
     r_squared: float
     low_confidence: bool = False
-
-    def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for comp in self.components:
-            out = out + comp.amplitude * np.exp(
-                -((x - comp.center) ** 2) / (2.0 * comp.width ** 2))
-        return out
 
 
 class _MaxFev(Exception):

@@ -68,11 +68,12 @@ MEMORY_CAP = 2 ** 30
 # 601 x 601 grid and rounded up: 24 per (phi, r) entry of the dispersion
 # tables; 94 (field) and 113 (coupling) per (grid value, mode) entry for
 # a threshold curve's whole peak (axis, SteadyKernel arrays and chunks);
-# 80 per cell of the maps a sweep holds; 124 per sample of an evolve
-# time grid (its output columns and the kernels' temporaries over them).
+# 28 per cell of the maps a sweep holds (sweep_all's peak less that of
+# the kernel alone); 124 per sample of an evolve time grid (its output
+# columns and the kernels' temporaries over them).
 TABLE_BYTES = 32
 FACTOR_BYTES = 128
-MAP_BYTES = 96
+MAP_BYTES = 32
 SAMPLE_BYTES = 256
 
 
@@ -153,13 +154,14 @@ def check_footprint(N: int, rows: int = 0, cells: int = 0,
     need = (TABLE_BYTES * modes * modes + FACTOR_BYTES * rows * modes
             + MAP_BYTES * cells + SAMPLE_BYTES * samples)
     if need > MEMORY_CAP:
-        # a grid of finite but huge step count passes its own checks and
-        # gives an estimate too large to convert to a float
-        shown = f"{need:.3g}" if need < 1e300 else f"1e{math.log10(need):.0f}"
+        def shown(count):
+            # a grid of finite but huge step count passes its own checks
+            # and gives counts too large to convert to a float
+            return f"{count:.3g}" if count < 1e300 else f"1e{math.log10(count):.0f}"
         raise ResourceCapError(
-            f"estimated peak of {shown} B (N = {N}, {rows} rows, "
-            f"{cells} cells, {samples} samples) exceeds the cap of "
-            f"{MEMORY_CAP} B")
+            f"estimated peak of {shown(need)} B (N = {N}, {shown(rows)} rows, "
+            f"{shown(cells)} cells, {shown(samples)} samples) exceeds the cap "
+            f"of {MEMORY_CAP} B")
     return need
 
 

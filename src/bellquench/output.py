@@ -2,7 +2,8 @@
 
 All floating-point values are written with 17 significant digits so a
 double round-trips exactly; JSON objects are emitted with
-lexicographically sorted keys.  Identical inputs therefore produce
+lexicographically sorted keys, and a NaN or infinite float as null,
+so every JSON file parses.  Identical inputs therefore produce
 byte-identical artifacts.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -31,7 +33,7 @@ def _json_value(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt_float(obj)
+        return fmt_float(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -3,8 +3,10 @@
 A steady-state phase diagram evaluates the dephased correlators for
 every (q_i, q_f) pair on a grid, through the steady kernel of
 dynamics (_axes, SteadyKernel).  sweep_all runs it over the whole
-grid and builds the three quantifier maps and the phase mask; sweep
-is one of its diagrams.
+grid, evaluates the three quantifiers on each row chunk of
+correlators it yields (Bell through bell.chsh_arrays, as the curves
+and evolve take it) and builds the phase mask; sweep is one of its
+diagrams.
 
 Both quench kinds run one protocol.  KIND_DEFAULTS holds what differs
 between them: the default grid, the default threshold policy
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import xstate_log_negativity
+from .bell import chsh_arrays, xstate_log_negativity
 from .dynamics import SteadyKernel, _axes
 from .errors import ThresholdUndefinedError
 from .model import (ModelParams, QuenchKind, check_lines, make_quench,
@@ -139,21 +141,6 @@ class ThresholdReport:
     n_detected_cells: int
 
 
-def _bell_map(cxx, cyy, czz):
-    """bell.chsh_arrays(cxx, cyy, czz, 0, 0)[3]: the C_xy = C_yx = 0 form
-    (always true in steady state), with the largest squares taken
-    directly instead of through lambda_pm.
-
-    Kept apart for the bits of values_bell.csv: on the N = 512
-    field map (gamma 0.8, alpha 3.5, 601 x 601) chsh_arrays differs
-    in 8 337 of 361 201 cells, by up to 4.4e-16.
-    """
-    xx2, yy2, zz2 = cxx * cxx, cyy * cyy, czz * czz
-    lam_plus = np.maximum(xx2, yy2)
-    second = np.maximum(np.minimum(xx2, yy2), zz2)
-    return 2.0 * np.sqrt(lam_plus + second)
-
-
 def check_policy(kind: QuenchKind, boundary: str | None = None,
                  cross_lines: str | None = None) -> tuple[str, str]:
     """(boundary, cross_lines), a None taken from KIND_DEFAULTS[kind];
@@ -220,8 +207,8 @@ def _cross_max(kernel: SteadyKernel, kind: QuenchKind, fixed: ModelParams,
     fixed's (b, u) from _axes.
     """
     order, blocks = _cross_blocks(kind, fixed, qs, boundary, cross_lines)
-    return float(np.max([np.max(_bell_map(cxx, cyy, czz)) for _, _, cxx, cyy, czz
-                         in kernel.maps(*axis, blocks, order)]))
+    return float(np.max([np.max(chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3])
+                         for _, _, cxx, cyy, czz in kernel.maps(*axis, blocks, order)]))
 
 
 def cross_cell_count(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
@@ -243,25 +230,23 @@ def sweep(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
 
 def sweep_all(kind: QuenchKind, fixed: ModelParams,
               grid: GridSpec) -> dict[Quantifier, PhaseDiagram]:
-    """All three quantifiers from one pass over the correlator maps."""
+    """All three quantifier maps, each evaluated on every row chunk of
+    the steady kernel's correlators; the correlator maps are never held
+    whole."""
     check_footprint(fixed.N, grid.count, grid.count ** 2)
     qs = grid.values()
     phis, ((b, u),) = _axes(kind, qs, [fixed])
-    maps = np.empty((4, qs.size, qs.size))
-    for rows, *values in SteadyKernel(fixed.N, phis, qs.size).maps(b, u):
-        maps[:, rows] = values
-    mz, cxx, cyy, czz = maps
+    maps = np.empty((len(Quantifier), qs.size, qs.size))
+    for rows, mz, cxx, cyy, czz in SteadyKernel(fixed.N, phis, qs.size).maps(b, u):
+        # in Quantifier order
+        maps[:, rows] = (chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3],
+                         xstate_log_negativity(mz, cxx, cyy, czz, 0.0), czz)
     code, on = phase_codes(kind, fixed, qs)
     same = (code[:, None] == code[None, :]) & ~(on[:, None] | on[None, :])
-    out = {}
-    for quantifier, values in ((Quantifier.BELL, _bell_map(cxx, cyy, czz)),
-                               (Quantifier.ENTANGLEMENT,
-                                xstate_log_negativity(mz, cxx, cyy, czz, 0.0)),
-                               (Quantifier.CZZ, czz)):
-        out[quantifier] = PhaseDiagram(kind=kind, fixed=fixed, grid=grid,
-                                       quantifier=quantifier, values=values,
-                                       same_phase_mask=same)
-    return out
+    return {quantifier: PhaseDiagram(kind=kind, fixed=fixed, grid=grid,
+                                     quantifier=quantifier, values=values,
+                                     same_phase_mask=same)
+            for quantifier, values in zip(Quantifier, maps)}
 
 
 def critical_threshold(diagram: PhaseDiagram, boundary: str | None = None,

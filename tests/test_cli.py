@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import bellquench.cli as cli
 from bellquench.cli import main
 from bellquench.dynamics import MAX_TIME_SAMPLES
-from bellquench.output import sha256_file
+from bellquench.output import sha256_file, write_json
 
 
 def run(argv):
@@ -230,6 +230,13 @@ def test_float_serialization_roundtrip(tmp_path):
             assert float(token) == float(f"{float(token):.17g}")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_json_value_is_null(tmp_path, value):
+    path = tmp_path / "v.json"
+    write_json(path, {"x": value, "y": [np.float64(value), 1.5]})
+    assert read_json(path) == {"x": None, "y": [None, 1.5]}
+
+
 class TestCouplingKind:
     def test_coupling_evolve(self, tmp_path):
         out = tmp_path / "c"
@@ -348,6 +355,30 @@ class TestNonFiniteInput:
         assert "t must be finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--alpha", "10", "--q-initial", "0.5", "--q-final", "1e308",
+         "--t-max", "1", "--dt", "0.5"],
+        ["threshold-curve", "--points", "3", "--q-min=-1e300", "--q-max", "1e300",
+         "--step", "1e299"],
+    ], ids=["evolve", "threshold-curve"])
+    def test_non_finite_result_refused(self, tmp_path, capsys, argv):
+        # finite inputs that overflow the kernels (the angle 2 Lambda t,
+        # the squares of the grid values): exit 3 and no output
+        out = tmp_path / "o"
+        assert run([*argv, "--gamma", "1", "--n", "8", "--out", str(out)]) == 3
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_oracle_report_parses(self, tmp_path):
+        # a huge final field makes two deviations NaN; the failed report
+        # is written with null in their place
+        out = tmp_path / "o"
+        assert run(["oracle", "--n", "8", "--h-final", "1e308",
+                    "--out", str(out)]) == 3
+        report = read_json(out / "report.json")
+        assert report["pass"] is False and report["correlator_max_dev"] is None
+        assert read_json(out / "manifest.json")["results"] == report
+
 
 class TestResourceCap:
     """Oversized inputs exit 4 at once, before any large allocation."""
@@ -361,6 +392,10 @@ class TestResourceCap:
          "--points=-0.5", "--n", "1000000"],
         # the 2^14 x 2^14 dense matrix alone would take 2 GiB
         ["oracle", "--n", "14"],
+        # cell and sample counts of hundreds of digits, shown as powers of ten
+        ["sweep", "--gamma", "0.5", "--alpha", "2", "--step", "1e-300"],
+        ["evolve", "--gamma", "1", "--alpha", "10", "--q-initial", "0.5",
+         "--q-final", "2.5", "--t-max", "1", "--dt", "1e-307"],
     ])
     def test_refused_before_allocating(self, tmp_path, monkeypatch, capsys, argv):
         import time
@@ -374,7 +409,8 @@ class TestResourceCap:
         started = time.perf_counter()
         assert run(argv + ["--out", str(tmp_path / "cap")]) == 4
         assert time.perf_counter() - started < 1.0
-        assert "resource cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "resource cap" in err and len(err) < 160
         assert not (tmp_path / "cap").exists()
 
 

@@ -131,6 +131,14 @@ class TestFootprint:
         with pytest.raises(ResourceCapError):
             check_footprint(512, 60_000_001, 60_000_001 ** 2)
 
+    # traced peak of the sweep below: 8.0 MB; one that held the four
+    # (n, n) correlator maps before taking the quantifiers traced 11.7 MB
+    SWEEP_PEAK_BOUND = 10e6
+    # traced peaks of the curves below: 14.4 MB (field) and 7.3 MB
+    # (coupling); a kernel that gathered its columns into a copy of its
+    # factor arrays traced 22.8 MB and 10.1 MB
+    CURVE_PEAK_BOUNDS = {"field": 18e6, "coupling": 9e6}
+
     def test_bounds_the_traced_sweep_peak(self):
         import tracemalloc
 
@@ -146,11 +154,7 @@ class TestFootprint:
         finally:
             tracemalloc.stop()
         assert peak < check_footprint(256, grid.count, grid.count ** 2)
-
-    # traced peaks of the curves below: 14.4 MB (field) and 7.3 MB
-    # (coupling); a kernel that gathered its columns into a copy of its
-    # factor arrays traced 22.8 MB and 10.1 MB
-    CURVE_PEAK_BOUNDS = {"field": 18e6, "coupling": 9e6}
+        assert peak < self.SWEEP_PEAK_BOUND
 
     @pytest.mark.parametrize("kind,gamma,points", [
         ("field", 1.0, [0.5, 1.5, 3.5, 10.0]),

@@ -10,7 +10,7 @@ from bellquench.bell import (bell_value, chsh_arrays, log_negativity,
                              reconstruct_rho12)
 from bellquench.errors import ThresholdUndefinedError
 from bellquench.model import ModelParams, QuenchKind, phase_codes, same_phase_area
-from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier, _bell_map,
+from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier,
                               _cross_blocks, critical_threshold, cross_cell_count,
                               efficiency, steady_cell, sweep, sweep_all,
                               threshold_curve)
@@ -487,21 +487,13 @@ def kernel_maps(kind, fixed, grid):
 def test_entanglement_map_bits_unchanged(kind, fixed, grid):
     mz, cxx, cyy, czz = kernel_maps(kind, fixed, grid)
     maps = sweep_all(kind, fixed, grid)
+    assert np.array_equal(maps[Quantifier.BELL].values,
+                          chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3])
     assert np.array_equal(maps[Quantifier.CZZ].values, czz)
     assert np.array_equal(maps[Quantifier.ENTANGLEMENT].values,
                           steady_entanglement_map(mz, cxx, cyy, czz))
     assert np.array_equal(sweep(kind, fixed, grid, Quantifier.ENTANGLEMENT).values,
                           maps[Quantifier.ENTANGLEMENT].values)
-
-
-@pytest.mark.parametrize("kind, fixed, grid", [
-    (QuenchKind.FIELD, fixed_params(N=128, gamma=0.8, alpha=3.5), GridSpec(-3, 3, 0.05)),
-    (QuenchKind.COUPLING, fixed_params(N=128, gamma=0.8, h=-0.5), GridSpec(0.5, 3.0, 0.05)),
-])
-def test_bell_map_is_chsh_at_zero_cxy(kind, fixed, grid):
-    _, cxx, cyy, czz = kernel_maps(kind, fixed, grid)
-    assert np.max(np.abs(_bell_map(cxx, cyy, czz)
-                         - chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3])) <= 1e-15
 
 
 def test_efficiency_counts_cross_cells_of_the_policy():
