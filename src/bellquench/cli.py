@@ -16,20 +16,23 @@ text).
 A command (cmd_*) takes the resolved config and returns its results
 and the files to write, {name: (writer, *data)}.  run_command, the one
 run frame, calls it, refuses a NaN or infinite number bound for a CSV
-file, and only then makes the output directory, writes each file and
-a manifest.json carrying the resolved config, checksums of each
-artifact and the (volatile) wall-clock duration.  So a refused run
-writes no file.
+or JSON file (but a failed oracle report), and only then makes the
+output directory, writes each file and a manifest.json carrying the
+resolved config, checksums of each artifact, the (volatile) wall-clock
+duration and the runtime (BLAS kernel and threads, writer CPUs).  So a
+refused run writes no file.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract
 violation (undefined threshold, non-positive state, a non-finite CSV
-value; also a failed oracle report, which is still written), 4
-resource cap, 1 unexpected failure.
+or JSON value; also a failed oracle report, which is still written), 4
+resource cap, 1 unexpected failure (such as a failed writer process).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import json
 import os
 import sys
 import time
@@ -46,7 +49,8 @@ from .errors import (BellquenchError, ConfigError, InconsistentCorrelatorsError,
 from .fit import fit_gaussian, fit_trigaussian
 from .model import (QUENCHED, ModelParams, QuenchKind, field_quench,
                     make_quench, same_phase_area)
-from .output import sha256_file, write_csv, write_json, write_matrix_csv
+from .output import (sha256_file, write_csv, write_json, write_matrix_csv,
+                     writer_cpus)
 from .sweep import (KIND_DEFAULTS, GridSpec, Quantifier, check_policy,
                     check_window, critical_threshold, cross_cell_count,
                     efficiency, sweep_all, threshold_curve)
@@ -175,6 +179,24 @@ def _base_params(config, kind, what):
                        **{"alpha": 1.0, "h": 0.0, held: config[held]})
 
 
+def _runtime():
+    """BLAS library, version, runtime kernel and threads (where numpy's
+    scipy-openblas answers), and the CPUs write_csv may use."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    record = {"blas": blas.get("name"), "blas_version": blas.get("version"),
+              "blas_corename": None, "blas_threads": None, "writer_cpus": writer_cpus()}
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for name in os.listdir(libs) if os.path.isdir(libs) else ():
+        lib = ctypes.CDLL(os.path.join(libs, name)) if "scipy_openblas" in name else None
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            corename, threads = (lib.scipy_openblas_get_corename64_,
+                                 lib.scipy_openblas_get_num_threads64_)
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            record.update(blas_corename=corename().decode(), blas_threads=threads())
+    return record
+
+
 def _write_manifest(out_dir, command, config, results, artifacts, started):
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -185,6 +207,7 @@ def _write_manifest(out_dir, command, config, results, artifacts, started):
         "checksums": {name: sha256_file(os.path.join(out_dir, name))
                       for name in sorted(artifacts)},
         "results": results,
+        "runtime": _runtime(),
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
@@ -204,7 +227,13 @@ def run_command(args) -> int:
     results, files = args.handler(config)
     for name, (_, *data) in files.items():
         arrays = map(np.asarray, data) if name.endswith(".csv") else ()
-        if not all(np.isfinite(a).all() for a in arrays if a.dtype.kind == "f"):
+        finite = all(np.isfinite(a).all() for a in arrays if a.dtype.kind == "f")
+        if finite and name.endswith(".json") and results.get("pass") is not False:
+            try:  # a failed report is written as it is, NaN as null
+                json.dumps(data[0], allow_nan=False, default=float)
+            except ValueError:
+                finite = False
+        if not finite:
             raise NonFiniteResultError(f"{name} would hold NaN or infinite values")
     os.makedirs(out_dir, exist_ok=True)
     for name, (writer, *data) in files.items():

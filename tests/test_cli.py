@@ -17,7 +17,8 @@ def run(argv):
 
 
 def read_json(path):
-    return json.loads(open(path).read())
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestEvolve:
@@ -83,6 +84,11 @@ class TestSweepCommand:
             assert sha256_file(out / name) == digest
         results = read_json(out / "results.json")
         assert 0.0 <= results["bell"]["eta"] <= 1.0
+        runtime = manifest["runtime"]  # outside the checksums
+        assert set(runtime) == {"blas", "blas_version", "blas_corename",
+                                "blas_threads", "writer_cpus"}
+        assert runtime["writer_cpus"] == (len(os.sched_getaffinity(0)) if hasattr(
+            os, "sched_getaffinity") else 1)
 
     def test_all_same_phase_grid_exit_code(self, tmp_path):
         code = run(["sweep", "--gamma", "0.5", "--alpha", "2.0", "--kind",
@@ -366,6 +372,19 @@ class TestNonFiniteInput:
         # the squares of the grid values): exit 3 and no output
         out = tmp_path / "o"
         assert run([*argv, "--gamma", "1", "--n", "8", "--out", str(out)]) == 3
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name", [("sweep", "results.json"),
+                                               ("fit", "fit.json")])
+    def test_non_finite_json_refused(self, tmp_path, monkeypatch, capsys,
+                                     command, name):
+        # a NaN bound for the JSON of a run that would exit 0 is refused
+        # before anything is written, not written as null
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda config: (
+            {"x": 1.0}, {name: (write_json, {"model": "m", "y": [0.5, np.nan]})}))
+        out = tmp_path / "o"
+        assert run([command, "--out", str(out)]) == 3
         assert "NaN or infinite" in capsys.readouterr().err
         assert not out.exists()
 
@@ -681,6 +700,15 @@ FUZZ_ADVERSARIAL = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "0", "-0.
                     "", "bogus"]
 
 
+def json_numbers(obj):
+    """The numbers and nulls of a parsed JSON value."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for item in obj for x in json_numbers(item)]
+    return [obj] if obj is None or type(obj) in (int, float) else []
+
+
 @st.composite
 def fuzz_argv(draw, command):
     """`command` and flags for each of its keys but out: a grid (a time
@@ -750,3 +778,15 @@ def test_cli_contract_fuzz(tmp_path, capsys, argv):
     assert set(manifest["checksums"]) | {"manifest.json"} == set(os.listdir(out))
     for name, digest in manifest["checksums"].items():
         assert sha256_file(os.path.join(out, name)) == digest
+    # every number written is finite: a CSV cell, or a JSON number (a
+    # non-finite float would be written as null, so a data JSON has none)
+    for name in os.listdir(out):
+        path = os.path.join(out, name)
+        if name.endswith(".csv"):
+            with open(path, encoding="utf-8") as fh:
+                rows = fh.read().splitlines()[1:]
+            assert all(np.isfinite(float(x)) for row in rows for x in row.split(","))
+        else:
+            numbers = json_numbers(read_json(path))
+            assert all(x is None or np.isfinite(x) for x in numbers)
+            assert name == "manifest.json" or None not in numbers
