@@ -19,19 +19,19 @@ run frame, calls it, refuses a NaN or infinite number bound for a CSV
 or JSON file (but a failed oracle report), and only then makes the
 output directory, writes each file and a manifest.json carrying the
 resolved config, checksums of each artifact, the (volatile) wall-clock
-duration and the runtime (BLAS kernel and threads, writer CPUs).  So a
-refused run writes no file.
+duration and the runtime (BLAS kernel and threads, writer CPUs, a
+curve's worker processes).  So a refused run writes no file.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract
 violation (undefined threshold, non-positive state, a non-finite CSV
 or JSON value; also a failed oracle report, which is still written), 4
-resource cap, 1 unexpected failure (such as a failed writer process).
+resource cap, 1 unexpected failure (such as a failed writer or curve
+worker process).
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -114,7 +114,8 @@ def read_config_file(path, command):
     """Parse `key = value` lines; reject unknown keys with line numbers."""
     values = {}
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
@@ -179,25 +180,23 @@ def _base_params(config, kind, what):
                        **{"alpha": 1.0, "h": 0.0, held: config[held]})
 
 
-def _runtime():
+def _runtime(ran):
     """BLAS library, version, runtime kernel and threads (where numpy's
-    scipy-openblas answers), and the CPUs write_csv may use."""
+    scipy-openblas answers), and the CPUs write_csv may use, then what
+    the command reports of its own run (`ran`, which a threshold-curve
+    fills with the BLAS threads and worker processes it used)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {"blas": blas.get("name"), "blas_version": blas.get("version"),
               "blas_corename": None, "blas_threads": None, "writer_cpus": writer_cpus()}
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for name in os.listdir(libs) if os.path.isdir(libs) else ():
-        lib = ctypes.CDLL(os.path.join(libs, name)) if "scipy_openblas" in name else None
-        if hasattr(lib, "scipy_openblas_get_corename64_"):
-            corename, threads = (lib.scipy_openblas_get_corename64_,
-                                 lib.scipy_openblas_get_num_threads64_)
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            threads.argtypes, threads.restype = [], ctypes.c_int
-            record.update(blas_corename=corename().decode(), blas_threads=threads())
+    lib = dynamics.openblas()
+    if lib is not None:
+        record.update(blas_corename=lib.scipy_openblas_get_corename64_().decode(),
+                      blas_threads=lib.scipy_openblas_get_num_threads64_())
+    record.update(ran)
     return record
 
 
-def _write_manifest(out_dir, command, config, results, artifacts, started):
+def _write_manifest(out_dir, command, config, results, artifacts, started, ran):
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "bellquench", "version": __version__},
@@ -207,7 +206,7 @@ def _write_manifest(out_dir, command, config, results, artifacts, started):
         "checksums": {name: sha256_file(os.path.join(out_dir, name))
                       for name in sorted(artifacts)},
         "results": results,
-        "runtime": _runtime(),
+        "runtime": _runtime(ran),
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
@@ -215,7 +214,8 @@ def _write_manifest(out_dir, command, config, results, artifacts, started):
 def run_command(args) -> int:
     """Resolve, compute, then write; exit code 3 when the results
     report a failed check ("pass" false).  Each writer takes the file's
-    path first."""
+    path first.  A handler returns its results and files, and may add
+    a dict of runtime facts of its run for the manifest."""
     started = time.time()
     config = resolve_config(args, args.command)
     out_dir = config["out"]
@@ -224,7 +224,7 @@ def run_command(args) -> int:
         existing = os.path.dirname(existing)
     if not out_dir or not os.path.isdir(existing):
         raise ConfigError(f"out must name a directory, got {out_dir!r}")
-    results, files = args.handler(config)
+    results, files, *ran = args.handler(config)
     for name, (_, *data) in files.items():
         arrays = map(np.asarray, data) if name.endswith(".csv") else ()
         finite = all(np.isfinite(a).all() for a in arrays if a.dtype.kind == "f")
@@ -238,7 +238,8 @@ def run_command(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     for name, (writer, *data) in files.items():
         writer(os.path.join(out_dir, name), *data)
-    _write_manifest(out_dir, args.command, config, results, files, started)
+    _write_manifest(out_dir, args.command, config, results, files, started,
+                    dict(*ran))
     return 3 if results.get("pass") is False else 0
 
 
@@ -318,14 +319,16 @@ def cmd_threshold_curve(config):
                             N=config["n"], boundary=config["boundary"],
                             cross_lines=config["cross_lines"])
     return {"points": len(curve)}, {"curve.csv": (
-        write_csv, [KIND_DEFAULTS[kind].fixed, "b_c"], curve)}
+        write_csv, [KIND_DEFAULTS[kind].fixed, "b_c"], curve)}, {
+        "blas_threads": curve.blas_threads, "curve_workers": curve.workers}
 
 
 def cmd_fit(config):
     _require(config, "curve")
     points = []
     try:
-        lines = open(config["curve"], encoding="utf-8").read().splitlines()
+        with open(config["curve"], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read curve file: {exc}") from None
     for lineno, line in enumerate(lines, start=1):

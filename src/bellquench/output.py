@@ -1,4 +1,5 @@
-"""Deterministic CSV/JSON serialization and checksums.
+"""Deterministic CSV/JSON serialization and checksums, and the forked
+worker processes of large CSVs and threshold curves.
 
 All floating-point values are written with 17 significant digits so a
 double round-trips exactly; JSON objects are emitted with
@@ -6,10 +7,16 @@ lexicographically sorted keys, and a NaN or infinite float as null,
 so every JSON file parses.  Identical inputs therefore produce
 byte-identical artifacts, however many forked writers format a large
 CSV (write_csv).
+
+forked is the one fork, pipe, reap and kill frame: write_csv sends its
+row ranges through it, sweep.threshold_curve its ranges of points.
+writer_cpus is how many processes either may use.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -59,7 +66,8 @@ PART_CELLS = 32768
 
 
 def writer_cpus() -> int:
-    """CPUs write_csv may use: 1 without os.sched_getaffinity (or fork)."""
+    """CPUs write_csv and threshold_curve may use: 1 without
+    os.sched_getaffinity (or fork)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -71,20 +79,66 @@ def _blocks(rows, line, step):
         yield "".join([line % tuple(row) for row in block])
 
 
-def _child(out, reads, rows, line, step):
-    """Format rows whole, then send them, so a full pipe cannot stall the
-    formatting.  No BLAS call (OpenBLAS stops its threads at a fork);
-    exit by os._exit only, so no inherited buffer is flushed twice, and
-    with status 0 only once every row is sent."""
+def _child(task, out, reads):
+    """Run task(out), then leave by os._exit only, so no inherited buffer
+    is flushed twice, and with status 0 only once task has returned and
+    its output is sent."""
     code = 1
     try:
         for fd in reads:
             os.close(fd)
-        out.writelines(list(_blocks(rows, line, step)))
+        task(out)
         out.close()
         code = 0
     finally:
         os._exit(code)
+
+
+def _collect(children, what):
+    for child in children:
+        while chunk := os.read(child[1], 1 << 16):
+            yield chunk
+        status, child[0] = os.waitpid(child[0], 0)[1], 0
+        if status:
+            raise BellquenchError(f"{what} failed")
+
+
+@contextlib.contextmanager
+def forked(tasks, what):
+    """Run each task in a forked child while the with block runs.
+
+    A task is a function of one argument, the binary write end of a
+    pipe, down which it sends its whole result.  The block receives an
+    iterator over the children's output, 64 KiB at a time, each child's
+    in task order: once a child's output ends, it is reaped, and a
+    child that failed raises BellquenchError ("<what> failed").  The
+    child holds the BLAS state of the parent at the fork (OpenBLAS
+    stops its thread pool at a fork and restarts it on demand).
+    Leaving the block kills (SIGKILL) and reaps every child not yet
+    reaped, so no child outlives it.
+    """
+    children = []  # [pid, pipe read end] per child; pid 0 once reaped
+    try:
+        for task in tasks:
+            read, write = os.pipe()
+            children.append([0, read])
+            with open(write, "wb") as out:
+                pid = children[-1][0] = os.fork()
+                if pid == 0:
+                    _child(task, out, [r for _, r in children])
+        yield _collect(children, what)
+    finally:
+        for pid, read in children:
+            os.close(read)
+            if pid:
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+
+
+def _send_rows(rows, line, step, out):
+    """Format rows whole, then send them, so a full pipe cannot stall the
+    formatting."""
+    out.writelines([block.encode() for block in _blocks(rows, line, step)])
 
 
 def write_csv(path, header, rows) -> None:
@@ -95,39 +149,23 @@ def write_csv(path, header, rows) -> None:
     as fmt_float), in blocks of about CSV_BLOCK_CELLS values.  The rows
     are split into contiguous ranges, one per writer CPU but none under
     PART_CELLS cells: this process formats the first into the file while
-    forked children format the others, whose text it then copies in row
-    order.  So the bytes do not depend on the part count.  A failed
-    child raises BellquenchError; no child outlives the call.
+    forked children (forked) format the others, whose text it then
+    copies in row order.  So the bytes do not depend on the part count.
+    A failed child raises BellquenchError; no child outlives the call.
     """
     line = ",".join(["%.17g"] * len(header)) + "\n"
     step = max(1, CSV_BLOCK_CELLS // len(header))
     parts = max(1, min(writer_cpus(), len(rows) * len(header) // PART_CELLS))
     bounds = [len(rows) * i // parts for i in range(parts + 1)]
-    children = []  # [pid, pipe read end] per forked part; pid 0 once reaped
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(str(h) for h in header) + "\n")
-            for lo, hi in zip(bounds[1:], bounds[2:]):
-                read, write = os.pipe()
-                children.append([0, read])
-                with open(write, "w", encoding="utf-8", newline="\n") as out:
-                    pid = children[-1][0] = os.fork()
-                    if pid == 0:
-                        _child(out, [r for _, r in children], rows[lo:hi], line, step)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(str(h) for h in header) + "\n")
+        with forked([functools.partial(_send_rows, rows[lo:hi], line, step)
+                     for lo, hi in zip(bounds[1:], bounds[2:])],
+                    f"a writer process of {path}") as text:
             fh.writelines(_blocks(rows[:bounds[1]], line, step))
             fh.flush()
-            for child in children:
-                while chunk := os.read(child[1], 1 << 16):
-                    fh.buffer.write(chunk)
-                status, child[0] = os.waitpid(child[0], 0)[1], 0
-                if status:
-                    raise BellquenchError(f"a writer process of {path} failed")
-    finally:
-        for pid, read in children:
-            os.close(read)
-            if pid:
-                os.kill(pid, 9)  # SIGKILL
-                os.waitpid(pid, 0)
+            for chunk in text:
+                fh.buffer.write(chunk)
 
 
 def write_matrix_csv(path, matrix, axis, corner="q_i\\q_f") -> None:

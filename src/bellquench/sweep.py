@@ -27,23 +27,29 @@ other shapes than the full-grid ones).
 
 Every map and curve runs the steady kernel's products in the same
 fixed shapes (dynamics.ROW_CHUNK), so repeated runs write identical
-bytes at a given BLAS thread count.
+bytes at a given BLAS thread count.  A curve also fixes the count: its
+products run on one pinned OpenBLAS thread, in this process and in the
+forked workers that share its points (threshold_curve), so its bytes
+are those of OPENBLAS_NUM_THREADS=1 whatever the environment sets.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import chsh_arrays, xstate_log_negativity
-from .dynamics import SteadyKernel, _axes
+from .dynamics import SteadyKernel, _axes, one_blas_thread, openblas
 from .errors import ThresholdUndefinedError
 from .model import (ModelParams, QuenchKind, check_lines, make_quench,
                     phase_codes, same_phase_area)
-from .momentum import check_footprint
+from .momentum import MEMORY_CAP, check_footprint
+from .output import forked, writer_cpus
 
 
 class Quantifier(enum.Enum):
@@ -198,15 +204,14 @@ def _cross_blocks(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray,
     return order, blocks
 
 
-def _cross_max(kernel: SteadyKernel, kind: QuenchKind, fixed: ModelParams,
-               qs: np.ndarray, axis, boundary: str, cross_lines: str) -> float:
-    """Bell maximum over the cross-phase cells, chunk by chunk.
+def _cross_max(kernel: SteadyKernel, axis, order, blocks) -> float:
+    """Bell maximum over the cross-phase blocks of a point (order and
+    blocks from _cross_blocks), chunk by chunk.
 
     The threshold path: the same value as critical_threshold on the
     Bell diagram, without evaluating the same-phase cells.  `axis` is
-    fixed's (b, u) from _axes.
+    the point's (b, u) from _axes.
     """
-    order, blocks = _cross_blocks(kind, fixed, qs, boundary, cross_lines)
     return float(np.max([np.max(chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3])
                          for _, _, cxx, cyy, czz in kernel.maps(*axis, blocks, order)]))
 
@@ -294,16 +299,63 @@ def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str | None = None,
                            n_same_cells=n_same, n_detected_cells=n_detected)
 
 
+# Fewest cell-sites (grid cells times chain length N, summed over its
+# points) per curve worker.  A point took about 0.1-0.15 ns per
+# cell-site on one thread, and a worker about 10 ms more than its
+# points (fork, copy-on-write faults, reaping; 2-vCPU x86 guest,
+# py3.11).  So a worker gets at least some 15 ms of points: a 12-point
+# field curve on 601^2 at N = 512 takes 2 workers, the README coupling
+# curve (3 points on 251^2) one.
+CURVE_WORK = 2 ** 27
+
+
+def curve_workers(count: int, grid: GridSpec, N: int) -> int:
+    """Processes a threshold curve of `count` points on `grid` runs in:
+    one per CPU (output.writer_cpus) and point, but none with under
+    CURVE_WORK cell-sites, where the BLAS can be pinned to one thread
+    (dynamics.openblas); else 1.  Each process builds a kernel of its
+    own, so check_footprint's estimate for one process, taken once per
+    worker, stays within MEMORY_CAP."""
+    if openblas() is None:
+        return 1
+    share = MEMORY_CAP // check_footprint(N, grid.count, grid.count ** 2)
+    return max(1, min(writer_cpus(), count, share,
+                      count * grid.count ** 2 * N // CURVE_WORK))
+
+
+class Curve(list):
+    """threshold_curve's (point, B_c) pairs, with how they were computed:
+    in `workers` processes, each product on `blas_threads` OpenBLAS
+    threads (None where the BLAS could not be pinned)."""
+
+    def __init__(self, pairs, workers: int, blas_threads: int | None):
+        super().__init__(pairs)
+        self.workers, self.blas_threads = workers, blas_threads
+
+
 def threshold_curve(kind: QuenchKind, gamma: float, points,
                     grid: GridSpec | None = None, N: int = 512,
                     boundary: str | None = None,
-                    cross_lines: str | None = None) -> list[tuple[float, float]]:
+                    cross_lines: str | None = None) -> Curve:
     """Threshold B_c at each point: fall-off rates for field quenches,
-    fields inside the coupling window for coupling quenches.
+    fields inside the coupling window for coupling quenches, as a Curve
+    of (point, B_c) pairs.
 
     grid, boundary and cross_lines default to KIND_DEFAULTS[kind], the
     benchmark-threshold construction; pass cross_lines="model" for the
     fall-off-dependent topology of a field curve.
+
+    The points run in contiguous ranges, one per curve_workers: this
+    process computes the first while forked children (output.forked)
+    compute the others, each on a kernel of its own, and send their
+    B_c back as float64 bytes in point order.  Every product runs on
+    one OpenBLAS thread (dynamics.one_blas_thread), forked or not, so
+    a point's bits depend on neither the other points, the worker count
+    nor OPENBLAS_NUM_THREADS; where the BLAS cannot be pinned, one
+    process runs every point on the BLAS's own threads.  The Curve
+    records the worker count and the pinned thread count.  Every
+    refusal (policy, coupling window, footprint, a point without
+    cross-phase cells) comes before the first fork.
     """
     defaults = KIND_DEFAULTS[kind]
     grid = defaults.grid if grid is None else grid
@@ -316,11 +368,27 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
         same_phase_area(kind, getattr(fixed, defaults.fixed))  # coupling window
     check_footprint(N, grid.count, grid.count ** 2)
     qs = grid.values()
-    phis, axes = _axes(kind, qs, params)
-    kernel = SteadyKernel(N, phis, qs.size)
-    return [(getattr(fixed, defaults.fixed),
-             _cross_max(kernel, kind, fixed, qs, axis, boundary, cross_lines))
-            for fixed, axis in zip(params, axes)]
+    cross = [_cross_blocks(kind, fixed, qs, boundary, cross_lines) for fixed in params]
+    with one_blas_thread() as blas_threads:
+        phis, axes = _axes(kind, qs, params)  # lazy: one point's axis at a time
+
+        def part(lo, hi):
+            kernel = SteadyKernel(N, phis, qs.size)
+            return np.array([_cross_max(kernel, axis, *blocks) for blocks, axis in
+                             zip(cross[lo:hi], itertools.islice(axes, lo, hi))])
+
+        def send(lo, hi, out):
+            out.write(part(lo, hi).tobytes())
+
+        workers = curve_workers(len(params), grid, N)
+        bounds = [len(params) * i // workers for i in range(workers + 1)]
+        with forked([functools.partial(send, lo, hi)
+                     for lo, hi in zip(bounds[1:], bounds[2:])],
+                    "a curve worker process") as rest:
+            values = np.concatenate([part(0, bounds[1]),
+                                     np.frombuffer(b"".join(rest))])
+    return Curve([(getattr(fixed, defaults.fixed), float(b_c))
+                  for fixed, b_c in zip(params, values)], workers, blas_threads)
 
 
 def steady_cell(kind: QuenchKind, fixed: ModelParams, q_i: float, q_f: float):

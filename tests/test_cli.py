@@ -1,14 +1,22 @@
+import gc
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import bellquench
 import bellquench.cli as cli
+import bellquench.sweep as sweep_mod
+from bellquench import momentum
 from bellquench.cli import main
-from bellquench.dynamics import MAX_TIME_SAMPLES
+from bellquench.dynamics import MAX_TIME_SAMPLES, openblas
 from bellquench.output import sha256_file, write_json
 
 
@@ -147,6 +155,28 @@ class TestConfigFile:
         assert run(["sweep", "--config", str(cfg),
                     "--out", str(tmp_path / "o")]) == 2
         assert "gamma" in capsys.readouterr().err
+
+
+    def test_files_are_closed(self, tmp_path, monkeypatch):
+        # an unclosed file warns when it is collected, inside __del__,
+        # where the error the filter makes of the warning reaches
+        # sys.unraisablehook instead of the caller
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 0.4\npoints = 1,2\nstep = 0.1\nn = 16\n")
+        curve = tmp_path / "curve.csv"
+        curve.write_text("alpha,b_c\n" + "".join(
+            f"{x:.17g},{0.3 * np.exp(-0.05 * x * x) + 1.7:.17g}\n"
+            for x in np.arange(0.5, 10.01, 0.5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert run(["threshold-curve", "--config", str(cfg),
+                        "--out", str(tmp_path / "c")]) == 0
+            assert run(["fit", "--curve", str(curve),
+                        "--out", str(tmp_path / "f")]) == 0
+            gc.collect()
+        assert [hook.exc_value for hook in unraisable] == []
 
 
 class TestFitCommand:
@@ -309,6 +339,97 @@ def test_sweep_refuses_before_writing(tmp_path, flags, code):
     assert run(["sweep", "--gamma", "0.4", "--step", "0.25", "--n", "16",
                 *flags, "--out", str(out)]) == code
     assert not out.exists()
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(bellquench.__file__)))
+
+
+@pytest.mark.skipif(openblas() is None, reason="a curve forks only where its "
+                    "BLAS can be pinned to one thread")
+class TestCurveWorkers:
+    """threshold-curve runs its points in forked workers, every product on
+    one pinned OpenBLAS thread."""
+
+    def test_refusal_comes_before_any_fork(self, tmp_path, forks, capsys):
+        # alpha 1 has cross-phase cells on this grid and alpha 10 none:
+        # the second worker's point is refused here (exit 3), not in the
+        # worker (exit 1, "a curve worker process failed")
+        out = tmp_path / "u"
+        assert run(["threshold-curve", "--kind", "field", "--gamma", "1", "--n", "16",
+                    "--q-min", "-0.5", "--q-max", "0.5", "--step", "0.1",
+                    "--points=1,10", "--cross-lines", "model", "--out", str(out)]) == 3
+        assert "no cross-phase cells" in capsys.readouterr().err
+        assert not out.exists() and forks == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_dead_worker_exits_nonzero(self, tmp_path, monkeypatch, forks, capsys):
+        parent, cross_max = os.getpid(), sweep_mod._cross_max
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return cross_max(*args)
+
+        monkeypatch.setattr(sweep_mod, "_cross_max", dying)
+        out = tmp_path / "d"
+        assert run(["threshold-curve", "--gamma", "0.4", "--points", "1,2,3",
+                    "--step", "0.1", "--n", "16", "--out", str(out)]) == 1
+        assert "a curve worker process failed" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists() and forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # the estimate of one process for these curves (61^2 grid, N 16)
+    FOOTPRINT = momentum.check_footprint(16, 61, 61 ** 2)
+
+    @pytest.mark.parametrize("points,cpus,cap,workers", [
+        ("1", 2, momentum.MEMORY_CAP, 1), ("1,2,3", 2, momentum.MEMORY_CAP, 2),
+        # each worker builds a kernel of its own: of 64 CPUs, a cap that
+        # holds two footprints allows two workers, one byte less one
+        ("1,2,3", 64, 2 * FOOTPRINT, 2), ("1,2,3", 64, 2 * FOOTPRINT - 1, 1),
+    ])
+    def test_manifest_records_threads_and_workers(self, tmp_path, monkeypatch, forks,
+                                                  points, cpus, cap, workers):
+        monkeypatch.setattr(sweep_mod, "writer_cpus", lambda: cpus)
+        monkeypatch.setattr(momentum, "MEMORY_CAP", cap)
+        monkeypatch.setattr(sweep_mod, "MEMORY_CAP", cap)
+        out = tmp_path / "m"
+        assert run(["threshold-curve", "--gamma", "0.4", "--points", points,
+                    "--step", "0.1", "--n", "16", "--out", str(out)]) == 0
+        runtime = read_json(out / "manifest.json")["runtime"]
+        assert (runtime["blas_threads"], runtime["curve_workers"]) == (1, workers)
+        assert len(forks) == workers - 1
+
+    def test_curve_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the README coupling curve and each of its points alone write
+        # the same rows at one and at the default OpenBLAS threads, per
+        # kernel; unpinned, h -0.5 read 1.7093020048109264 at two
+        # threads and 1.7093020048109273 at one
+        points = ["-0.7", "-0.5", "-0.2"]
+        code = ("import sys\nfrom bellquench.cli import main\n"
+                "out, points = sys.argv[1], sys.argv[2:]\n"
+                "for tag, run in [('all', points)] + [(p, [p]) for p in points]:\n"
+                "    assert main(['threshold-curve', '--gamma', '0.8', '--kind',\n"
+                "                 'coupling', '--points=' + ','.join(run),\n"
+                "                 '--out', out + '/' + tag]) == 0\n")
+        for coretype in (None, "Haswell"):
+            texts = []
+            for threads in (None, "1"):
+                env = {k: v for k, v in os.environ.items()
+                       if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
+                env.update(PYTHONPATH=SRC, **{k: v for k, v in (
+                    ("OPENBLAS_NUM_THREADS", threads),
+                    ("OPENBLAS_CORETYPE", coretype)) if v is not None})
+                out = tmp_path / f"{coretype}-{threads}"
+                subprocess.run([sys.executable, "-c", code, str(out), *points],
+                               env=env, check=True, capture_output=True)
+                whole = (out / "all" / "curve.csv").read_text()
+                alone = [(out / p / "curve.csv").read_text().splitlines()[1]
+                         for p in points]
+                assert whole.splitlines()[1:] == alone, (coretype, threads)
+                texts.append(whole)
+            assert texts[0] == texts[1], coretype
 
 
 class TestNonFiniteInput:

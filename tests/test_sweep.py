@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 
 import bellquench
+import bellquench.sweep as sweep_mod
 from bellquench.bell import (bell_value, chsh_arrays, log_negativity,
                              reconstruct_rho12)
 from bellquench.errors import ThresholdUndefinedError
 from bellquench.model import ModelParams, QuenchKind, phase_codes, same_phase_area
+from bellquench.momentum import MEMORY_CAP, check_footprint
 from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier,
                               _cross_blocks, critical_threshold, cross_cell_count,
-                              efficiency, steady_cell, sweep, sweep_all,
-                              threshold_curve)
+                              curve_workers, efficiency, steady_cell, sweep,
+                              sweep_all, threshold_curve)
 from phase_reference import (PhaseLabel, classify_coupling_value,
                              classify_field_value, classify_pair)
 from steady_reference import steady_correlators
 from bellquench import oracle
-from bellquench.dynamics import SteadyKernel, _axes, correlators_at
+from bellquench.dynamics import SteadyKernel, _axes, correlators_at, openblas
 
 
 def fixed_params(**kwargs):
@@ -256,17 +258,35 @@ class TestThresholdCurves:
     @pytest.mark.parametrize("kind,points,grid", [
         # the model lines move with alpha, so the cross blocks, and the
         # gathered columns among them, change shape from point to point
-        (QuenchKind.FIELD, [0.7, 1.0, 3.5], GridSpec(-3, 3, 0.05)),
+        (QuenchKind.FIELD, [0.7, 1.0, 3.5, 6.0, 10.0], GridSpec(-3, 3, 0.05)),
         (QuenchKind.COUPLING, [-0.5, -0.2, 0.1], GridSpec(0.5, 3.0, 0.05)),
     ])
-    def test_points_do_not_depend_on_earlier_points(self, kind, points, grid):
-        # one kernel serves every point of a curve
+    def test_points_do_not_depend_on_earlier_points(self, kind, points, grid, forks):
+        # one kernel serves every point of a process, and each whole
+        # curve here runs in two (one forked) where the BLAS can be pinned
         def curve(qs):
             return threshold_curve(kind, 0.5, qs, grid, N=64, cross_lines="model")
 
         alone = [curve([q])[0] for q in points]
+        assert forks == []
         assert curve(points) == alone
         assert curve(points[::-1]) == alone[::-1]
+        assert len(forks) == (0 if openblas() is None else 2)
+
+    @pytest.mark.parametrize("step,N", [(0.1, 16), (0.01, 512), (0.002, 512),
+                                        (0.0015, 512)])
+    def test_workers_fit_the_memory_cap(self, monkeypatch, step, N):
+        # however many CPUs, the workers' kernels together stay within
+        # MEMORY_CAP (the last two grids hold 2 and 1 footprints of 12)
+        monkeypatch.setattr(sweep_mod, "writer_cpus", lambda: 64)
+        monkeypatch.setattr(sweep_mod, "CURVE_WORK", 1)
+        grid = GridSpec(-3, 3, step)
+        workers = curve_workers(12, grid, N)
+        need = check_footprint(N, grid.count, grid.count ** 2)
+        assert 1 <= workers <= 12
+        assert workers * need <= MEMORY_CAP
+        if openblas() is not None:
+            assert workers == min(12, MEMORY_CAP // need)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads Linux's count of minor page faults")
