@@ -21,7 +21,7 @@ F = <c_j c_{j+1}>:
 They are fixed by the correlators above: G0 = (1 - m_z)/2,
 G = (C_xx + C_yy)/4 and F = ((C_yy - C_xx) - 2i C_xy)/4.
 _correlators_from_sums turns the mode sums into all five correlators;
-the timed kernel and the steady kernel (whose sums have no n_x) call
+the timed kernel and the steady kernel (in place, with no n_x) call
 it.
 
 Sign conventions, both arbitrated by the dense solver (the transient
@@ -52,12 +52,12 @@ contiguous kernel rows and columns.  A kernel row holds one grid value,
 in grid order or in an order the caller gives: the sweeps run whole
 grids, the threshold curves the cross-phase rectangles of the
 phase-ordered grid.  A kernel keeps the arrays of one grid size (gy,
-gz and the six final-side factors), so a threshold curve refills them
-at each point instead of allocating some 30 MB that the allocator
-hands back to the system and the next point faults in again.  It
-fills them ROW_CHUNK values at a time and yields each block's
-correlators ROW_CHUNK rows at a time, so its temporaries stay
-chunk-sized.
+gz and the six final-side factors) and seven chunk buffers, so a
+threshold curve refills them at each point instead of allocating
+arrays that the allocator hands back to the system and the next point
+or chunk faults in again.  It fills them ROW_CHUNK values at a time
+and yields each block's correlators ROW_CHUNK rows at a time, built
+in place by the operations of a fresh-array evaluation, in its order.
 
 Timed values come from one kernel, _timed_mode_sums: it rotates the
 Bloch vectors and takes the four mode sums sum n_z, sum cos(phi) n_z,
@@ -209,9 +209,9 @@ class CorrelatorSet:
 # Bloch-vector engine (arrays over modes, optionally broadcast over time)
 
 def _axes(kind: QuenchKind, qs: np.ndarray, params):
-    """(phis, axes): the mode angles and an iterator over params of the
-    inputs (b, u) of both kernels, one row of b and of u = a + h per
-    grid value.  The params differ only in the parameter the kind holds
+    """(phis, axis): the mode angles and axis(k), the inputs (b, u) of
+    both kernels for params[k], one row of b and of u = a + h per grid
+    value.  The params differ only in the parameter the kind holds
     fixed, and one dispersion call serves them all: a field grid's over
     the params' alphas, a coupling grid's over its alpha axis qs, to
     which each entry adds its own h.
@@ -220,10 +220,9 @@ def _axes(kind: QuenchKind, qs: np.ndarray, params):
     if kind is QuenchKind.FIELD:
         a, b = dispersion(params[0], phis, alphas=[p.alpha for p in params])
         shape = (qs.size, phis.size)
-        return phis, ((np.broadcast_to(b_k, shape), a_k + qs[:, None])
-                      for a_k, b_k in zip(a, b))
+        return phis, lambda k: (np.broadcast_to(b[k], shape), a[k] + qs[:, None])
     a, b = dispersion(params[0], phis, alphas=qs)
-    return phis, ((b, a + p.h) for p in params)
+    return phis, lambda k: (b, a + params[k].h)
 
 
 def _quench_axis(quench: QuenchSpec):
@@ -231,8 +230,8 @@ def _quench_axis(quench: QuenchSpec):
     is the initial Hamiltonian, row 1 the final one."""
     name = QUENCHED[quench.kind]
     qs = np.array([getattr(quench.initial, name), getattr(quench.final, name)])
-    phis, ((b, u),) = _axes(quench.kind, qs, [quench.initial])
-    return phis, b, u
+    phis, axis = _axes(quench.kind, qs, [quench.initial])
+    return (phis, *axis(0))
 
 
 def _timed_mode_sums(phis, gy, gz, b_f, u_f, starts, offsets=(0.0,)):
@@ -291,64 +290,85 @@ def _timed_mode_sums(phis, gy, gz, b_f, u_f, starts, offsets=(0.0,)):
     return sums.reshape(-1, 4).T
 
 
-def _correlators_from_sums(phis, sums, N):
+def _correlators_from_sums(sum_cos, sums, N, out):
     """(sum n_z, sum cos n_z, sum sin n_y, sum sin n_x) ->
-    (mz, cxx, cyy, czz, cxy); elementwise over arrays of sums."""
+    (mz, cxx, cyy, czz, cxy), elementwise, with sum_cos = sum cos(phi):
+    cxx and cyy in the two arrays of `out`, mz and czz over the first
+    and third sums, which with the second are arrays it overwrites.  A
+    scalar 0 n_x sum adds no square: +0.0 leaves values >= +0 as they
+    are."""
     s_z, m_cos, m_sin, m_x = sums
+    cxx, cyy = out
     two_n = 2.0 / N
-    mz = two_n * s_z
-    sum_cos = float(np.sum(np.cos(phis)))
-    cxx = two_n * (sum_cos - m_cos - m_sin)
-    cyy = two_n * (sum_cos - m_cos + m_sin)
-    cxy = two_n * m_x
-    g1 = (sum_cos - m_cos) / N
-    f_re = m_sin / N
-    f_im = -m_x / N
-    czz = mz * mz + 4.0 * (f_re * f_re + f_im * f_im - g1 * g1)
-    return mz, cxx, cyy, czz, cxy
+    g1 = np.subtract(sum_cos, m_cos, out=m_cos)  # N g1, taken once
+    np.multiply(two_n, np.subtract(g1, m_sin, out=cxx), out=cxx)
+    np.multiply(two_n, np.add(g1, m_sin, out=cyy), out=cyy)
+    mz = np.multiply(two_n, s_z, out=s_z)
+    g1 /= N
+    # czz = mz**2 + 4 (f_re**2 + f_im**2 - g1**2), f_im = -m_x / N
+    czz = np.divide(m_sin, N, out=m_sin)
+    czz *= czz
+    if np.ndim(m_x) or m_x:
+        f_im = -m_x / N
+        czz += f_im * f_im
+    czz -= np.multiply(g1, g1, out=g1)
+    czz *= 4.0
+    czz += np.multiply(mz, mz, out=g1)
+    return mz, cxx, cyy, czz, two_n * m_x
 
 
 class SteadyKernel:
     """Steady mz, cxx, cyy, czz over slice blocks of a grid of n values.
 
-    It owns the per-value arrays of the grid (module docstring), so a
-    threshold curve allocates them once for all of its points.  One
-    maps pass runs at a time.
+    It owns the per-value arrays of the grid and the chunk buffers
+    (module docstring), so a threshold curve allocates them once for
+    all of its points.  One maps pass runs at a time.
     """
 
     def __init__(self, N: int, phis, n: int):
         self.N, self.phis = N, phis
+        self.cos_p, self.sin_p = np.cos(phis), np.sin(phis)
+        self.sum_cos = float(np.sum(self.cos_p))
         self.gy, self.gz = np.empty((n, phis.size)), np.empty((n, phis.size))
         self.final = np.empty((6, n, phis.size))
+        # a chunk's mode sums (then mz, a work array and czz), cxx, cyy, spares
+        self.chunk = np.empty((7, ROW_CHUNK * n))
+
+    def _arrays(self, shape, buffers):
+        return [self.chunk[k, :shape[0] * shape[1]].reshape(shape) for k in buffers]
+
+    def spare(self, shape):
+        """Three chunk buffers free until the next chunk (Bell terms)."""
+        return self._arrays(shape, (1, 5, 6))
 
     def _fill(self, b, u, order):
         """The per-value factors of b and u (from _axes), row r from grid
         value order[r] (value r when order is None)."""
-        cos_p, sin_p = np.cos(self.phis), np.sin(self.phis)
         for start in range(0, self.gy.shape[0], ROW_CHUNK):
             part = slice(start, start + ROW_CHUNK)
             take = part if order is None else order[part]
             u_c, b_c = u[take], b[take]
             lam, self.gy[part], self.gz[part] = ground_bloch(u_c, b_c)
             degen_f = lam < STEADY_DEGENERACY_TOL
-            safe2 = np.where(degen_f, 1.0, lam * lam)
-            ayy = np.where(degen_f, 1.0, b_c * b_c / safe2)
-            ayz = np.where(degen_f, 0.0, u_c * b_c / safe2)
-            azz = np.where(degen_f, 1.0, u_c * u_c / safe2)
-            # j-side factors, pre-weighted by the mode weights: for sum nz,
-            # sum cos*nz and sum sin*ny
+            safe2 = np.multiply(lam, lam, out=lam)
+            safe2[degen_f] = 1.0
+            # j-side factors ub, u^2 and b^2 over L^2 (0, 1, 1 for a block that
+            # does not dephase), weighted for sum nz, sum cos*nz, sum sin*ny
             f = self.final[:, part]
-            f[0], f[1] = ayz, azz
-            np.multiply(cos_p, ayz, out=f[2])
-            np.multiply(cos_p, azz, out=f[3])
-            np.multiply(sin_p, ayy, out=f[4])
-            np.multiply(sin_p, ayz, out=f[5])
+            for k, x, y, held in ((0, u_c, b_c, 0.0), (1, u_c, u_c, 1.0),
+                                  (4, b_c, b_c, 1.0)):
+                np.divide(np.multiply(x, y, out=f[k]), safe2, out=f[k])
+                f[k][degen_f] = held
+            np.multiply(self.cos_p, f[0], out=f[2])
+            np.multiply(self.cos_p, f[1], out=f[3])
+            np.multiply(self.sin_p, f[0], out=f[5])
+            np.multiply(self.sin_p, f[4], out=f[4])
 
     def maps(self, b, u, blocks=((slice(None), slice(None)),), order=None):
         """Yields (rows, mz, cxx, cyy, czz) per ROW_CHUNK rows of each
         (rows, cols) block, a pair of slices of the kernel's rows: row r
         holds grid value order[r], or r when order is None.  The yielded
-        arrays are fresh."""
+        arrays are chunk buffers, which the next chunk overwrites."""
         self._fill(b, u, order)
         for rows, cols in blocks:
             f_m_y, f_m_z, f_z_y, f_z_z, f_y_y, f_y_z = (
@@ -357,10 +377,16 @@ class SteadyKernel:
             for lo in range(start, stop, ROW_CHUNK):
                 part = slice(lo, min(lo + ROW_CHUNK, stop))
                 gy_c, gz_c = self.gy[part], self.gz[part]
+                s_z, m_cos, m_sin, cxx, cyy = self._arrays(
+                    (gy_c.shape[0], f_m_y.shape[1]), range(5))
+                # cxx holds each sum's second product until the correlators
+                for out, f_y, f_z in ((s_z, f_m_y, f_m_z), (m_cos, f_z_y, f_z_z),
+                                      (m_sin, f_y_y, f_y_z)):
+                    np.add(np.matmul(gy_c, f_y, out=out),
+                           np.matmul(gz_c, f_z, out=cxx), out=out)
                 # the steady state has no n_x, so its mode sum is 0
-                sums = (gy_c @ f_m_y + gz_c @ f_m_z, gy_c @ f_z_y + gz_c @ f_z_z,
-                        gy_c @ f_y_y + gz_c @ f_y_z, 0.0)
-                yield (part, *_correlators_from_sums(self.phis, sums, self.N)[:4])
+                yield (part, *_correlators_from_sums(
+                    self.sum_cos, (s_z, m_cos, m_sin, 0.0), self.N, (cxx, cyy))[:4])
 
 
 def _timed_correlators(quench: QuenchSpec, starts, offsets=(0.0,)):
@@ -369,7 +395,10 @@ def _timed_correlators(quench: QuenchSpec, starts, offsets=(0.0,)):
     phis, b, u = _quench_axis(quench)
     _, gy, gz = ground_bloch(u[0], b[0])
     sums = _timed_mode_sums(phis, gy, gz, b[1], u[1], starts, offsets)
-    return _correlators_from_sums(phis, sums, quench.initial.N)
+    mz, cxx, cyy, czz, cxy = _correlators_from_sums(
+        np.cos(phis).sum(), sums, quench.initial.N, np.empty((2, sums.shape[1])))
+    # copies, so that the array of the sums is freed
+    return mz.copy(), cxx, cyy, czz.copy(), cxy
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ class _MaxFev(Exception):
 
 def _sorted(sim, fsim):
     ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[ind], fsim[ind]
 
 
 def minimize(fun, x0, *, maxfev, xatol, fatol):
@@ -79,7 +79,7 @@ def minimize(fun, x0, *, maxfev, xatol, fatol):
         if nfev >= maxfev:
             raise _MaxFev
         nfev += 1
-        return fun(np.copy(x))
+        return fun(x.copy())
 
     x0 = np.asarray(x0, dtype=float).ravel()
     n = x0.size
@@ -93,8 +93,8 @@ def minimize(fun, x0, *, maxfev, xatol, fatol):
     sim, fsim = _sorted(*_sorted(sim, fsim))
     while nfev < maxfev:
         with suppress(_MaxFev):
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
@@ -171,7 +171,7 @@ def fit_gaussian(points, seed: int = 0) -> GaussianFit:
         a, b, c = p
         if b <= 0:
             return _PENALTY * (1.0 + abs(b))
-        return float(np.sum((a * np.exp(-b * x * x) + c - y) ** 2))
+        return float(((a * np.exp(-b * x * x) + c - y) ** 2).sum())
 
     # data-driven seeds: offset from the tail, amplitude from the head,
     # width from the half-decay point

@@ -4,9 +4,8 @@ A steady-state phase diagram evaluates the dephased correlators for
 every (q_i, q_f) pair on a grid, through the steady kernel of
 dynamics (_axes, SteadyKernel).  sweep_all runs it over the whole
 grid, evaluates the three quantifiers on each row chunk of
-correlators it yields (Bell through bell.chsh_arrays, as the curves
-and evolve take it) and builds the phase mask; sweep is one of its
-diagrams.
+correlators it yields (Bell through bell.chsh_arrays, as evolve takes
+it) and builds the phase mask; sweep is one of its diagrams.
 
 Both quench kinds run one protocol.  KIND_DEFAULTS holds what differs
 between them: the default grid, the default threshold policy
@@ -37,13 +36,12 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import chsh_arrays, xstate_log_negativity
+from .bell import _chsh_terms, chsh_arrays, xstate_log_negativity
 from .dynamics import SteadyKernel, _axes, one_blas_thread, openblas
 from .errors import ThresholdUndefinedError
 from .model import (ModelParams, QuenchKind, check_lines, make_quench,
@@ -58,9 +56,16 @@ class Quantifier(enum.Enum):
     CZZ = "czz"
 
 
+# Largest |q| of a grid: as |a| <= 1 and |b| <= gamma <= 1, up to it a field
+# grid's u = a + h and Lambda stay below sqrt(DBL_MAX) ~ 1.34e154, their
+# squares finite.
+MAX_GRID_VALUE = 2.0 ** 511
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform closed grid q_min, q_min + step, ..., q_max."""
+    """Uniform closed grid q_min, q_min + step, ..., q_max, with no value
+    above MAX_GRID_VALUE (about 6.7e153) in size."""
 
     q_min: float
     q_max: float
@@ -81,6 +86,9 @@ class GridSpec:
             raise ValueError("grid span must be an integer number of steps")
         if round(n) < 1:
             raise ValueError("grid span must be at least one step")
+        if max(-self.q_min, self.q_max) > MAX_GRID_VALUE:
+            raise ValueError(f"grid values above {MAX_GRID_VALUE:.3g} in size "
+                             "overflow the steady squares")
 
     @property
     def count(self) -> int:
@@ -210,10 +218,13 @@ def _cross_max(kernel: SteadyKernel, axis, order, blocks) -> float:
 
     The threshold path: the same value as critical_threshold on the
     Bell diagram, without evaluating the same-phase cells.  `axis` is
-    the point's (b, u) from _axes.
+    the point's (b, u) from _axes.  A correctly rounded sqrt is
+    monotone, so 2 sqrt of the largest radicand is the largest B.
     """
-    return float(np.max([np.max(chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3])
-                         for _, _, cxx, cyy, czz in kernel.maps(*axis, blocks, order)]))
+    radicand = np.max([np.max(_chsh_terms(cxx, cyy, czz, 0.0, 0.0,
+                                          [mz, *kernel.spare(mz.shape)])[3])
+                       for _, mz, cxx, cyy, czz in kernel.maps(*axis, blocks, order)])
+    return float(2.0 * np.sqrt(radicand))
 
 
 def cross_cell_count(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
@@ -240,12 +251,14 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams,
     whole."""
     check_footprint(fixed.N, grid.count, grid.count ** 2)
     qs = grid.values()
-    phis, ((b, u),) = _axes(kind, qs, [fixed])
+    phis, axis = _axes(kind, qs, [fixed])
     maps = np.empty((len(Quantifier), qs.size, qs.size))
-    for rows, mz, cxx, cyy, czz in SteadyKernel(fixed.N, phis, qs.size).maps(b, u):
-        # in Quantifier order
-        maps[:, rows] = (chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3],
-                         xstate_log_negativity(mz, cxx, cyy, czz, 0.0), czz)
+    kernel = SteadyKernel(fixed.N, phis, qs.size)
+    for rows, mz, cxx, cyy, czz in kernel.maps(*axis(0)):
+        # in Quantifier order; the Bell terms last, over mz
+        maps[1:, rows] = xstate_log_negativity(mz, cxx, cyy, czz, 0.0), czz
+        maps[0, rows] = chsh_arrays(cxx, cyy, czz, 0.0, 0.0,
+                                    [mz, *kernel.spare(mz.shape)])[3]
     code, on = phase_codes(kind, fixed, qs)
     same = (code[:, None] == code[None, :]) & ~(on[:, None] | on[None, :])
     return {quantifier: PhaseDiagram(kind=kind, fixed=fixed, grid=grid,
@@ -300,10 +313,10 @@ def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str | None = None,
 
 
 # Fewest cell-sites (grid cells times chain length N, summed over its
-# points) per curve worker.  A point took about 0.1-0.15 ns per
-# cell-site on one thread, and a worker about 10 ms more than its
-# points (fork, copy-on-write faults, reaping; 2-vCPU x86 guest,
-# py3.11).  So a worker gets at least some 15 ms of points: a 12-point
+# points) per curve worker.  A point took about 0.12-0.15 ns per
+# cell-site on one thread (the 12-point field curve on 601^2 at N = 512
+# in 0.27-0.32 s), and a worker about 10 ms more than its points (fork,
+# copy-on-write faults, reaping; 2-vCPU x86 guest, py3.11).  So a worker gets at least some 15 ms of points: a 12-point
 # field curve on 601^2 at N = 512 takes 2 workers, the README coupling
 # curve (3 points on 251^2) one.
 CURVE_WORK = 2 ** 27
@@ -370,12 +383,12 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
     qs = grid.values()
     cross = [_cross_blocks(kind, fixed, qs, boundary, cross_lines) for fixed in params]
     with one_blas_thread() as blas_threads:
-        phis, axes = _axes(kind, qs, params)  # lazy: one point's axis at a time
+        phis, axis = _axes(kind, qs, params)  # one point's axis at a time
 
         def part(lo, hi):
             kernel = SteadyKernel(N, phis, qs.size)
-            return np.array([_cross_max(kernel, axis, *blocks) for blocks, axis in
-                             zip(cross[lo:hi], itertools.islice(axes, lo, hi))])
+            return np.array([_cross_max(kernel, axis(k), *cross[k])
+                             for k in range(lo, hi)])
 
         def send(lo, hi, out):
             out.write(part(lo, hi).tobytes())

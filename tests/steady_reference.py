@@ -47,8 +47,9 @@ def steady_correlators(quench: QuenchSpec) -> CorrelatorSet:
     """Dephased (diagonal-ensemble) correlators; the t -> infinity limit."""
     phis, gy, gz, b_f, u_f = _quench_blocks(quench)
     ny, nz, _ = _steady_bloch(gy, gz, b_f, u_f)
-    sums = (np.sum(nz), np.sum(np.cos(phis) * nz), np.sum(np.sin(phis) * ny), 0.0)
-    mz, cxx, cyy, czz, cxy = _correlators_from_sums(phis, sums, quench.initial.N)
-    return CorrelatorSet(mz=float(mz), cxx=float(cxx), cyy=float(cyy),
-                         czz=float(czz), cxy=float(cxy), cyx=float(cxy),
+    sums = np.array([[np.sum(nz)], [np.sum(np.cos(phis) * nz)],
+                     [np.sum(np.sin(phis) * ny)], [0.0]])
+    mz, cxx, cyy, czz, cxy = (float(v[0]) for v in _correlators_from_sums(
+        np.cos(phis).sum(), sums, quench.initial.N, np.empty((2, 1))))
+    return CorrelatorSet(mz=mz, cxx=cxx, cyy=cyy, czz=czz, cxy=cxy, cyx=cxy,
                          t=STEADY)

@@ -482,18 +482,19 @@ class TestNonFiniteInput:
         assert "t must be finite" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["evolve", "--alpha", "10", "--q-initial", "0.5", "--q-final", "1e308",
-         "--t-max", "1", "--dt", "0.5"],
-        ["threshold-curve", "--points", "3", "--q-min=-1e300", "--q-max", "1e300",
-         "--step", "1e299"],
+    @pytest.mark.parametrize("argv, code, message", [
+        (["evolve", "--alpha", "10", "--q-initial", "0.5", "--q-final", "1e308",
+          "--t-max", "1", "--dt", "0.5"], 3, "NaN or infinite"),
+        (["threshold-curve", "--points", "3", "--q-min=-1e300", "--q-max", "1e300",
+          "--step", "1e299"], 2, "overflow the steady squares"),
     ], ids=["evolve", "threshold-curve"])
-    def test_non_finite_result_refused(self, tmp_path, capsys, argv):
-        # finite inputs that overflow the kernels (the angle 2 Lambda t,
-        # the squares of the grid values): exit 3 and no output
+    def test_non_finite_result_refused(self, tmp_path, capsys, argv, code, message):
+        # finite inputs that overflow the kernels: the angle 2 Lambda t
+        # reaches the exit-3 net of run_command; a field grid whose
+        # squares would is refused up front (sweep.GridSpec)
         out = tmp_path / "o"
-        assert run([*argv, "--gamma", "1", "--n", "8", "--out", str(out)]) == 3
-        assert "NaN or infinite" in capsys.readouterr().err
+        assert run([*argv, "--gamma", "1", "--n", "8", "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, name", [("sweep", "results.json"),

@@ -307,7 +307,9 @@ class TestCutoffs:
 
     def correlators(self, sums):
         """(mz, cxx, cyy, czz) of one block's mode sums."""
-        return np.ravel(_correlators_from_sums(self.PHIS, sums, 2)[:4])
+        sums = np.array(sums, dtype=float).reshape(4, -1)
+        return np.ravel(_correlators_from_sums(
+            np.cos(self.PHIS).sum(), sums, 2, np.empty((2, sums.shape[1])))[:4])
 
     def block(self, lam_f):
         # initial and final fields point along different axes

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -11,16 +12,19 @@ from bellquench.bell import (bell_value, chsh_arrays, log_negativity,
                              reconstruct_rho12)
 from bellquench.errors import ThresholdUndefinedError
 from bellquench.model import ModelParams, QuenchKind, phase_codes, same_phase_area
-from bellquench.momentum import MEMORY_CAP, check_footprint
-from bellquench.sweep import (FIELD_GRID, GridSpec, Quantifier,
+from bellquench.momentum import (MEMORY_CAP, STEADY_DEGENERACY_TOL,
+                                 check_footprint, mode_angles)
+from bellquench.sweep import (FIELD_GRID, MAX_GRID_VALUE, GridSpec, Quantifier,
                               _cross_blocks, critical_threshold, cross_cell_count,
                               curve_workers, efficiency, steady_cell, sweep,
                               sweep_all, threshold_curve)
 from phase_reference import (PhaseLabel, classify_coupling_value,
                              classify_field_value, classify_pair)
 from steady_reference import steady_correlators
+import readout_reference
 from bellquench import oracle
-from bellquench.dynamics import SteadyKernel, _axes, correlators_at, openblas
+from bellquench.dynamics import (ROW_CHUNK, CorrelatorSet, SteadyKernel, _axes,
+                                 _correlators_from_sums, correlators_at, openblas)
 
 
 def fixed_params(**kwargs):
@@ -52,6 +56,19 @@ class TestGridSpec:
         # a step beyond the span rounds to zero steps: a one-value grid
         with pytest.raises(ValueError, match="at least one step"):
             GridSpec(-3.0, 3.0, 1e10)
+        # values whose steady squares would overflow
+        above = np.nextafter(MAX_GRID_VALUE, np.inf)
+        for q_min, q_max in ((-above, MAX_GRID_VALUE), (-MAX_GRID_VALUE, above),
+                             (1.0, above)):
+            with pytest.raises(ValueError, match="overflow the steady squares"):
+                GridSpec(q_min, q_max, above / 4)
+
+    def test_maps_finite_at_the_largest_values(self):
+        grid = GridSpec(-MAX_GRID_VALUE, MAX_GRID_VALUE, MAX_GRID_VALUE / 4)
+        maps = sweep_all(QuenchKind.FIELD, fixed_params(N=8, alpha=3.0), grid)
+        assert all(np.isfinite(diagram.values).all() for diagram in maps.values())
+        curve = threshold_curve(QuenchKind.FIELD, 1.0, [3.0], grid, N=8)
+        assert np.isfinite(curve[0][1])
 
 
 class TestSweepValues:
@@ -492,8 +509,11 @@ def kernel_maps(kind, fixed, grid):
     """(mz, cxx, cyy, czz) over the whole grid, stacked from the steady
     kernel's row chunks; they cover the grid's rows in order."""
     qs = grid.values()
-    phis, ((b, u),) = _axes(kind, qs, [fixed])
-    chunks = list(SteadyKernel(fixed.N, phis, qs.size).maps(b, u))
+    phis, axis = _axes(kind, qs, [fixed])
+    b, u = axis(0)
+    # each chunk's arrays are the kernel's buffers, which the next overwrites
+    chunks = [(rows, *(m.copy() for m in maps))
+              for rows, *maps in SteadyKernel(fixed.N, phis, qs.size).maps(b, u)]
     rows = np.concatenate([np.arange(qs.size)[c[0]] for c in chunks])
     assert np.array_equal(rows, np.arange(qs.size))
     return [np.concatenate(maps) for maps in list(zip(*chunks))[1:]]
@@ -509,11 +529,111 @@ def test_entanglement_map_bits_unchanged(kind, fixed, grid):
     maps = sweep_all(kind, fixed, grid)
     assert np.array_equal(maps[Quantifier.BELL].values,
                           chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3])
+    assert np.array_equal(maps[Quantifier.BELL].values,
+                          readout_reference.bell(cxx, cyy, czz, 0.0, 0.0))
     assert np.array_equal(maps[Quantifier.CZZ].values, czz)
     assert np.array_equal(maps[Quantifier.ENTANGLEMENT].values,
                           steady_entanglement_map(mz, cxx, cyy, czz))
     assert np.array_equal(sweep(kind, fixed, grid, Quantifier.ENTANGLEMENT).values,
                           maps[Quantifier.ENTANGLEMENT].values)
+
+
+def degenerate_axis(N, n, seed):
+    """Hand-built (b, u) rows of n grid values: rows ROW_CHUNK to
+    ROW_CHUNK + 20 hold blocks with b = u = 0 and blocks of gap 5e-13
+    (degenerate in the steady limit only), the other rows none."""
+    rng = np.random.default_rng(seed)
+    b, u = rng.normal(size=(2, n, N // 2))
+    zero = ROW_CHUNK + rng.integers(0, 10, 6), rng.integers(0, N // 2, 6)
+    tiny = ROW_CHUNK + 10 + rng.integers(0, 10, 6), rng.integers(0, N // 2, 6)
+    b[zero] = u[zero] = 0.0
+    b[tiny], u[tiny] = 3e-13, -4e-13
+    return b, u
+
+
+def steady_cases():
+    """(N, phis, b, u, order, blocks): random field and coupling grids
+    with their cross blocks, and hand-built rows with exact zeros."""
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        N = int(rng.choice([16, 32, 64]))
+        gamma = float(rng.uniform(0.1, 1.0))
+        for kind, fixed, grid in (
+                (QuenchKind.FIELD, fixed_params(N=N, gamma=gamma,
+                                                alpha=float(rng.uniform(0.6, 6.0))),
+                 GridSpec(-3.0, 3.0, 0.05)),
+                (QuenchKind.COUPLING, fixed_params(N=N, gamma=gamma,
+                                                   h=float(rng.uniform(-0.7, 0.4))),
+                 GridSpec(0.5, 3.0, 0.02))):
+            qs = grid.values()
+            phis, axis = _axes(kind, qs, [fixed])
+            order, blocks = _cross_blocks(kind, fixed, qs, None, None)
+            yield (N, phis, *axis(0), order, blocks)
+    n = 2 * ROW_CHUNK + 22
+    for N, order, blocks in (
+            (16, None, [(slice(0, n), slice(0, n))]),
+            (8, np.random.default_rng(1).permutation(n),
+             [(slice(0, 70), slice(70, n)), (slice(100, n), slice(0, 100))])):
+        yield (N, mode_angles(N), *degenerate_axis(N, n, N), order, blocks)
+
+
+class TestLeanReadout:
+    """The steady kernel and the threshold path keep the bits of the
+    readout as written before it ran in place (readout_reference)."""
+
+    @pytest.mark.parametrize("case", list(steady_cases()))
+    def test_maps_keep_their_bits(self, case):
+        N, phis, b, u, order, blocks = case
+        kernel = SteadyKernel(N, phis, b.shape[0])
+        expected = readout_reference.steady_chunks(N, phis, b, u, blocks, order)
+        # a degenerate block is not divided by its zero gap
+        with np.errstate(divide="raise", invalid="raise"):
+            got = [(rows, *(m.copy() for m in maps))
+                   for rows, *maps in kernel.maps(b, u, blocks, order)]
+        for (rows, *maps), (want_rows, *want) in itertools.zip_longest(got, expected):
+            assert rows == want_rows
+            for value, reference in zip(maps, want):
+                assert np.array_equal(value, reference)
+
+    @pytest.mark.parametrize("case", list(steady_cases()))
+    def test_cross_max_is_bell_max(self, case):
+        N, phis, b, u, order, blocks = case
+        kernel = SteadyKernel(N, phis, b.shape[0])
+        b_c = sweep_mod._cross_max(kernel, (b, u), order, blocks)
+        assert b_c == max(np.max(chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3])
+                          for _, _, cxx, cyy, czz in kernel.maps(b, u, blocks, order))
+        assert b_c == max(np.max(readout_reference.bell(cxx, cyy, czz, 0.0, 0.0))
+                          for _, _, cxx, cyy, czz in readout_reference.steady_chunks(
+                              N, phis, b, u, blocks, order))
+
+    def test_timed_terms_keep_their_bits(self):
+        # the timed path's n_x sums and evolve's C_xy are arrays: their
+        # terms are added, as before, and scalars give the array bits
+        rng = np.random.default_rng(3)
+        phis = mode_angles(32)
+        sums = rng.normal(size=(4, 300)) * [[16.0], [8.0], [8.0], [4.0]]
+        sums[3, :50] = 0.0
+        expected = readout_reference.correlators(phis, sums, 32)
+        got = _correlators_from_sums(np.cos(phis).sum(), sums, 32, np.empty((2, 300)))
+        for value, reference in zip(got, expected):
+            assert np.array_equal(value, reference)
+        cxx, cyy, czz, cxy, cyx = rng.uniform(-1.0, 1.0, size=(5, 300))
+        cxy[:50] = cyx[:50] = 0.0
+        for args in ((cxx, cyy, czz, cxy, cyx), (cxx, cyy, czz, cxy, cxy)):
+            reference = readout_reference.bell(*args)
+            assert np.array_equal(chsh_arrays(*args)[3], reference)
+            assert [bell_value(CorrelatorSet(0.0, *cell)) for cell in zip(*args)] == \
+                reference.tolist()
+
+    def test_degenerate_chunks_are_hit(self):
+        # the hand-built rows: exact zeros and steady-only degenerate
+        # blocks in the second chunk, none in the first and the third
+        _, _, b, u, _, _ = list(steady_cases())[-2]
+        lam = np.hypot(u, b)
+        degen = lam < STEADY_DEGENERACY_TOL
+        assert [degen[lo:lo + ROW_CHUNK].any()
+                for lo in range(0, b.shape[0], ROW_CHUNK)] == [False, True, False]
+        assert (lam == 0.0).any() and (degen & (lam > 1e-14)).any()
 
 
 def test_efficiency_counts_cross_cells_of_the_policy():
