@@ -16,8 +16,8 @@ lambda_plus; the generic-eigensolver cross-check in the tests covers
 all orderings.  chsh_arrays evaluates it elementwise over arrays,
 and returns lambda_plus, lambda_minus and C_zz**2 beside B.  It is the
 one Bell kernel: bell_value, the evolve time series and the steady
-maps call it, and the threshold curves its body, _chsh_terms, which
-stops at the radicand (B/2)**2, so a maximum takes one square root.
+maps call it, threshold curves its body _chsh_terms, which stops at
+(B/2)**2, so that a maximum takes one square root.
 
 The pair state is an X-state with equal local magnetizations:
 diagonal r00, r33 = (1 +- 2 m_z + C_zz)/4, r11 = r22 = (1 - C_zz)/4,
@@ -44,50 +44,42 @@ from .errors import InconsistentCorrelatorsError
 PSD_TOL = 1e-6
 
 
-def chsh_arrays(cxx, cyy, czz, cxy, cyx, out=None):
-    """Closed-form (lambda_plus, lambda_minus, C_zz**2, B), elementwise,
-    in the four arrays of `out` or fresh ones (_chsh_terms)."""
-    lam_plus, lam_minus, czz_sq, bell = _chsh_terms(cxx, cyy, czz, cxy, cyx, out)
-    np.multiply(2.0, np.sqrt(bell, out=bell), out=bell)
-    return lam_plus[()], lam_minus[()], czz_sq[()], bell[()]
+def chsh_arrays(cxx, cyy, czz, cxy, cyx):
+    """Closed-form (lambda_plus, lambda_minus, C_zz**2, B), elementwise:
+    the terms of _chsh_terms, with B = 2 sqrt of its radicand."""
+    out = [np.empty(np.broadcast(cxx, cyy, czz, cxy, cyx).shape) for _ in range(4)]
+    lam_plus, lam_minus, czz_sq, radicand = _chsh_terms(cxx, cyy, czz, cxy, cyx, out)
+    return lam_plus[()], lam_minus[()], czz_sq[()], 2.0 * np.sqrt(radicand)
 
 
-def _square(x, out):
-    # x * x, not x ** 2: float ** 2 calls libm pow, which may round
-    # otherwise, and floats and arrays must give the same bits
-    return np.multiply(x, x, out=out)
-
-
-def _chsh_terms(cxx, cyy, czz, cxy, cyx, out=None):
-    """(lambda_plus, lambda_minus, C_zz**2, (B/2)**2) as arrays (0-d for
-    scalars), in the four of `out` or fresh ones.
+def _chsh_terms(cxx, cyy, czz, cxy, cyx, out):
+    """(lambda_plus, lambda_minus, C_zz**2, (B/2)**2), elementwise, in
+    the four arrays of `out`.
 
     lambda_pm = (s +- root) / 2, s the squared norm of the xy block.
     root**2 = s**2 - 4 det**2 is taken as a product of two sums of
     squares: the difference cancels when lambda_plus ~ lambda_minus and
-    can put B 3e-11 off there.  A C_xy and C_yx that are both the
-    scalar 0 (the steady state) add no squares: each would add +0.0 to
-    a value >= +0, which leaves it as it is.
+    can put B 3e-11 off there.  Squares are x * x (np.square), not
+    x ** 2: float ** 2 calls libm pow, which may round otherwise, and
+    floats and arrays must give the same bits.  Scalar 0 C_xy and C_yx
+    (steady states) add no squares: each would add +0.0 to a value >= +0.
     """
-    shape = np.broadcast_shapes(*map(np.shape, (cxx, cyy, czz, cxy, cyx)))
-    lam_plus, lam_minus, czz_sq, radicand = (
-        (np.empty(shape) for _ in range(4)) if out is None else out)
-    # s in lam_minus, plus**2 (+ skew**2) and then root in radicand,
-    # minus**2 (+ sym**2) in czz_sq, each added square in lam_plus
-    s = np.add(_square(cxx, lam_minus), _square(cyy, lam_plus), out=lam_minus)
-    plus_sq = _square(np.add(cxx, cyy, out=radicand), radicand)
-    minus_sq = _square(np.subtract(cxx, cyy, out=czz_sq), czz_sq)
+    lam_plus, s, czz_sq, root = out
+    # plus**2 (+ skew**2) in root, minus**2 (+ sym**2) in czz_sq
+    np.add(np.square(cxx, out=s), np.square(cyy, out=lam_plus), out=s)
+    np.square(np.add(cxx, cyy, out=root), out=root)
+    np.square(np.subtract(cxx, cyy, out=czz_sq), out=czz_sq)
     if np.ndim(cxy) or np.ndim(cyx) or cxy or cyx:
-        s += _square(cxy, lam_plus)
-        s += _square(cyx, lam_plus)
-        plus_sq += _square(np.subtract(cxy, cyx, out=lam_plus), lam_plus)
-        minus_sq += _square(np.add(cxy, cyx, out=lam_plus), lam_plus)
-    root = np.sqrt(np.multiply(plus_sq, minus_sq, out=radicand), out=radicand)
+        s += np.square(cxy, out=lam_plus)
+        s += np.square(cyx, out=lam_plus)
+        root += np.square(np.subtract(cxy, cyx, out=lam_plus), out=lam_plus)
+        czz_sq += np.square(np.add(cxy, cyx, out=lam_plus), out=lam_plus)
+    np.sqrt(np.multiply(root, czz_sq, out=root), out=root)
     np.multiply(np.add(s, root, out=lam_plus), 0.5, out=lam_plus)
-    np.maximum(np.multiply(np.subtract(s, root, out=s), 0.5, out=s), 0.0, out=lam_minus)
-    np.add(lam_plus, np.maximum(lam_minus, _square(czz, czz_sq), out=radicand),
-           out=radicand)
-    return lam_plus, lam_minus, czz_sq, radicand
+    np.multiply(np.subtract(s, root, out=s), 0.5, out=s)
+    lam_minus = np.maximum(s, 0.0, out=s)
+    np.maximum(lam_minus, np.square(czz, out=czz_sq), out=root)
+    return lam_plus, lam_minus, czz_sq, np.add(lam_plus, root, out=root)
 
 
 def bell_value(c: CorrelatorSet) -> float:

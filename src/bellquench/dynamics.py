@@ -52,7 +52,7 @@ contiguous kernel rows and columns.  A kernel row holds one grid value,
 in grid order or in an order the caller gives: the sweeps run whole
 grids, the threshold curves the cross-phase rectangles of the
 phase-ordered grid.  A kernel keeps the arrays of one grid size (gy,
-gz and the six final-side factors) and seven chunk buffers, so a
+gz and the six final-side factors) and eight chunk buffers, so a
 threshold curve refills them at each point instead of allocating
 arrays that the allocator hands back to the system and the next point
 or chunk faults in again.  It fills them ROW_CHUNK values at a time
@@ -292,13 +292,9 @@ def _timed_mode_sums(phis, gy, gz, b_f, u_f, starts, offsets=(0.0,)):
 
 def _correlators_from_sums(sum_cos, sums, N, out):
     """(sum n_z, sum cos n_z, sum sin n_y, sum sin n_x) ->
-    (mz, cxx, cyy, czz, cxy), elementwise, with sum_cos = sum cos(phi):
-    cxx and cyy in the two arrays of `out`, mz and czz over the first
-    and third sums, which with the second are arrays it overwrites.  A
-    scalar 0 n_x sum adds no square: +0.0 leaves values >= +0 as they
-    are."""
-    s_z, m_cos, m_sin, m_x = sums
-    cxx, cyy = out
+    (mz, cxx, cyy, czz, cxy), elementwise; sum_cos = sum cos(phi).  cxx
+    and cyy go to `out`; mz, scratch and czz over the first three sums."""
+    (s_z, m_cos, m_sin, m_x), (cxx, cyy) = sums, out
     two_n = 2.0 / N
     g1 = np.subtract(sum_cos, m_cos, out=m_cos)  # N g1, taken once
     np.multiply(two_n, np.subtract(g1, m_sin, out=cxx), out=cxx)
@@ -306,14 +302,12 @@ def _correlators_from_sums(sum_cos, sums, N, out):
     mz = np.multiply(two_n, s_z, out=s_z)
     g1 /= N
     # czz = mz**2 + 4 (f_re**2 + f_im**2 - g1**2), f_im = -m_x / N
-    czz = np.divide(m_sin, N, out=m_sin)
-    czz *= czz
-    if np.ndim(m_x) or m_x:
-        f_im = -m_x / N
-        czz += f_im * f_im
-    czz -= np.multiply(g1, g1, out=g1)
+    czz = np.square(np.divide(m_sin, N, out=m_sin), out=m_sin)
+    f_im = -m_x / N
+    czz += f_im * f_im
+    czz -= np.square(g1, out=g1)
     czz *= 4.0
-    czz += np.multiply(mz, mz, out=g1)
+    czz += np.square(mz, out=g1)
     return mz, cxx, cyy, czz, two_n * m_x
 
 
@@ -326,20 +320,19 @@ class SteadyKernel:
     """
 
     def __init__(self, N: int, phis, n: int):
-        self.N, self.phis = N, phis
-        self.cos_p, self.sin_p = np.cos(phis), np.sin(phis)
+        self.N, self.cos_p, self.sin_p = N, np.cos(phis), np.sin(phis)
         self.sum_cos = float(np.sum(self.cos_p))
         self.gy, self.gz = np.empty((n, phis.size)), np.empty((n, phis.size))
         self.final = np.empty((6, n, phis.size))
-        # a chunk's mode sums (then mz, a work array and czz), cxx, cyy, spares
-        self.chunk = np.empty((7, ROW_CHUNK * n))
+        # per chunk: mz, czz, cxx, cyy, and four spares, the first for sum cos n_z
+        self.chunk = np.empty((8, ROW_CHUNK * n))
 
-    def _arrays(self, shape, buffers):
-        return [self.chunk[k, :shape[0] * shape[1]].reshape(shape) for k in buffers]
+    def _buffers(self, shape):
+        return self.chunk[:, :math.prod(shape)].reshape(8, *shape)
 
     def spare(self, shape):
-        """Three chunk buffers free until the next chunk (Bell terms)."""
-        return self._arrays(shape, (1, 5, 6))
+        """Four chunk buffers that no yielded array uses, until the next."""
+        return self._buffers(shape)[4:]
 
     def _fill(self, b, u, order):
         """The per-value factors of b and u (from _axes), row r from grid
@@ -350,7 +343,7 @@ class SteadyKernel:
             u_c, b_c = u[take], b[take]
             lam, self.gy[part], self.gz[part] = ground_bloch(u_c, b_c)
             degen_f = lam < STEADY_DEGENERACY_TOL
-            safe2 = np.multiply(lam, lam, out=lam)
+            safe2 = np.square(lam, out=lam)
             safe2[degen_f] = 1.0
             # j-side factors ub, u^2 and b^2 over L^2 (0, 1, 1 for a block that
             # does not dephase), weighted for sum nz, sum cos*nz, sum sin*ny
@@ -359,8 +352,7 @@ class SteadyKernel:
                                   (4, b_c, b_c, 1.0)):
                 np.divide(np.multiply(x, y, out=f[k]), safe2, out=f[k])
                 f[k][degen_f] = held
-            np.multiply(self.cos_p, f[0], out=f[2])
-            np.multiply(self.cos_p, f[1], out=f[3])
+            np.multiply(self.cos_p, f[:2], out=f[2:4])
             np.multiply(self.sin_p, f[0], out=f[5])
             np.multiply(self.sin_p, f[4], out=f[4])
 
@@ -371,17 +363,15 @@ class SteadyKernel:
         arrays are chunk buffers, which the next chunk overwrites."""
         self._fill(b, u, order)
         for rows, cols in blocks:
-            f_m_y, f_m_z, f_z_y, f_z_z, f_y_y, f_y_z = (
-                f.T for f in self.final[:, cols])
+            final = [f.T for f in self.final[:, cols]]
             start, stop, _ = rows.indices(self.gy.shape[0])
             for lo in range(start, stop, ROW_CHUNK):
                 part = slice(lo, min(lo + ROW_CHUNK, stop))
                 gy_c, gz_c = self.gy[part], self.gz[part]
-                s_z, m_cos, m_sin, cxx, cyy = self._arrays(
-                    (gy_c.shape[0], f_m_y.shape[1]), range(5))
-                # cxx holds each sum's second product until the correlators
-                for out, f_y, f_z in ((s_z, f_m_y, f_m_z), (m_cos, f_z_y, f_z_z),
-                                      (m_sin, f_y_y, f_y_z)):
+                s_z, m_sin, cxx, cyy, m_cos, *_ = self._buffers(
+                    (gy_c.shape[0], final[0].shape[1]))
+                # cxx holds each mode sum's second product until the correlators
+                for out, f_y, f_z in zip((s_z, m_cos, m_sin), final[::2], final[1::2]):
                     np.add(np.matmul(gy_c, f_y, out=out),
                            np.matmul(gz_c, f_z, out=cxx), out=out)
                 # the steady state has no n_x, so its mode sum is 0
@@ -397,8 +387,7 @@ def _timed_correlators(quench: QuenchSpec, starts, offsets=(0.0,)):
     sums = _timed_mode_sums(phis, gy, gz, b[1], u[1], starts, offsets)
     mz, cxx, cyy, czz, cxy = _correlators_from_sums(
         np.cos(phis).sum(), sums, quench.initial.N, np.empty((2, sums.shape[1])))
-    # copies, so that the array of the sums is freed
-    return mz.copy(), cxx, cyy, czz.copy(), cxy
+    return mz.copy(), cxx, cyy, czz.copy(), cxy  # copies free the sums
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ TIMED_DEGENERACY_TOL = 1e-30
 MEMORY_CAP = 2 ** 30
 # Peak bytes per element, traced with tracemalloc at N = 512 on the
 # 601 x 601 grid and rounded up: 24 per (phi, r) entry of the dispersion
-# tables; 93 (field) and 117 (coupling) per (grid value, mode) entry for
+# tables; 97 (field) and 124 (coupling) per (grid value, mode) entry for
 # a threshold curve's whole peak (axis, SteadyKernel arrays and chunks);
 # 28 per cell of the maps a sweep holds (sweep_all's peak less that of
 # the kernel alone); 124 per sample of an evolve time grid (its output
@@ -137,8 +137,6 @@ def ground_bloch(u, b):
     """
     lam = np.hypot(u, b)
     degen = lam < DEGENERACY_TOL
-    if not degen.any():
-        return lam, b / lam, u / lam
     safe = np.where(degen, 1.0, lam)
     return lam, np.where(degen, 0.0, b / safe), np.where(degen, -1.0, u / safe)
 

@@ -18,7 +18,8 @@ and cross-line policy (_cross_blocks, from model.phase_codes), and
 `critical_threshold` reduces a diagram over exactly those.
 `threshold_curve` evaluates one kernel, reused by every point, on
 the rectangles alone and never builds a diagram: about 44 % of the
-cells of a 601 x 601 field grid.  Each curve makes one dispersion
+cells of a 601 x 601 field grid, with one square root per point, of
+the largest Bell radicand (B/2)**2 (_cross_max).  Each curve makes one dispersion
 call (_axes): over its alphas, or over a coupling grid's alpha axis,
 shared by every h.  The curve values agree with
 critical_threshold(sweep(...)) to rounding (the block products have
@@ -56,16 +57,9 @@ class Quantifier(enum.Enum):
     CZZ = "czz"
 
 
-# Largest |q| of a grid: as |a| <= 1 and |b| <= gamma <= 1, up to it a field
-# grid's u = a + h and Lambda stay below sqrt(DBL_MAX) ~ 1.34e154, their
-# squares finite.
-MAX_GRID_VALUE = 2.0 ** 511
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform closed grid q_min, q_min + step, ..., q_max, with no value
-    above MAX_GRID_VALUE (about 6.7e153) in size."""
+    """Uniform closed grid q_min, q_min + step, ..., q_max; |q| <= 2^511."""
 
     q_min: float
     q_max: float
@@ -87,8 +81,7 @@ class GridSpec:
         if round(n) < 1:
             raise ValueError("grid span must be at least one step")
         if max(-self.q_min, self.q_max) > MAX_GRID_VALUE:
-            raise ValueError(f"grid values above {MAX_GRID_VALUE:.3g} in size "
-                             "overflow the steady squares")
+            raise ValueError("grid values above 2^511 overflow the steady squares")
 
     @property
     def count(self) -> int:
@@ -98,6 +91,9 @@ class GridSpec:
         return self.q_min + self.step * np.arange(self.count)
 
 
+# Largest |q| of a grid: as |a| <= 1 and |b| <= gamma <= 1, a field grid's
+# u = a + h and Lambda stay below sqrt(DBL_MAX) ~ 1.34e154, their squares finite.
+MAX_GRID_VALUE = 2.0 ** 511
 FIELD_GRID = GridSpec(-3.0, 3.0, 0.01)
 COUPLING_GRID = GridSpec(0.5, 3.0, 0.01)
 
@@ -221,10 +217,9 @@ def _cross_max(kernel: SteadyKernel, axis, order, blocks) -> float:
     the point's (b, u) from _axes.  A correctly rounded sqrt is
     monotone, so 2 sqrt of the largest radicand is the largest B.
     """
-    radicand = np.max([np.max(_chsh_terms(cxx, cyy, czz, 0.0, 0.0,
-                                          [mz, *kernel.spare(mz.shape)])[3])
-                       for _, mz, cxx, cyy, czz in kernel.maps(*axis, blocks, order)])
-    return float(2.0 * np.sqrt(radicand))
+    return float(2.0 * np.sqrt(np.max([
+        np.max(_chsh_terms(cxx, cyy, czz, 0.0, 0.0, kernel.spare(cxx.shape))[3])
+        for _, _, cxx, cyy, czz in kernel.maps(*axis, blocks, order)])))
 
 
 def cross_cell_count(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
@@ -253,12 +248,10 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams,
     qs = grid.values()
     phis, axis = _axes(kind, qs, [fixed])
     maps = np.empty((len(Quantifier), qs.size, qs.size))
-    kernel = SteadyKernel(fixed.N, phis, qs.size)
-    for rows, mz, cxx, cyy, czz in kernel.maps(*axis(0)):
-        # in Quantifier order; the Bell terms last, over mz
-        maps[1:, rows] = xstate_log_negativity(mz, cxx, cyy, czz, 0.0), czz
-        maps[0, rows] = chsh_arrays(cxx, cyy, czz, 0.0, 0.0,
-                                    [mz, *kernel.spare(mz.shape)])[3]
+    for rows, mz, cxx, cyy, czz in SteadyKernel(fixed.N, phis, qs.size).maps(*axis(0)):
+        # in Quantifier order
+        maps[:, rows] = (chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3],
+                         xstate_log_negativity(mz, cxx, cyy, czz, 0.0), czz)
     code, on = phase_codes(kind, fixed, qs)
     same = (code[:, None] == code[None, :]) & ~(on[:, None] | on[None, :])
     return {quantifier: PhaseDiagram(kind=kind, fixed=fixed, grid=grid,
@@ -313,11 +306,11 @@ def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str | None = None,
 
 
 # Fewest cell-sites (grid cells times chain length N, summed over its
-# points) per curve worker.  A point took about 0.12-0.15 ns per
-# cell-site on one thread (the 12-point field curve on 601^2 at N = 512
-# in 0.27-0.32 s), and a worker about 10 ms more than its points (fork,
-# copy-on-write faults, reaping; 2-vCPU x86 guest, py3.11).  So a worker gets at least some 15 ms of points: a 12-point
-# field curve on 601^2 at N = 512 takes 2 workers, the README coupling
+# points) per curve worker.  A point took 0.12-0.15 ns per cell-site on
+# one thread (the 12-point field curve on 601^2, N = 512: 0.27-0.32 s),
+# a worker about 10 ms more than its points (fork, copy-on-write faults,
+# reaping; 2-vCPU x86 guest, py3.11).  So a worker gets at least some
+# 15 ms of points: that field curve takes 2 workers, the README coupling
 # curve (3 points on 251^2) one.
 CURVE_WORK = 2 ** 27
 

@@ -131,10 +131,10 @@ class TestFootprint:
         with pytest.raises(ResourceCapError):
             check_footprint(512, 60_000_001, 60_000_001 ** 2)
 
-    # traced peak of the sweep below: 7.9 MB; one that held the four
+    # traced peak of the sweep below: 8.2 MB; one that held the four
     # (n, n) correlator maps before taking the quantifiers traced 11.7 MB
     SWEEP_PEAK_BOUND = 10e6
-    # traced peaks of the curves below: 14.3 MB (field) and 7.6 MB
+    # traced peaks of the curves below: 14.8 MB (field) and 7.9 MB
     # (coupling); a kernel that gathered its columns into a copy of its
     # factor arrays traced 22.8 MB and 10.1 MB
     CURVE_PEAK_BOUNDS = {"field": 18e6, "coupling": 9e6}
