@@ -3,6 +3,16 @@ long-range anisotropic XY chain."""
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as numpy loads it: an idle worker
+# spins 2**value TSC cycles before it sleeps (2**28, about 0.1 s, by default,
+# after start-up and every threaded product); 2**20 is under 1 ms.  A set value
+# is kept; where numpy was loaded first, OpenBLAS kept its own and this is None.
+BLAS_THREAD_TIMEOUT = (None if "numpy" in sys.modules else
+                       os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20"))
+
 from .model import (ModelParams, QuenchKind, QuenchSpec, coupling_profile,
                     field_quench, kac_factor, phase_codes, same_phase_area)
 from .momentum import mode_angles

@@ -19,8 +19,8 @@ run frame, calls it, refuses a NaN or infinite number bound for a CSV
 or JSON file (but a failed oracle report), and only then makes the
 output directory, writes each file and a manifest.json carrying the
 resolved config, checksums of each artifact, the (volatile) wall-clock
-duration and the runtime (BLAS kernel and threads, writer CPUs, a
-curve's worker processes).  So a refused run writes no file.
+duration and the runtime (BLAS kernel, threads and idle spin, writer
+CPUs, a curve's worker processes).  So a refused run writes no file.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract
 violation (undefined threshold, non-positive state, a non-finite CSV
@@ -40,7 +40,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_TIMEOUT, __version__
 from .bell import chsh_arrays, xstate_log_negativity
 from .dynamics import TimeGrid, correlator_arrays
 from .errors import (BellquenchError, ConfigError, InconsistentCorrelatorsError,
@@ -181,17 +181,21 @@ def _base_params(config, kind, what):
 
 
 def _runtime(ran):
-    """BLAS library, version, runtime kernel and threads (where numpy's
-    scipy-openblas answers), and the CPUs write_csv may use, then what
-    the command reports of its own run (`ran`, which a threshold-curve
-    fills with the BLAS threads and worker processes it used)."""
+    """BLAS library, version, runtime kernel, threads and idle-spin
+    setting (where numpy's scipy-openblas answers; the spin is the
+    OPENBLAS_THREAD_TIMEOUT it started with, None where numpy was loaded
+    before this package), and the CPUs write_csv may use, then what the
+    command reports of its own run (`ran`, which a threshold-curve fills
+    with the BLAS threads and worker processes it used)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {"blas": blas.get("name"), "blas_version": blas.get("version"),
-              "blas_corename": None, "blas_threads": None, "writer_cpus": writer_cpus()}
+              "blas_corename": None, "blas_threads": None,
+              "blas_thread_timeout": None, "writer_cpus": writer_cpus()}
     lib = dynamics.openblas()
     if lib is not None:
         record.update(blas_corename=lib.scipy_openblas_get_corename64_().decode(),
-                      blas_threads=lib.scipy_openblas_get_num_threads64_())
+                      blas_threads=lib.scipy_openblas_get_num_threads64_(),
+                      blas_thread_timeout=BLAS_THREAD_TIMEOUT)
     record.update(ran)
     return record
 

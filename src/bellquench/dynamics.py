@@ -73,7 +73,8 @@ chunk runs whole and is trimmed, so a sample's bits do not depend on
 that length.  A single time is one start and the offset 0.
 correlators_at, correlator_time_series and correlator_arrays (the
 array form evolve writes) all call it; they refuse a NaN, infinite or
-negative time with ValueError.
+negative time with ValueError, and correlator_arrays a final gap
+whose angle 2 Lambda_f t could overflow (_check_angles).
 correlator_arrays checks momentum.check_footprint and TimeGrid.times()
 refuses a grid above MAX_TIME_SAMPLES samples, both with
 ResourceCapError before anything is allocated.
@@ -82,6 +83,9 @@ The BLAS thread count can move the last digits of a steady product.
 openblas finds numpy's scipy-openblas through ctypes for both of its
 users: the manifest's runtime record (cli) and one_blas_thread, which
 pins a threshold curve's products to one thread (sweep.threshold_curve).
+Its idle worker spins 2**OPENBLAS_THREAD_TIMEOUT cycles before it
+sleeps; the package's __init__ sets 20 unless the environment names a
+value, before numpy loads, as OpenBLAS reads it only then.
 """
 
 from __future__ import annotations
@@ -270,9 +274,9 @@ def _timed_mode_sums(phis, gy, gz, b_f, u_f, starts, offsets=(0.0,)):
     v = sin_p * cross_x
     modes = phis.size
     table = np.empty((len(offsets), 2 * modes))
-    # offsets past the end of a grid are computed and then dropped; at a
-    # step near the largest double they overflow
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the offset 0 of one time (correlators_at) times an infinite 2 Lambda_f
+    # is NaN; correlator_arrays refuses such gaps first (_check_angles)
+    with np.errstate(invalid="ignore"):
         offset_angle = np.multiply.outer(np.asarray(offsets, dtype=float), two_lam)
         np.cos(offset_angle, out=table[:, :modes])
         np.sin(offset_angle, out=table[:, modes:])
@@ -398,6 +402,17 @@ def _check_time(t: float) -> None:
         raise ValueError(f"t must be finite and >= 0, got {t}")
 
 
+def _check_angles(h_f: float, t_end: float) -> None:
+    """ValueError unless 2 (|h_f| + 2) t_end <= DBL_MAX (about 1.8e308),
+    a bound on every angle 2 Lambda_f t of the timed kernel up to t_end:
+    the final gaps are Lambda_f = |a + h_f + i b| <= |h_f| + 2, as
+    |a| <= 1 and |b| <= gamma <= 1.  correlator_arrays takes t_end at
+    the end of its padded chunks, whose offsets run past the grid."""
+    if not math.isfinite(2.0 * (abs(h_f) + 2.0) * t_end):
+        raise ValueError(f"final field h = {h_f:.6g} over times up to "
+                         f"{t_end:.6g} would overflow the angle 2 Lambda_f t")
+
+
 def correlators_at(quench: QuenchSpec, t: float) -> CorrelatorSet:
     """Correlators of the evolved state at one instant."""
     _check_time(t)
@@ -430,8 +445,9 @@ def correlator_arrays(quench: QuenchSpec, grid: TimeGrid):
     times = grid.times()
     # sample n = a * TIME_CHUNK + r is start times[a * TIME_CHUNK] plus
     # offset r * dt; the last chunk runs whole and is trimmed
-    values = _timed_correlators(quench, times[::TIME_CHUNK],
-                                grid.dt * np.arange(TIME_CHUNK))
+    starts = times[::TIME_CHUNK]
+    _check_angles(quench.final.h, float(starts[-1]) + (TIME_CHUNK - 1) * grid.dt)
+    values = _timed_correlators(quench, starts, grid.dt * np.arange(TIME_CHUNK))
     return (times, *(v[:times.size] for v in values))
 
 

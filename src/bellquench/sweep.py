@@ -243,7 +243,9 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams,
               grid: GridSpec) -> dict[Quantifier, PhaseDiagram]:
     """All three quantifier maps, each evaluated on every row chunk of
     the steady kernel's correlators; the correlator maps are never held
-    whole."""
+    whole.  A coupling field outside the window of model.same_phase_area
+    is refused with ValueError before any map, as by threshold_curve."""
+    same_phase_area(kind, getattr(fixed, KIND_DEFAULTS[kind].fixed))
     check_footprint(fixed.N, grid.count, grid.count ** 2)
     qs = grid.values()
     phis, axis = _axes(kind, qs, [fixed])

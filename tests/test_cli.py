@@ -17,7 +17,7 @@ import bellquench.sweep as sweep_mod
 from bellquench import momentum
 from bellquench.cli import main
 from bellquench.dynamics import MAX_TIME_SAMPLES, openblas
-from bellquench.output import sha256_file, write_json
+from bellquench.output import sha256_file, write_json, writer_cpus
 
 
 def run(argv):
@@ -94,7 +94,7 @@ class TestSweepCommand:
         assert 0.0 <= results["bell"]["eta"] <= 1.0
         runtime = manifest["runtime"]  # outside the checksums
         assert set(runtime) == {"blas", "blas_version", "blas_corename",
-                                "blas_threads", "writer_cpus"}
+                                "blas_threads", "blas_thread_timeout", "writer_cpus"}
         assert runtime["writer_cpus"] == (len(os.sched_getaffinity(0)) if hasattr(
             os, "sched_getaffinity") else 1)
 
@@ -432,6 +432,59 @@ class TestCurveWorkers:
             assert texts[0] == texts[1], coretype
 
 
+@pytest.mark.skipif(openblas() is None or writer_cpus() < 2,
+                    reason="needs numpy's scipy-openblas and two CPUs for a BLAS worker")
+class TestBlasIdleSpin:
+    """The package starts OpenBLAS with a short idle spin
+    (OPENBLAS_THREAD_TIMEOUT 20) unless the environment sets one."""
+
+    @staticmethod
+    def child(code, *args, timeout=None):
+        """stdout of `code` run with `args` in a fresh interpreter, with
+        OPENBLAS_THREAD_TIMEOUT `timeout` (unset for None) and the BLAS's
+        default thread count."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS")}
+        env.update(PYTHONPATH=SRC, **({} if timeout is None else
+                                      {"OPENBLAS_THREAD_TIMEOUT": timeout}))
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              check=True, capture_output=True, text=True).stdout
+
+    def test_idle_worker_sleeps(self):
+        # after a threaded product the worker no longer spins: 0.3 s of
+        # sleep cost 0.08-0.14 s of process CPU at OpenBLAS's default
+        # timeout (2**28 cycles) and 0.0001-0.004 s at 20
+        cpu = self.child("import time\nimport bellquench.cli\nimport numpy as np\n"
+                         "a = np.ones((800, 800))\na @ a\n"
+                         "start = time.process_time()\ntime.sleep(0.3)\n"
+                         "print(time.process_time() - start)\n")
+        assert float(cpu) < 0.03
+
+    SWEEP = ("import sys\nfrom bellquench.cli import main\n"
+             "sys.exit(main(['sweep', '--gamma', '0.8', '--alpha', '3.5', '--n', '16',\n"
+             "               '--step', '0.05', '--quantifiers', 'bell,entanglement,czz',\n"
+             "               '--out', sys.argv[1]]))\n")
+
+    def test_user_value_kept_and_bytes_unchanged(self, tmp_path):
+        # a value the environment sets is the one OpenBLAS starts with,
+        # as the manifest records, and the spin changes no byte
+        runs = {}
+        for timeout in (None, "28"):
+            out = tmp_path / str(timeout)
+            self.child(self.SWEEP, str(out), timeout=timeout)
+            runs[timeout] = read_json(out / "manifest.json")
+        assert runs[None]["runtime"]["blas_thread_timeout"] == "20"
+        assert runs["28"]["runtime"]["blas_thread_timeout"] == "28"
+        assert len(runs[None]["checksums"]) == 6
+        assert runs[None]["checksums"] == runs["28"]["checksums"]
+
+    def test_numpy_loaded_first_keeps_openblas_default(self):
+        assert self.child("import os, numpy, bellquench\n"
+                          "print(bellquench.BLAS_THREAD_TIMEOUT,\n"
+                          "      os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+                          ).split() == ["None", "None"]
+
+
 class TestNonFiniteInput:
     def test_threshold_curve_nan_point(self, tmp_path, capsys):
         assert run(["threshold-curve", "--gamma", "0.5", "--points", "nan",
@@ -484,14 +537,17 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("argv, code, message", [
         (["evolve", "--alpha", "10", "--q-initial", "0.5", "--q-final", "1e308",
-          "--t-max", "1", "--dt", "0.5"], 3, "NaN or infinite"),
+          "--t-max", "1", "--dt", "0.5"], 2, "overflow the angle 2 Lambda_f t"),
+        # a step whose padded chunk (TIME_CHUNK offsets) runs past 1.8e308
+        (["evolve", "--alpha", "10", "--q-initial", "0.5", "--q-final", "2.5",
+          "--t-max", "1", "--dt", "1e308"], 2, "overflow the angle 2 Lambda_f t"),
         (["threshold-curve", "--points", "3", "--q-min=-1e300", "--q-max", "1e300",
           "--step", "1e299"], 2, "overflow the steady squares"),
-    ], ids=["evolve", "threshold-curve"])
+    ], ids=["evolve", "evolve-step", "threshold-curve"])
     def test_non_finite_result_refused(self, tmp_path, capsys, argv, code, message):
-        # finite inputs that overflow the kernels: the angle 2 Lambda t
-        # reaches the exit-3 net of run_command; a field grid whose
-        # squares would is refused up front (sweep.GridSpec)
+        # finite inputs that would overflow the kernels are refused up
+        # front: the angle 2 Lambda t (dynamics._check_angles), a field
+        # grid's squares (sweep.GridSpec)
         out = tmp_path / "o"
         assert run([*argv, "--gamma", "1", "--n", "8", "--out", str(out)]) == code
         assert message in capsys.readouterr().err
@@ -508,6 +564,18 @@ class TestNonFiniteInput:
         out = tmp_path / "o"
         assert run([command, "--out", str(out)]) == 3
         assert "NaN or infinite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_csv_refused(self, tmp_path, monkeypatch, capsys):
+        # a NaN bound for a CSV reaches the exit-3 net of run_command
+        def nan_arrays(quench, grid):
+            one = np.ones(2)
+            return 0.5 * np.arange(2), 0.5 * one, 0.1 * one, 0.1 * one, np.nan * one, 0 * one
+
+        monkeypatch.setattr(cli, "correlator_arrays", nan_arrays)
+        out = tmp_path / "o"
+        assert run(EVOLVE_README + ["--out", str(out)]) == 3
+        assert "timeseries.csv would hold NaN or infinite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_failed_oracle_report_parses(self, tmp_path):

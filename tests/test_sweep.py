@@ -70,6 +70,14 @@ class TestGridSpec:
         curve = threshold_curve(QuenchKind.FIELD, 1.0, [3.0], grid, N=8)
         assert np.isfinite(curve[0][1])
 
+    def test_coupling_field_outside_window_refused(self, monkeypatch):
+        # at h = 1e300 every cell of every map was NaN; the coupling
+        # window refuses it, before any map
+        monkeypatch.setattr(sweep_mod, "SteadyKernel", None)
+        with pytest.raises(ValueError, match="outside"):
+            sweep_all(QuenchKind.COUPLING, ModelParams(8, 1.0, 1.0, 1e300),
+                      GridSpec(0.5, 3.0, 0.5))
+
 
 class TestSweepValues:
     # the grid kernel against the per-mode reference of steady_reference
