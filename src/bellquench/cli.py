@@ -27,11 +27,17 @@ violation (undefined threshold, non-positive state, a non-finite CSV
 or JSON value; also a failed oracle report, which is still written), 4
 resource cap, 1 unexpected failure (such as a failed writer or curve
 worker process).
+
+A process loads only what its command runs: this module imports numpy,
+errors, model and output, each cmd_* its compute modules.  entry, the
+one entry of `bellquench` and `python -m bellquench.cli`, runs main and
+exits without the finalizer's collections; main(argv) only returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -41,21 +47,13 @@ from dataclasses import asdict
 import numpy as np
 
 from . import BLAS_THREAD_TIMEOUT, __version__
-from .bell import chsh_arrays, xstate_log_negativity
-from .dynamics import TimeGrid, correlator_arrays
 from .errors import (BellquenchError, ConfigError, InconsistentCorrelatorsError,
                      NonFiniteResultError, ResourceCapError,
                      ThresholdUndefinedError)
-from .fit import fit_gaussian, fit_trigaussian
-from .model import (QUENCHED, ModelParams, QuenchKind, field_quench,
+from .model import (HELD, QUENCHED, ModelParams, QuenchKind, field_quench,
                     make_quench, same_phase_area)
-from .output import (sha256_file, write_csv, write_json, write_matrix_csv,
-                     writer_cpus)
-from .sweep import (KIND_DEFAULTS, GridSpec, Quantifier, check_policy,
-                    check_window, critical_threshold, cross_cell_count,
-                    efficiency, sweep_all, threshold_curve)
-from . import oracle as oracle_mod
-from . import dynamics, momentum
+from .output import (openblas, sha256_file, write_csv, write_json,
+                     write_matrix_csv, writer_cpus)
 
 SCHEMA_VERSION = 1
 OUT_ENV = "BELLQUENCH_OUT"
@@ -172,7 +170,7 @@ def _base_params(config, kind, what):
     quench or grid replaces, is dropped from config and taken as 1
     (alpha) or 0 (h).
     """
-    held = KIND_DEFAULTS[kind].fixed
+    held = HELD[kind]
     if config.get(held) is None:
         raise ConfigError(f"{kind.value} {what} needs {held}")
     config.pop(QUENCHED[kind], None)
@@ -191,7 +189,7 @@ def _runtime(ran):
     record = {"blas": blas.get("name"), "blas_version": blas.get("version"),
               "blas_corename": None, "blas_threads": None,
               "blas_thread_timeout": None, "writer_cpus": writer_cpus()}
-    lib = dynamics.openblas()
+    lib = openblas()
     if lib is not None:
         record.update(blas_corename=lib.scipy_openblas_get_corename64_().decode(),
                       blas_threads=lib.scipy_openblas_get_num_threads64_(),
@@ -248,6 +246,8 @@ def run_command(args) -> int:
 
 
 def cmd_evolve(config):
+    from .bell import chsh_arrays, xstate_log_negativity
+    from .dynamics import TimeGrid, correlator_arrays
     _require(config, "gamma", "q_initial", "q_final")
     kind = _quench_kind(config["kind"])
     quench = make_quench(kind, _base_params(config, kind, "quench"),
@@ -271,6 +271,7 @@ def _resolve_quench(config):
     policy the kind does not define is refused before anything is
     computed.
     """
+    from .sweep import KIND_DEFAULTS, GridSpec, check_policy
     kind = _quench_kind(config["kind"])
     window = KIND_DEFAULTS[kind].grid
     for key in ("q_min", "q_max", "step"):
@@ -283,6 +284,9 @@ def _resolve_quench(config):
 
 
 def cmd_sweep(config):
+    from .momentum import check_footprint
+    from .sweep import (Quantifier, check_window, critical_threshold,
+                        cross_cell_count, efficiency, sweep_all)
     _require(config, "gamma")
     kind, grid = _resolve_quench(config)
     fixed = _base_params(config, kind, "sweep")
@@ -294,8 +298,8 @@ def cmd_sweep(config):
     # what the memory cap (exit 4), the coupling window (exit 2, as
     # threshold-curve), the cross set (none: exit 3) and the efficiency's
     # grid window (exit 2) would refuse stops the run before any map
-    momentum.check_footprint(fixed.N, grid.count, grid.count ** 2)
-    same_phase_area(kind, getattr(fixed, KIND_DEFAULTS[kind].fixed))
+    check_footprint(fixed.N, grid.count, grid.count ** 2)
+    same_phase_area(kind, getattr(fixed, HELD[kind]))
     cross_cell_count(kind, fixed, grid, boundary, lines)
     check_window(kind, grid)
 
@@ -317,17 +321,19 @@ def cmd_sweep(config):
 
 
 def cmd_threshold_curve(config):
+    from .sweep import threshold_curve
     _require(config, "gamma", "points")
     kind, grid = _resolve_quench(config)
     curve = threshold_curve(kind, config["gamma"], config["points"], grid,
                             N=config["n"], boundary=config["boundary"],
                             cross_lines=config["cross_lines"])
     return {"points": len(curve)}, {"curve.csv": (
-        write_csv, [KIND_DEFAULTS[kind].fixed, "b_c"], curve)}, {
+        write_csv, [HELD[kind], "b_c"], curve)}, {
         "blas_threads": curve.blas_threads, "curve_workers": curve.workers}
 
 
 def cmd_fit(config):
+    from .fit import fit_gaussian, fit_trigaussian
     _require(config, "curve")
     points = []
     try:
@@ -358,17 +364,19 @@ def cmd_fit(config):
 
 
 def cmd_oracle(config):
+    from . import momentum, oracle
+    from .dynamics import correlators_at
     params = ModelParams(N=config["n"], gamma=config["gamma"],
                          alpha=config["alpha"], h=config["h_initial"])
-    spectrum_dev = oracle_mod.spectrum_match(params)
+    spectrum_dev = oracle.spectrum_match(params)
     quench = field_quench(params, config["h_initial"], config["h_final"])
-    computed = dynamics.correlators_at(quench, config["t"])
-    reference, rho12 = oracle_mod.oracle_quench(quench, config["t"])
+    computed = correlators_at(quench, config["t"])
+    reference, rho12 = oracle.oracle_quench(quench, config["t"])
     correlator_dev = max(abs(getattr(computed, k) - getattr(reference, k))
                          for k in ("mz", "cxx", "cyy", "czz", "cxy", "cyx"))
-    obs = oracle_mod.pair_observables(rho12)
+    obs = oracle.pair_observables(rho12)
     xstate_dev = max(abs(obs[k]) for k in ("cxz", "czx", "cyz", "czy"))
-    energy_dev = abs(oracle_mod.ground_state_even(params)[0]
+    energy_dev = abs(oracle.ground_state_even(params)[0]
                      - momentum.ground_energy(params))
     report = {
         "n": config["n"],
@@ -447,5 +455,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry():
+    """The process: main() on sys.argv, then exit with its code."""
+    code = main()
+    # The process ends here, so freezing the heap leaves it out of the
+    # garbage collections of interpreter finalization (about 15 ms over
+    # numpy's objects); stdio is still flushed and atexit handlers run.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

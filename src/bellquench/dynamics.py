@@ -78,23 +78,11 @@ whose angle 2 Lambda_f t could overflow (_check_angles).
 correlator_arrays checks momentum.check_footprint and TimeGrid.times()
 refuses a grid above MAX_TIME_SAMPLES samples, both with
 ResourceCapError before anything is allocated.
-
-The BLAS thread count can move the last digits of a steady product.
-openblas finds numpy's scipy-openblas through ctypes for both of its
-users: the manifest's runtime record (cli) and one_blas_thread, which
-pins a threshold curve's products to one thread (sweep.threshold_curve).
-Its idle worker spins 2**OPENBLAS_THREAD_TIMEOUT cycles before it
-sleeps; the package's __init__ sets 20 unless the environment names a
-value, before numpy loads, as OpenBLAS reads it only then.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,46 +100,6 @@ STEADY = "steady"
 # (each chunk of a block against all of the block's columns): one
 # product per block changes the last digits of the sweep maps.
 ROW_CHUNK = 64
-
-
-@functools.cache
-def openblas():
-    """numpy's scipy-openblas library through ctypes, with its corename,
-    get_num_threads and set_num_threads declared, looked up once per
-    process; None where numpy links another BLAS, which this package
-    can neither pin nor name."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for name in os.listdir(libs) if os.path.isdir(libs) else ():
-        lib = ctypes.CDLL(os.path.join(libs, name)) if "scipy_openblas" in name else None
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            lib.scipy_openblas_get_corename64_.argtypes = []
-            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
-            lib.scipy_openblas_get_num_threads64_.argtypes = []
-            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            lib.scipy_openblas_set_num_threads64_.restype = None
-            return lib
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block's BLAS products on one OpenBLAS thread, the thread
-    count restored after it, and give the block that count, 1; where
-    openblas() finds no library to pin, they run on the BLAS's own
-    threads and the block gets None.  One thread gives the
-    OPENBLAS_NUM_THREADS=1 bits, which can differ in the last digit
-    from those of two."""
-    lib = openblas()
-    if lib is None:
-        yield None
-        return
-    threads = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield 1
-    finally:
-        lib.scipy_openblas_set_num_threads64_(threads)
 
 
 # Samples per chunk of the timed kernel: its table of offsets holds

@@ -158,7 +158,7 @@ def _curve(points, minimum):
         raise ValueError("curve points must be finite")
     pts = pts[np.argsort(pts[:, 0])]
     x, y = pts[:, 0], pts[:, 1]
-    if np.unique(x).size != x.size:
+    if (x[1:] == x[:-1]).any():  # sorted; np.unique would load numpy.ma
         raise ValueError("x values must be distinct")
     return x, y
 

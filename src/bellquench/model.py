@@ -10,7 +10,8 @@ them, so they live here as exact expressions.  phase_codes is the one
 classifier of quench-grid values; the sweep masks and the cross-phase
 cells of every threshold are built from it.  QUENCHED names the
 parameter each quench kind changes; QuenchSpec, make_quench and the
-quench axis of the dynamics engine read it.
+quench axis of the dynamics engine read it.  HELD names the one it
+holds fixed, the one a threshold curve steps through.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class QuenchKind(enum.Enum):
 
 # The ModelParams field a quench of each kind changes: a grid value q.
 QUENCHED = {QuenchKind.FIELD: "h", QuenchKind.COUPLING: "alpha"}
+HELD = {QuenchKind.FIELD: "alpha", QuenchKind.COUPLING: "h"}
 
 
 @dataclass(frozen=True)

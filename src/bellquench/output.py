@@ -10,12 +10,19 @@ CSV (write_csv).
 
 forked is the one fork, pipe, reap and kill frame: write_csv sends its
 row ranges through it, sweep.threshold_curve its ranges of points.
-writer_cpus is how many processes either may use.
+
+What a process may use: writer_cpus is how many processes either may
+fork; openblas finds numpy's scipy-openblas through ctypes for the
+manifest's runtime record (cli) and for one_blas_thread, which pins a
+threshold curve's products to one thread, as the BLAS thread count can
+move the last digits of a steady product.  The package's __init__ sets
+its idle spin (OPENBLAS_THREAD_TIMEOUT) before numpy loads.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import hashlib
 import json
@@ -69,6 +76,46 @@ def writer_cpus() -> int:
     """CPUs write_csv and threshold_curve may use: 1 without
     os.sched_getaffinity (or fork)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@functools.cache
+def openblas():
+    """numpy's scipy-openblas library through ctypes, with its corename,
+    get_num_threads and set_num_threads declared, looked up once per
+    process; None where numpy links another BLAS, which this package
+    can neither pin nor name."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for name in os.listdir(libs) if os.path.isdir(libs) else ():
+        lib = ctypes.CDLL(os.path.join(libs, name)) if "scipy_openblas" in name else None
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_get_corename64_.argtypes = []
+            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block's BLAS products on one OpenBLAS thread, the thread
+    count restored after it, and give the block that count, 1; where
+    openblas() finds no library to pin, they run on the BLAS's own
+    threads and the block gets None.  One thread gives the
+    OPENBLAS_NUM_THREADS=1 bits, which can differ in the last digit
+    from those of two."""
+    lib = openblas()
+    if lib is None:
+        yield None
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield 1
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)
 
 
 def _blocks(rows, line, step):

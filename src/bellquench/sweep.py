@@ -8,8 +8,9 @@ correlators it yields (Bell through bell.chsh_arrays, as evolve takes
 it) and builds the phase mask; sweep is one of its diagrams.
 
 Both quench kinds run one protocol.  KIND_DEFAULTS holds what differs
-between them: the default grid, the default threshold policy
-(boundary, cross_lines) and the parameter a diagram holds fixed.
+between them: the default grid and the default threshold policy
+(boundary, cross_lines); model.HELD names the parameter a diagram
+holds fixed.
 
 The threshold B_c is the Bell maximum over the cross-phase cells.
 With the grid values in phase order (first class, line values, second
@@ -43,12 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import _chsh_terms, chsh_arrays, xstate_log_negativity
-from .dynamics import SteadyKernel, _axes, one_blas_thread, openblas
+from .dynamics import SteadyKernel, _axes
 from .errors import ThresholdUndefinedError
-from .model import (ModelParams, QuenchKind, check_lines, make_quench,
+from .model import (HELD, ModelParams, QuenchKind, check_lines, make_quench,
                     phase_codes, same_phase_area)
 from .momentum import MEMORY_CAP, check_footprint
-from .output import forked, writer_cpus
+from .output import forked, one_blas_thread, openblas, writer_cpus
 
 
 class Quantifier(enum.Enum):
@@ -104,22 +105,19 @@ class KindDefaults:
 
     grid is the default grid and the window same_phase_area covers;
     boundary and cross_lines are the threshold policy (check_policy).
-    fixed names the ModelParams field a diagram or a quench holds
-    fixed, the one a curve steps through.
     """
 
     grid: GridSpec
     boundary: str
     cross_lines: str
-    fixed: str
 
 
 # The benchmark-threshold construction: field thresholds against the
 # short-range lines h = +-1 with critical cells counted as cross,
 # coupling thresholds against the model line with critical cells left out.
 KIND_DEFAULTS = {
-    QuenchKind.FIELD: KindDefaults(FIELD_GRID, "cross", "nn_limit", "alpha"),
-    QuenchKind.COUPLING: KindDefaults(COUPLING_GRID, "exclude", "model", "h"),
+    QuenchKind.FIELD: KindDefaults(FIELD_GRID, "cross", "nn_limit"),
+    QuenchKind.COUPLING: KindDefaults(COUPLING_GRID, "exclude", "model"),
 }
 
 
@@ -245,7 +243,7 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams,
     the steady kernel's correlators; the correlator maps are never held
     whole.  A coupling field outside the window of model.same_phase_area
     is refused with ValueError before any map, as by threshold_curve."""
-    same_phase_area(kind, getattr(fixed, KIND_DEFAULTS[kind].fixed))
+    same_phase_area(kind, getattr(fixed, HELD[kind]))
     check_footprint(fixed.N, grid.count, grid.count ** 2)
     qs = grid.values()
     phis, axis = _axes(kind, qs, [fixed])
@@ -297,7 +295,7 @@ def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str | None = None,
     step = diagram.grid.step
     area_detected = n_detected * step * step
     area_same = same_phase_area(diagram.kind, getattr(
-        diagram.fixed, KIND_DEFAULTS[diagram.kind].fixed))
+        diagram.fixed, HELD[diagram.kind]))
     n_cross = cross_cell_count(diagram.kind, diagram.fixed, diagram.grid,
                                boundary, cross_lines)
     check_window(diagram.kind, diagram.grid)
@@ -321,7 +319,7 @@ def curve_workers(count: int, grid: GridSpec, N: int) -> int:
     """Processes a threshold curve of `count` points on `grid` runs in:
     one per CPU (output.writer_cpus) and point, but none with under
     CURVE_WORK cell-sites, where the BLAS can be pinned to one thread
-    (dynamics.openblas); else 1.  Each process builds a kernel of its
+    (output.openblas); else 1.  Each process builds a kernel of its
     own, so check_footprint's estimate for one process, taken once per
     worker, stays within MEMORY_CAP."""
     if openblas() is None:
@@ -357,7 +355,7 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
     process computes the first while forked children (output.forked)
     compute the others, each on a kernel of its own, and send their
     B_c back as float64 bytes in point order.  Every product runs on
-    one OpenBLAS thread (dynamics.one_blas_thread), forked or not, so
+    one OpenBLAS thread (output.one_blas_thread), forked or not, so
     a point's bits depend on neither the other points, the worker count
     nor OPENBLAS_NUM_THREADS; where the BLAS cannot be pinned, one
     process runs every point on the BLAS's own threads.  The Curve
@@ -365,15 +363,14 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
     refusal (policy, coupling window, footprint, a point without
     cross-phase cells) comes before the first fork.
     """
-    defaults = KIND_DEFAULTS[kind]
-    grid = defaults.grid if grid is None else grid
+    grid = KIND_DEFAULTS[kind].grid if grid is None else grid
     boundary, cross_lines = check_policy(kind, boundary, cross_lines)
-    base = ModelParams(N=N, gamma=gamma, alpha=1.0, h=0.0)
-    params = [base.replace(**{defaults.fixed: float(q)}) for q in points]
+    base, held = ModelParams(N=N, gamma=gamma, alpha=1.0, h=0.0), HELD[kind]
+    params = [base.replace(**{held: float(q)}) for q in points]
     if not params:
         raise ValueError("points must be nonempty")
     for fixed in params:
-        same_phase_area(kind, getattr(fixed, defaults.fixed))  # coupling window
+        same_phase_area(kind, getattr(fixed, held))  # coupling window
     check_footprint(N, grid.count, grid.count ** 2)
     qs = grid.values()
     cross = [_cross_blocks(kind, fixed, qs, boundary, cross_lines) for fixed in params]
@@ -395,7 +392,7 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
                     "a curve worker process") as rest:
             values = np.concatenate([part(0, bounds[1]),
                                      np.frombuffer(b"".join(rest))])
-    return Curve([(getattr(fixed, defaults.fixed), float(b_c))
+    return Curve([(getattr(fixed, held), float(b_c))
                   for fixed, b_c in zip(params, values)], workers, blas_threads)
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,10 +15,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import bellquench
 import bellquench.cli as cli
 import bellquench.sweep as sweep_mod
-from bellquench import momentum
+from bellquench import dynamics, momentum
 from bellquench.cli import main
-from bellquench.dynamics import MAX_TIME_SAMPLES, openblas
-from bellquench.output import sha256_file, write_json, writer_cpus
+from bellquench.dynamics import MAX_TIME_SAMPLES
+from bellquench.output import openblas, sha256_file, write_json, writer_cpus
 
 
 def run(argv):
@@ -572,7 +573,7 @@ class TestNonFiniteInput:
             one = np.ones(2)
             return 0.5 * np.arange(2), 0.5 * one, 0.1 * one, 0.1 * one, np.nan * one, 0 * one
 
-        monkeypatch.setattr(cli, "correlator_arrays", nan_arrays)
+        monkeypatch.setattr(dynamics, "correlator_arrays", nan_arrays)
         out = tmp_path / "o"
         assert run(EVOLVE_README + ["--out", str(out)]) == 3
         assert "timeseries.csv would hold NaN or infinite" in capsys.readouterr().err
@@ -647,6 +648,106 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
     assert (tmp_path / "fit" / "fit.json").exists()
+
+
+SMALL_EVOLVE = ["evolve", "--gamma", "1", "--alpha", "10", "--q-initial", "0.5",
+                "--q-final", "2.5", "--n", "16", "--t-max", "2"]
+# argv after `bellquench` (None: the import alone) -> the modules it must
+# load, the modules it must not load
+IMPORT_SETS = {
+    "import": (None, ["bellquench.cli"],
+               ["bellquench.sweep", "bellquench.fit", "bellquench.oracle",
+                "bellquench.dynamics", "bellquench.bell", "bellquench.momentum",
+                "numpy.ma", "numpy.random"]),
+    "evolve": (SMALL_EVOLVE, ["bellquench.dynamics", "bellquench.bell"],
+               ["bellquench.sweep", "bellquench.fit", "bellquench.oracle"]),
+    "fit": (["fit", "--curve", "curve.csv"], ["bellquench.fit"],
+            ["bellquench.sweep", "bellquench.dynamics", "numpy.ma"]),
+    "threshold-curve": (["threshold-curve", "--gamma", "0.4", "--points", "1",
+                         "--step", "0.5", "--n", "16"], ["bellquench.sweep"],
+                        ["bellquench.fit", "bellquench.oracle"]),
+}
+
+
+@pytest.mark.parametrize("case", list(IMPORT_SETS))
+def test_command_loads_only_its_modules(tmp_path, case):
+    # a fresh process: the package and cli load no compute module, and
+    # each command the ones it runs
+    argv, loaded, unloaded = IMPORT_SETS[case]
+    (tmp_path / "curve.csv").write_text("alpha,b_c\n" + "".join(
+        f"{x:.17g},{1.7 + 0.3 * np.exp(-0.05 * x * x):.17g}\n"
+        for x in (0.5, 1.5, 3.0, 5.0)))
+    code = ("import json, sys, bellquench.cli as cli; "
+            f"argv = {argv!r}; "
+            "code = 0 if argv is None else cli.main(argv + ['--out', 'o']); "
+            "print(json.dumps(sorted(sys.modules))); sys.exit(code)")
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                            capture_output=True, text=True, check=False,
+                            env=dict(os.environ, PYTHONPATH=SRC))
+    assert result.returncode == 0, result.stderr
+    modules = set(json.loads(result.stdout.splitlines()[-1]))
+    assert set(loaded) <= modules
+    assert not modules & set(unloaded)
+
+
+def _process_argv(route):
+    """How `bellquench ...` starts: through `python -m bellquench.cli`, or
+    through the console script's target named in pyproject.toml."""
+    if route == "module":
+        return [sys.executable, "-m", "bellquench.cli"]
+    with open(os.path.join(SRC, os.pardir, "pyproject.toml"), encoding="utf-8") as fh:
+        module, func = re.search(r'^bellquench = "([\w.]+):(\w+)"$', fh.read(),
+                                 re.M).groups()
+    return [sys.executable, "-c",
+            f"import sys; from {module} import {func}; del sys.argv[0]; {func}()",
+            "bellquench"]
+
+
+@pytest.mark.parametrize("route", ["module", "script"])
+class TestProcessEntry:
+    """A CLI process ends without the finalizer's collections (cli.entry):
+    its files are whole and its exit codes those of main."""
+
+    def start(self, route, argv, tmp_path):
+        return subprocess.run(_process_argv(route) + argv, cwd=tmp_path,
+                              capture_output=True, text=True, check=False,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+
+    def test_files_whole(self, tmp_path, route):
+        result = self.start(route, SMALL_EVOLVE + ["--out", "e"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        manifest = read_json(tmp_path / "e" / "manifest.json")
+        assert list(manifest["checksums"]) == ["timeseries.csv"]
+        for name, digest in manifest["checksums"].items():
+            assert sha256_file(tmp_path / "e" / name) == digest
+
+    def test_config_error_exits_2(self, tmp_path, route):
+        result = self.start(route, ["evolve", "--gamma", "1", "--out", "e"], tmp_path)
+        assert result.returncode == 2
+        assert "missing required settings" in result.stderr
+
+    def test_numerical_contract_exits_3(self, tmp_path, route):
+        # the failed oracle report is still written, and parses
+        result = self.start(route, ["oracle", "--n", "8", "--h-final", "1e308",
+                                    "--out", "r"], tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert read_json(tmp_path / "r" / "report.json")["pass"] is False
+
+
+def test_entry_freezes_and_still_flushes_and_runs_atexit():
+    code = ("import atexit, gc, sys; from bellquench.cli import entry; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+            "sys.argv[1:] = ['--version']; entry()")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=False, env=dict(os.environ, PYTHONPATH=SRC))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [bellquench.__version__, "frozen", "True"]
+
+
+def test_in_process_main_leaves_gc_unfrozen(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert run(SMALL_EVOLVE + ["--out", str(tmp_path / "e")]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 EVOLVE_README = ["evolve", "--gamma", "1.0", "--alpha", "10", "--kind", "field",
@@ -730,7 +831,7 @@ class TestEvolveArrays:
             one = np.ones(2)
             return 0.5 * np.arange(2), 0.9 * one, one, -one, one, 0.0 * one
 
-        monkeypatch.setattr(cli, "correlator_arrays", bad_arrays)
+        monkeypatch.setattr(dynamics, "correlator_arrays", bad_arrays)
         out = tmp_path / "bad"
         assert run(EVOLVE_README + ["--out", str(out)]) == 3
         assert "non-positive" in capsys.readouterr().err

@@ -41,6 +41,9 @@ class TestFitGaussian:
             fit_gaussian(gaussian_points(1, 1, 0, [0.0, 1.0, 2.0]))
         with pytest.raises(ValueError):
             fit_gaussian([(0.0, 1.0), (0.0, 1.1), (1.0, 0.5), (2.0, 0.2)])
+        # distinct means unequal as floats: 0.0 == -0.0, wherever they sort
+        with pytest.raises(ValueError, match="distinct"):
+            fit_gaussian([(1.0, 0.5), (-0.0, 1.0), (2.0, 0.2), (0.0, 1.1)])
 
     def test_permutation_independent(self):
         rng = np.random.default_rng(0)

@@ -24,7 +24,8 @@ from steady_reference import steady_correlators
 import readout_reference
 from bellquench import oracle
 from bellquench.dynamics import (ROW_CHUNK, CorrelatorSet, SteadyKernel, _axes,
-                                 _correlators_from_sums, correlators_at, openblas)
+                                 _correlators_from_sums, correlators_at)
+from bellquench.output import openblas
 
 
 def fixed_params(**kwargs):
