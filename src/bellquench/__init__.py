@@ -8,9 +8,8 @@ import os
 import sys
 
 # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as numpy loads it: an idle worker
-# spins 2**value TSC cycles before it sleeps (2**28, about 0.1 s, by default,
-# after start-up and every threaded product); 2**20 is under 1 ms.  A set value
-# is kept; where numpy was loaded first, OpenBLAS kept its own and this is None.
+# spins 2**value TSC cycles before it sleeps (2**28 by default); 2**20 is under
+# 1 ms.  A set value is kept; where numpy was loaded first, this is None.
 BLAS_THREAD_TIMEOUT = (None if "numpy" in sys.modules else
                        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20"))
 

@@ -13,11 +13,10 @@ form and
 This remains the Horodecki maximum even when C_zz**2 exceeds
 lambda_plus, since the two largest eigenvalues are then C_zz**2 and
 lambda_plus; the generic-eigensolver cross-check in the tests covers
-all orderings.  chsh_arrays evaluates it elementwise over arrays,
-and returns lambda_plus, lambda_minus and C_zz**2 beside B.  It is the
-one Bell kernel: bell_value, the evolve time series and the steady
-maps call it, threshold curves its body _chsh_terms, which stops at
-(B/2)**2, so that a maximum takes one square root.
+all orderings.  chsh_arrays evaluates B elementwise over arrays.  It
+is the one Bell kernel: bell_value, the evolve time series and the
+steady maps call it, threshold curves its body _chsh_terms, which stops
+at (B/2)**2, so that a maximum takes one square root.
 
 The pair state is an X-state with equal local magnetizations:
 diagonal r00, r33 = (1 +- 2 m_z + C_zz)/4, r11 = r22 = (1 - C_zz)/4,
@@ -26,9 +25,8 @@ coherences |rho_03| = |C_xx - C_yy - 2i C_xy|/4 and |rho_12| =
 sqrt(((r00 - r33)/2)^2 + |rho_03|^2) and r11 +- |rho_12|.  The partial
 transpose swaps the two coherences, and xstate_log_negativity (for
 evolve and the sweep maps) is log2 of the sum of the absolute values
-of its eigenvalues.  PSD rule: a state eigenvalue below -PSD_TOL
-means a bug upstream, not a physical state, and raises
-InconsistentCorrelatorsError, here as in reconstruct_rho12.
+of its eigenvalues.  A state eigenvalue below -PSD_TOL means a bug
+upstream and raises InconsistentCorrelatorsError in both forms.
 reconstruct_rho12 and log_negativity work on the 4 x 4 matrix; they
 are the reference the tests compare with.
 """
@@ -45,11 +43,10 @@ PSD_TOL = 1e-6
 
 
 def chsh_arrays(cxx, cyy, czz, cxy, cyx):
-    """Closed-form (lambda_plus, lambda_minus, C_zz**2, B), elementwise:
-    the terms of _chsh_terms, with B = 2 sqrt of its radicand."""
+    """Closed-form CHSH value B, elementwise: 2 sqrt of the radicand
+    (B/2)**2 of _chsh_terms."""
     out = [np.empty(np.broadcast(cxx, cyy, czz, cxy, cyx).shape) for _ in range(4)]
-    lam_plus, lam_minus, czz_sq, radicand = _chsh_terms(cxx, cyy, czz, cxy, cyx, out)
-    return lam_plus[()], lam_minus[()], czz_sq[()], 2.0 * np.sqrt(radicand)
+    return 2.0 * np.sqrt(_chsh_terms(cxx, cyy, czz, cxy, cyx, out)[3])
 
 
 def _chsh_terms(cxx, cyy, czz, cxy, cyx, out):
@@ -84,7 +81,7 @@ def _chsh_terms(cxx, cyy, czz, cxy, cyx, out):
 
 def bell_value(c: CorrelatorSet) -> float:
     """CHSH value of one correlator set: chsh_arrays on scalars."""
-    return float(chsh_arrays(c.cxx, c.cyy, c.czz, c.cxy, c.cyx)[3])
+    return float(chsh_arrays(c.cxx, c.cyy, c.czz, c.cxy, c.cyx))
 
 
 def reconstruct_rho12(c: CorrelatorSet) -> np.ndarray:

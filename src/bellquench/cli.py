@@ -5,22 +5,16 @@ heatmaps with threshold and efficiency), threshold-curve (B_c versus
 alpha or h), fit (Gaussian / tri-Gaussian fits of a curve CSV), and
 oracle (dense cross-validation at small N).
 
-SETTINGS declares each subcommand's keys and their defaults once; the
-config-file reader, the resolver and the argument parser read it.
-Configuration comes from an optional `key = value` file plus command
-line flags; flags win.  Unknown keys and malformed lines are rejected
-with their line number.  _parse is the one step from setting text to
-value, for file values and flags alike (argparse hands flags over as
-text).
+Configuration comes from the SETTINGS defaults, an optional
+`key = value` file and command line flags; flags win.  Unknown keys and
+malformed lines are rejected with their line number.
 
 A command (cmd_*) takes the resolved config and returns its results
 and the files to write, {name: (writer, *data)}.  run_command, the one
 run frame, calls it, refuses a NaN or infinite number bound for a CSV
 or JSON file (but a failed oracle report), and only then makes the
-output directory, writes each file and a manifest.json carrying the
-resolved config, checksums of each artifact, the (volatile) wall-clock
-duration and the runtime (BLAS kernel, threads and idle spin, writer
-CPUs, a curve's worker processes).  So a refused run writes no file.
+output directory, writes each file and a manifest.json
+(_write_manifest).  So a refused run writes no file.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract
 violation (undefined threshold, non-positive state, a non-finite CSV
@@ -254,7 +248,7 @@ def cmd_evolve(config):
                          config["q_initial"], config["q_final"])
     times, mz, cxx, cyy, czz, cxy = correlator_arrays(
         quench, TimeGrid(t_max=config["t_max"], dt=config["dt"]))
-    bell = chsh_arrays(cxx, cyy, czz, cxy, cxy)[3]
+    bell = chsh_arrays(cxx, cyy, czz, cxy, cxy)
     logneg = xstate_log_negativity(mz, cxx, cyy, czz, cxy)
     columns = np.column_stack([times, mz, cxx, cyy, czz, cxy, cxy, bell, logneg])
     return {"samples": times.size}, {"timeseries.csv": (
@@ -459,8 +453,8 @@ def entry():
     """The process: main() on sys.argv, then exit with its code."""
     code = main()
     # The process ends here, so freezing the heap leaves it out of the
-    # garbage collections of interpreter finalization (about 15 ms over
-    # numpy's objects); stdio is still flushed and atexit handlers run.
+    # garbage collections of interpreter finalization; stdio is still
+    # flushed and atexit handlers run.
     gc.freeze()
     sys.exit(code)
 

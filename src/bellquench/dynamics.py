@@ -20,9 +20,6 @@ F = <c_j c_{j+1}>:
 
 They are fixed by the correlators above: G0 = (1 - m_z)/2,
 G = (C_xx + C_yy)/4 and F = ((C_yy - C_xx) - 2i C_xy)/4.
-_correlators_from_sums turns the mode sums into all five correlators;
-the timed kernel and the steady kernel (in place, with no n_x) call
-it.
 
 Sign conventions, both arbitrated by the dense solver (the transient
 n_x sector flips under complex conjugation, so only a full dynamical
@@ -31,13 +28,6 @@ exp(-i H_p t), and with the standard sigma_y the xy weight is
 +sin(phi) n_x; the opposite sign belongs to the conjugate
 fermionization convention (sigma_y -> -sigma_y).  The initial vectors
 come from momentum.ground_bloch.
-
-A quench grid is a set of values q of the quenched parameter
-(model.QUENCHED: h for field quenches, alpha for coupling quenches)
-at fixed other parameters.  _axes builds its per-mode inputs, one row
-of (b, u = a + h) per value, and one quench is the two-value grid
-[q_i, q_f] (_quench_axis): row 0 is the initial Hamiltonian, row 1
-the final one.  Both paths start there.
 
 Steady values come from one kernel, SteadyKernel.  The
 diagonal-ensemble Bloch vector of each mode is bilinear in
@@ -48,36 +38,11 @@ initial-side and final-side factors,
 
 so every mode sum needed by the correlators factorizes into a few
 (grid x modes) @ (modes x grid) matrix products, over any block of
-contiguous kernel rows and columns.  A kernel row holds one grid value,
-in grid order or in an order the caller gives: the sweeps run whole
-grids, the threshold curves the cross-phase rectangles of the
-phase-ordered grid.  A kernel keeps the arrays of one grid size (gy,
-gz and the six final-side factors) and eight chunk buffers, so a
-threshold curve refills them at each point instead of allocating
-arrays that the allocator hands back to the system and the next point
-or chunk faults in again.  It fills them ROW_CHUNK values at a time
-and yields each block's correlators ROW_CHUNK rows at a time, built
-in place by the operations of a fresh-array evaluation, in its order.
-
-Timed values come from one kernel, _timed_mode_sums: it rotates the
-Bloch vectors and takes the four mode sums sum n_z, sum cos(phi) n_z,
-sum sin(phi) n_y and sum sin(phi) n_x (sum cos(phi) is the fifth,
-time-independent one) at the times start + offset of a vector of
-starts and one of offsets.  By angle addition a start costs one row
-of cos and sin over the modes and one small BLAS product with a table
-of the offsets built once per call, where a direct evaluation costs a
-cos and a sin per (time, mode) entry.  A uniform grid is TIME_CHUNK
-offsets k * dt after every TIME_CHUNK-th sample, so the temporaries
-take O(TIME_CHUNK x modes) memory whatever the grid's length; the last
-chunk runs whole and is trimmed, so a sample's bits do not depend on
-that length.  A single time is one start and the offset 0.
-correlators_at, correlator_time_series and correlator_arrays (the
-array form evolve writes) all call it; they refuse a NaN, infinite or
-negative time with ValueError, and correlator_arrays a final gap
-whose angle 2 Lambda_f t could overflow (_check_angles).
-correlator_arrays checks momentum.check_footprint and TimeGrid.times()
-refuses a grid above MAX_TIME_SAMPLES samples, both with
-ResourceCapError before anything is allocated.
+contiguous kernel rows and columns.  Timed values come from one
+kernel, _timed_mode_sums.  Its entries refuse a NaN, infinite or
+negative time and an overflowing angle (_check_angles) with ValueError,
+and correlator_arrays an oversized run with ResourceCapError, before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -106,10 +71,8 @@ ROW_CHUNK = 64
 # TIME_CHUNK x N doubles (1 MB at N = 512).
 TIME_CHUNK = 256
 
-# Largest time grid the timed path accepts.  `bellquench evolve` keeps
-# at most SAMPLE_BYTES per sample at its peak (traced at N = 512: 3.0 MB
-# for 12001 samples, 16.4 MB for 120001), while the chunks and the CSV
-# blocks are of fixed size.
+# Largest time grid the timed path accepts: `bellquench evolve` keeps at
+# most SAMPLE_BYTES per sample at its peak.
 MAX_TIME_SAMPLES = MEMORY_CAP // SAMPLE_BYTES
 
 
@@ -266,9 +229,11 @@ def _correlators_from_sums(sum_cos, sums, N, out):
 class SteadyKernel:
     """Steady mz, cxx, cyy, czz over slice blocks of a grid of n values.
 
-    It owns the per-value arrays of the grid and the chunk buffers
-    (module docstring), so a threshold curve allocates them once for
-    all of its points.  One maps pass runs at a time.
+    It owns the per-value arrays of the grid (gy, gz and six final-side
+    factors) and eight chunk buffers, so a threshold curve allocates
+    them once for all of its points, and builds each chunk's
+    correlators in place by the operations of a fresh-array
+    evaluation, in its order.  One maps pass runs at a time.
     """
 
     def __init__(self, N: int, phis, n: int):
@@ -392,7 +357,8 @@ def correlator_arrays(quench: QuenchSpec, grid: TimeGrid):
     check_footprint(quench.initial.N, TIME_CHUNK, samples=grid.count)
     times = grid.times()
     # sample n = a * TIME_CHUNK + r is start times[a * TIME_CHUNK] plus
-    # offset r * dt; the last chunk runs whole and is trimmed
+    # offset r * dt; the last chunk runs whole and is trimmed, so a
+    # sample's bits do not depend on the grid's length
     starts = times[::TIME_CHUNK]
     _check_angles(quench.final.h, float(starts[-1]) + (TIME_CHUNK - 1) * grid.dt)
     values = _timed_correlators(quench, starts, grid.dt * np.arange(TIME_CHUNK))

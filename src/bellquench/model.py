@@ -3,12 +3,10 @@
 The chain couples spins at distances r = 1 .. N/2 with strength
 1 / (kac * r**alpha), where the Kac factor keeps the total coupling per
 site at 1 for every fall-off rate: energies, fields and times are in
-units of that Kac-normalized coupling.  The equilibrium phase boundaries in
-the (alpha, h) plane are known in closed form and everything downstream
-(phase masks, same-phase areas, detection efficiencies) derives from
-them, so they live here as exact expressions.  phase_codes is the one
-classifier of quench-grid values; the sweep masks and the cross-phase
-cells of every threshold are built from it.  QUENCHED names the
+units of that Kac-normalized coupling.  The phase boundaries in the
+(alpha, h) plane are known in closed form, and every phase mask, cross
+set, same-phase area and efficiency derives from them through WINDOW and
+phase_interval, the one place they are spelled.  QUENCHED names the
 parameter each quench kind changes; QuenchSpec, make_quench and the
 quench axis of the dynamics engine read it.  HELD names the one it
 holds fixed, the one a threshold curve steps through.
@@ -26,11 +24,6 @@ import numpy as np
 # Coordinates closer than this to a critical line count as on-boundary.
 BOUNDARY_TOL = 1e-12
 
-# Open window of fields for which the coupling-quench boundary
-# alpha_c(h) falls inside the swept interval [0.5, 3.0].
-COUPLING_H_MIN = 2.0 ** (-2.0) - 1.0          # -0.75
-COUPLING_H_MAX = 2.0 ** 0.5 - 1.0             # 0.41421...
-
 
 class QuenchKind(enum.Enum):
     FIELD = "field"
@@ -40,6 +33,10 @@ class QuenchKind(enum.Enum):
 # The ModelParams field a quench of each kind changes: a grid value q.
 QUENCHED = {QuenchKind.FIELD: "h", QuenchKind.COUPLING: "alpha"}
 HELD = {QuenchKind.FIELD: "alpha", QuenchKind.COUPLING: "h"}
+
+# The quench window of each kind, (q_min, q_max): the span of its default
+# grid and the square same_phase_area integrates over.
+WINDOW = {QuenchKind.FIELD: (-3.0, 3.0), QuenchKind.COUPLING: (0.5, 3.0)}
 
 
 @dataclass(frozen=True)
@@ -133,44 +130,52 @@ def check_lines(kind: QuenchKind, lines: str) -> None:
         raise ValueError("nn_limit lines apply to field diagrams only")
 
 
+def phase_interval(kind: QuenchKind, held: float, lines: str = "model"):
+    """(lo, hi), the open interval of phase 0 on the kind's quench axis at
+    the value `held` of its HELD parameter, under a line policy.
+
+    Field (held = alpha): h_c = -1 + 2**(1 - alpha) ("model", or -1 for
+    "nn_limit") to 1; the two disordered lobes outside are one phase.
+    Coupling (held = h): below alpha_c = 1 - log2(1 + h), where h_c is h;
+    the whole axis for h <= -1, which has no line.
+    """
+    check_lines(kind, lines)
+    if kind is QuenchKind.FIELD:
+        return (-1.0 + 2.0 ** (1.0 - held) if lines == "model" else -1.0), 1.0
+    return -math.inf, (math.inf if held <= -1.0 else 1.0 - np.log2(1.0 + held))
+
+
+# The open range of held values whose line crosses the window: any finite
+# alpha; for coupling, the fields between the field lines at the window's ends.
+HELD_WINDOW = {QuenchKind.FIELD: (-math.inf, math.inf),
+               QuenchKind.COUPLING: tuple(phase_interval(QuenchKind.FIELD, a)[0]
+                                          for a in WINDOW[QuenchKind.COUPLING][::-1])}
+
+
 def phase_codes(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray,
                 lines: str = "model"):
     """Phase index (0/1) and on-line flag of each grid value, vectorized.
 
-    Field quenches (qs are fields at fixed.alpha): 0 between the lines
-    h_c = -1 + 2**(1 - alpha) ("model", or -1 for "nn_limit") and 1,
-    else 1; the two disordered lobes are one phase.  Coupling quenches
-    (qs are fall-off rates at fixed.h): 0 below alpha_c = 1 - log2(1 + h),
-    else 1; for h <= -1 there is no line and every value is 0.  A value
-    within BOUNDARY_TOL of a line is flagged as on it.
+    A value is 0 inside phase_interval at the fixed parameters, else 1,
+    and flagged as on a line within BOUNDARY_TOL of either end.
     """
-    check_lines(kind, lines)
-    if kind is QuenchKind.FIELD:
-        lower = -1.0 + 2.0 ** (1.0 - fixed.alpha) if lines == "model" else -1.0
-        on_line = ((np.abs(qs - lower) <= BOUNDARY_TOL)
-                   | (np.abs(qs - 1.0) <= BOUNDARY_TOL))
-        return np.where((qs > lower) & (qs < 1.0), 0, 1), on_line
-    if fixed.h <= -1.0:
-        return np.zeros(qs.size, dtype=int), np.zeros(qs.size, dtype=bool)
-    alpha_c = 1.0 - np.log2(1.0 + fixed.h)
-    return np.where(qs < alpha_c, 0, 1), np.abs(qs - alpha_c) <= BOUNDARY_TOL
+    lo, hi = phase_interval(kind, getattr(fixed, HELD[kind]), lines)
+    on_line = (np.abs(qs - lo) <= BOUNDARY_TOL) | (np.abs(qs - hi) <= BOUNDARY_TOL)
+    return np.where((qs > lo) & (qs < hi), 0, 1), on_line
 
 
-def same_phase_area(kind: QuenchKind, fixed: float) -> float:
-    """Analytic area of the same-phase region of the quench plane.
-
-    For field quenches over [-3, 3]^2 at fall-off rate `fixed` = alpha:
-    20 + 2**(3-alpha) + 2**(3-2*alpha).  For coupling quenches over
-    [0.5, 3.0]^2 at field `fixed` = h: 4.25 + 3*x + 2*x**2 with
-    x = log2(1+h), valid only while alpha_c(h) stays inside the window.
-    """
-    if kind is QuenchKind.FIELD:
-        alpha = fixed
-        return 20.0 + 2.0 ** (3.0 - alpha) + 2.0 ** (3.0 - 2.0 * alpha)
-    h = fixed
-    if not COUPLING_H_MIN < h < COUPLING_H_MAX:
+def same_phase_area(kind: QuenchKind, held: float) -> float:
+    """Area of the same-phase region of the kind's window squared,
+    L0**2 + (W - L0)**2 with W the window's width and L0 its part inside
+    phase_interval, taken as 2 ((W/2)**2 + (L0 - W/2)**2), which rounds
+    one square.  ValueError for a held value outside HELD_WINDOW."""
+    low, high = HELD_WINDOW[kind]
+    if not low < held < high:
         raise ValueError(
-            f"h={h} outside ({COUPLING_H_MIN}, {COUPLING_H_MAX:.6f}); "
-            "the coupling boundary never enters the alpha window")
-    x = math.log2(1.0 + h)
-    return 4.25 + 3.0 * x + 2.0 * x * x
+            f"{HELD[kind]}={held} outside ({low}, {high:.6f}); "
+            f"the {kind.value} boundary never enters the {QUENCHED[kind]} window")
+    q_min, q_max = WINDOW[kind]
+    lo, hi = phase_interval(kind, held)
+    half = (q_max - q_min) / 2.0
+    off = min(hi, q_max) - max(lo, q_min) - half
+    return float(2.0 * (half * half + off * off))

@@ -41,10 +41,6 @@ states never enter a quench.  Three conventions are fixed here once:
   the vector stays put; above it the exact rotation is taken, however
   slow.  Pinned on one block on each side
   of both cutoffs by test_dynamics.py::TestCutoffs.
-
-check_footprint is the one estimate of a run's peak memory; the
-sweeps, the threshold curves and dynamics.correlator_arrays call it
-before their first large allocation.
 """
 
 from __future__ import annotations
@@ -64,13 +60,10 @@ TIMED_DEGENERACY_TOL = 1e-30
 
 # Largest estimated peak a run may hold; check_footprint refuses more.
 MEMORY_CAP = 2 ** 30
-# Peak bytes per element, traced with tracemalloc at N = 512 on the
-# 601 x 601 grid and rounded up: 24 per (phi, r) entry of the dispersion
-# tables; 97 (field) and 124 (coupling) per (grid value, mode) entry for
-# a threshold curve's whole peak (axis, SteadyKernel arrays and chunks);
-# 28 per cell of the maps a sweep holds (sweep_all's peak less that of
-# the kernel alone); 124 per sample of an evolve time grid (its output
-# columns and the kernels' temporaries over them).
+# Peak bytes per (phi, r) entry of the dispersion tables, per (grid value,
+# mode) entry of a kernel, per cell of the maps a sweep holds and per sample
+# of an evolve time grid: traced at N = 512 on 601 x 601 as 24, 124, 28 and
+# 124 B with tracemalloc, and rounded up.
 TABLE_BYTES = 32
 FACTOR_BYTES = 128
 MAP_BYTES = 32
@@ -143,7 +136,7 @@ def ground_bloch(u, b):
 
 def check_footprint(N: int, rows: int = 0, cells: int = 0,
                     samples: int = 0) -> int:
-    """Estimated peak bytes of a run over the N/2 modes of a chain.
+    """The one estimate of a run's peak bytes over the N/2 modes of a chain.
 
     Counts the (N/2)^2 dispersion tables, `rows` x N/2 factor arrays
     (grid values, or a chunk of times), `cells` map cells and `samples`

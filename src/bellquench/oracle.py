@@ -31,6 +31,9 @@ DENSE_ENTRY_BYTES = 16
 # The one dense cap: OracleQuench is refused by its build.
 BUILD_CAP = next(N for N in range(0, 64, 2)
                  if DENSE_ENTRY_BYTES * 4 ** (N + 2) > MEMORY_CAP)
+# Even levels this close to the lowest form one degenerate ground level:
+# eigh splits an exactly degenerate level by up to 3e-14 at N = 12.
+LEVEL_DEGENERACY_TOL = 1e-12
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -94,13 +97,20 @@ def ground_state_even(params: ModelParams) -> tuple[float, np.ndarray]:
     The quench protocol lives entirely in this sector; at points where
     the global ground state is odd the two sectors are degenerate to
     exponentially small corrections and the even state is the one the
-    momentum-space construction describes.
+    momentum-space construction describes.  Inside a degenerate even
+    ground level (LEVEL_DEGENERACY_TOL) it is the limit of H(h - eps),
+    as in momentum.ground_bloch: H(h - eps) = H(h) + (eps/2) sum_j sz_j,
+    so the state of the level with the lowest sum of sz.
     """
     dense = build_spin_hamiltonian(params)
     idx = even_parity_indices(params.N)
     block = dense[np.ix_(idx, idx)]
     vals, vecs = np.linalg.eigh(block)
     psi = np.zeros(dense.shape[0], dtype=complex)
+    level = vecs[:, vals - vals[0] <= LEVEL_DEGENERACY_TOL]
+    if level.shape[1] > 1:
+        sz = params.N - 2.0 * _popcount(idx)
+        vecs[:, 0] = level @ np.linalg.eigh(level.T @ (sz[:, None] * level))[1][:, 0]
     psi[idx] = vecs[:, 0]
     return float(vals[0]), psi
 

@@ -12,11 +12,8 @@ forked is the one fork, pipe, reap and kill frame: write_csv sends its
 row ranges through it, sweep.threshold_curve its ranges of points.
 
 What a process may use: writer_cpus is how many processes either may
-fork; openblas finds numpy's scipy-openblas through ctypes for the
-manifest's runtime record (cli) and for one_blas_thread, which pins a
-threshold curve's products to one thread, as the BLAS thread count can
-move the last digits of a steady product.  The package's __init__ sets
-its idle spin (OPENBLAS_THREAD_TIMEOUT) before numpy loads.
+fork; openblas finds numpy's scipy-openblas for the manifest's runtime
+record (cli) and for one_blas_thread.
 """
 
 from __future__ import annotations
@@ -65,10 +62,8 @@ def write_json(path, obj) -> None:
 # Cells formatted per write: the text and the Python floats of one
 # block of rows are all that is held at a time.
 CSV_BLOCK_CELLS = 4096
-# Fewest cells per forked writer.  Forking and reaping a 36 MB evolve
-# process took 3 ms, and formatting a cell 0.86 us (2-vCPU x86 guest,
-# py3.11), so a part's fork costs a tenth of its formatting.  evolve's
-# 108k cells take 2 parts on 2 CPUs; a curve (24 cells at most) takes 1.
+# Fewest cells per forked writer: a part's fork costs about a tenth of
+# its formatting.
 PART_CELLS = 32768
 
 

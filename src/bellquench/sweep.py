@@ -7,31 +7,23 @@ grid, evaluates the three quantifiers on each row chunk of
 correlators it yields (Bell through bell.chsh_arrays, as evolve takes
 it) and builds the phase mask; sweep is one of its diagrams.
 
-Both quench kinds run one protocol.  KIND_DEFAULTS holds what differs
-between them: the default grid and the default threshold policy
-(boundary, cross_lines); model.HELD names the parameter a diagram
-holds fixed.
+Both quench kinds run one protocol.  model holds the phase geometry
+(WINDOW, phase_interval) and model.HELD names the parameter a diagram
+holds fixed; KIND_DEFAULTS holds the default grid, over the window, and
+the default threshold policy (boundary, cross_lines).
 
-The threshold B_c is the Bell maximum over the cross-phase cells.
-With the grid values in phase order (first class, line values, second
-class), those cells form at most three rectangles under every boundary
-and cross-line policy (_cross_blocks, from model.phase_codes), and
-`critical_threshold` reduces a diagram over exactly those.
-`threshold_curve` evaluates one kernel, reused by every point, on
-the rectangles alone and never builds a diagram: about 44 % of the
-cells of a 601 x 601 field grid, with one square root per point, of
-the largest Bell radicand (B/2)**2 (_cross_max).  Each curve makes one dispersion
-call (_axes): over its alphas, or over a coupling grid's alpha axis,
-shared by every h.  The curve values agree with
+The threshold B_c is the Bell maximum over the cross-phase cells, at
+most three rectangles of the phase-ordered grid (_cross_blocks).
+critical_threshold reduces a diagram over them; threshold_curve
+evaluates only them (_cross_max), on one kernel reused by every point,
+and never builds a diagram.  The curve values agree with
 critical_threshold(sweep(...)) to rounding (the block products have
 other shapes than the full-grid ones).
 
 Every map and curve runs the steady kernel's products in the same
 fixed shapes (dynamics.ROW_CHUNK), so repeated runs write identical
-bytes at a given BLAS thread count.  A curve also fixes the count: its
-products run on one pinned OpenBLAS thread, in this process and in the
-forked workers that share its points (threshold_curve), so its bytes
-are those of OPENBLAS_NUM_THREADS=1 whatever the environment sets.
+bytes at a given BLAS thread count; a curve runs them on one pinned
+OpenBLAS thread (threshold_curve).
 """
 
 from __future__ import annotations
@@ -46,8 +38,8 @@ import numpy as np
 from .bell import _chsh_terms, chsh_arrays, xstate_log_negativity
 from .dynamics import SteadyKernel, _axes
 from .errors import ThresholdUndefinedError
-from .model import (HELD, ModelParams, QuenchKind, check_lines, make_quench,
-                    phase_codes, same_phase_area)
+from .model import (HELD, WINDOW, ModelParams, QuenchKind, check_lines,
+                    make_quench, phase_codes, same_phase_area)
 from .momentum import MEMORY_CAP, check_footprint
 from .output import forked, one_blas_thread, openblas, writer_cpus
 
@@ -95,17 +87,14 @@ class GridSpec:
 # Largest |q| of a grid: as |a| <= 1 and |b| <= gamma <= 1, a field grid's
 # u = a + h and Lambda stay below sqrt(DBL_MAX) ~ 1.34e154, their squares finite.
 MAX_GRID_VALUE = 2.0 ** 511
-FIELD_GRID = GridSpec(-3.0, 3.0, 0.01)
-COUPLING_GRID = GridSpec(0.5, 3.0, 0.01)
+FIELD_GRID = GridSpec(*WINDOW[QuenchKind.FIELD], 0.01)
+COUPLING_GRID = GridSpec(*WINDOW[QuenchKind.COUPLING], 0.01)
 
 
 @dataclass(frozen=True)
 class KindDefaults:
-    """The per-kind settings of a quench grid.
-
-    grid is the default grid and the window same_phase_area covers;
-    boundary and cross_lines are the threshold policy (check_policy).
-    """
+    """A kind's default grid, over its model.WINDOW, and threshold
+    policy (boundary, cross_lines; check_policy)."""
 
     grid: GridSpec
     boundary: str
@@ -164,12 +153,11 @@ def check_policy(kind: QuenchKind, boundary: str | None = None,
 
 
 def check_window(kind: QuenchKind, grid: GridSpec) -> None:
-    """ValueError unless grid spans the kind's default window, the one
-    model.same_phase_area integrates over."""
-    window = KIND_DEFAULTS[kind].grid
-    if (grid.q_min, grid.q_max) != (window.q_min, window.q_max):
+    """ValueError unless grid spans the kind's window (model.WINDOW), the
+    one model.same_phase_area integrates over."""
+    if (grid.q_min, grid.q_max) != WINDOW[kind]:
         raise ValueError(f"efficiency needs the {kind.value} window "
-                         f"[{window.q_min}, {window.q_max}]")
+                         f"{list(WINDOW[kind])}")
 
 
 def _cross_blocks(kind: QuenchKind, fixed: ModelParams, qs: np.ndarray,
@@ -250,7 +238,7 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams,
     maps = np.empty((len(Quantifier), qs.size, qs.size))
     for rows, mz, cxx, cyy, czz in SteadyKernel(fixed.N, phis, qs.size).maps(*axis(0)):
         # in Quantifier order
-        maps[:, rows] = (chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3],
+        maps[:, rows] = (chsh_arrays(cxx, cyy, czz, 0.0, 0.0),
                          xstate_log_negativity(mz, cxx, cyy, czz, 0.0), czz)
     code, on = phase_codes(kind, fixed, qs)
     same = (code[:, None] == code[None, :]) & ~(on[:, None] | on[None, :])
@@ -267,9 +255,8 @@ def critical_threshold(diagram: PhaseDiagram, boundary: str | None = None,
     `boundary` selects how exactly-critical cells enter: "cross"
     (conservative) includes them in the maximum, "exclude" drops them
     from both cell classes.  `cross_lines` selects the critical lines
-    that define the cross set: "model", the fall-off-dependent lines,
-    or "nn_limit" (field diagrams only), the short-range lines h = +-1;
-    areas and efficiencies always use the model lines.  A setting left
+    that define the cross set (model.check_lines); areas and
+    efficiencies always use the model lines.  A setting left
     None is the kind's (KIND_DEFAULTS), so the default is the CLI's B_c.
     """
     order, blocks = _cross_blocks(diagram.kind, diagram.fixed,
@@ -306,12 +293,8 @@ def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str | None = None,
 
 
 # Fewest cell-sites (grid cells times chain length N, summed over its
-# points) per curve worker.  A point took 0.12-0.15 ns per cell-site on
-# one thread (the 12-point field curve on 601^2, N = 512: 0.27-0.32 s),
-# a worker about 10 ms more than its points (fork, copy-on-write faults,
-# reaping; 2-vCPU x86 guest, py3.11).  So a worker gets at least some
-# 15 ms of points: that field curve takes 2 workers, the README coupling
-# curve (3 points on 251^2) one.
+# points) per curve worker: some 15 ms of points, against about 10 ms to
+# fork and reap a worker.
 CURVE_WORK = 2 ** 27
 
 
@@ -357,11 +340,9 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
     B_c back as float64 bytes in point order.  Every product runs on
     one OpenBLAS thread (output.one_blas_thread), forked or not, so
     a point's bits depend on neither the other points, the worker count
-    nor OPENBLAS_NUM_THREADS; where the BLAS cannot be pinned, one
-    process runs every point on the BLAS's own threads.  The Curve
-    records the worker count and the pinned thread count.  Every
-    refusal (policy, coupling window, footprint, a point without
-    cross-phase cells) comes before the first fork.
+    nor OPENBLAS_NUM_THREADS.  Every refusal (policy, coupling window,
+    footprint, a point without cross-phase cells) comes before the
+    first fork.
     """
     grid = KIND_DEFAULTS[kind].grid if grid is None else grid
     boundary, cross_lines = check_policy(kind, boundary, cross_lines)

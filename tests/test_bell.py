@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellquench import oracle
-from bellquench.bell import (bell_value, chsh_arrays, log_negativity,
+from bellquench.bell import (_chsh_terms, bell_value, chsh_arrays, log_negativity,
                              partial_transpose, reconstruct_rho12,
                              xstate_log_negativity)
 from bellquench.dynamics import (CorrelatorSet, TimeGrid, correlator_arrays,
@@ -47,7 +47,10 @@ def random_xstate_correlators(rng):
 
 def eigenvalues(c):
     """(lambda_plus, lambda_minus, C_zz**2, B) of one CorrelatorSet."""
-    return chsh_arrays(c.cxx, c.cyy, c.czz, c.cxy, c.cyx)
+    lam_plus, lam_minus, czz_sq, radicand = _chsh_terms(
+        c.cxx, c.cyy, c.czz, c.cxy, c.cyx, np.empty((4, 1)))
+    return (float(lam_plus[0]), float(lam_minus[0]), float(czz_sq[0]),
+            float(chsh_arrays(c.cxx, c.cyy, c.czz, c.cxy, c.cyx)))
 
 
 class TestBellEigenvalues:
@@ -223,7 +226,7 @@ def test_time_average_map_weaker_contrast():
             q = field_quench(base, float(hi), float(hf))
             steady_map[i, j] = bell_value(steady_correlators(q))
             times, _, cxx, cyy, czz, cxy = correlator_arrays(q, grid_t)
-            bell = chsh_arrays(cxx, cyy, czz, cxy, cxy)[3]
+            bell = chsh_arrays(cxx, cyy, czz, cxy, cxy)
             avg_map[i, j] = np.trapezoid(bell, times) / (times[-1] - times[0])
             fi = h_c < hi < 1.0
             fj = h_c < hf < 1.0
@@ -249,7 +252,7 @@ def kernel_values(series):
     """chsh_arrays and xstate_log_negativity over a list of CorrelatorSets."""
     mz, cxx, cyy, czz, cxy = (np.array([getattr(c, k) for c in series])
                               for k in ("mz", "cxx", "cyy", "czz", "cxy"))
-    return (chsh_arrays(cxx, cyy, czz, cxy, cxy)[3],
+    return (chsh_arrays(cxx, cyy, czz, cxy, cxy),
             xstate_log_negativity(mz, cxx, cyy, czz, cxy))
 
 
@@ -313,7 +316,7 @@ def test_array_kernels_scalar_path_bits():
     series = [random_xstate_correlators(rng)[0] for _ in range(200)]
     cxx, cyy, czz, cxy, cyx = (np.array([getattr(c, k) for c in series])
                                for k in ("cxx", "cyy", "czz", "cxy", "cyx"))
-    bell = chsh_arrays(cxx, cyy, czz, cxy, cyx)[3]
+    bell = chsh_arrays(cxx, cyy, czz, cxy, cyx)
     assert np.array_equal(bell, [bell_value(c) for c in series])
 
 

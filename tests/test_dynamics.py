@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellquench.bell import bell_value, xstate_log_negativity
 from bellquench.model import ModelParams, QuenchKind, field_quench, make_quench
@@ -382,10 +382,14 @@ def test_steady_cell_matches_reference(quench):
 @settings(max_examples=60, deadline=None)
 @given(model_quenches(max_n=10), st.floats(1.0, 1e3), st.integers(2, 3 * TIME_CHUNK),
        st.integers(0, 3 * TIME_CHUNK))
+# h_i on the line h_c(0.5), where the gamma = 0 chain's even ground level
+# is doubly degenerate: both paths take the limit h_i - eps
+@example(field_quench(ModelParams(N=4, gamma=0.0, alpha=0.5, h=0.0),
+                      -1.0 + 2.0 ** 0.5, 1.0), 10.0, 3, 1)
 def test_timed_matches_oracle(quench, t_max, count, pick):
     # a grid of `count` samples to t_max <= 1e3, so the angle addition
     # meets large starts and nonzero offsets; correlators_at and
-    # correlator_arrays at two of its samples against the dense
+    # correlator_arrays at t = 0 and two more of its samples against the dense
     # evolution.  Tolerance, with u the unit roundoff of a double and D
     # the even sector's dimension (D >= 8): each momentum angle
     # 2 Lambda_k t is off by at most 3 u 2 Lambda_k t
@@ -401,7 +405,7 @@ def test_timed_matches_oracle(quench, t_max, count, pick):
     _, b, u = _quench_axis(quench)
     rates = 2.0 * np.max(np.hypot(u[1], b[1])) + np.max(np.abs(runner._energies))
     dim = 2 ** (quench.initial.N - 1)
-    for k in (pick % times.size, times.size - 1):
+    for k in (0, pick % times.size, times.size - 1):
         t = float(times[k])
         dense = oracle.correlator_set_from_pair(
             oracle.pair_observables(runner.rho12_at(t)), t)

@@ -140,10 +140,14 @@ class TestSamePhaseArea:
                 expected, rel=1e-12)
 
     def test_coupling_window(self):
-        with pytest.raises(ValueError):
-            same_phase_area(QuenchKind.COUPLING, -0.76)
-        with pytest.raises(ValueError):
-            same_phase_area(QuenchKind.COUPLING, 0.5)
+        # the fields whose line alpha_c lies inside (0.5, 3): the edges
+        # 2**-2 - 1 and 2**0.5 - 1 are refused, one ulp inward accepted
+        low, high = 2.0 ** -2 - 1.0, 2.0 ** 0.5 - 1.0
+        for h in (-0.76, 0.5, low, high):
+            with pytest.raises(ValueError):
+                same_phase_area(QuenchKind.COUPLING, h)
+        for h in (math.nextafter(low, 0.0), math.nextafter(high, 0.0)):
+            assert same_phase_area(QuenchKind.COUPLING, h) == pytest.approx(6.25)
 
 
 def test_params_validation():
@@ -197,8 +201,8 @@ class TestPhaseCodes:
                             [classify_field_value(float(q), math.inf) for q in qs])
 
     # alpha_c(h) = 2.0 (h = -0.5) and 1.0 (h = 0) fall on the grid;
-    # h = -1.5 has no line
-    @pytest.mark.parametrize("h", [-1.5, -0.5, 0.0, 0.3])
+    # h = -1.5 and -1 have no line
+    @pytest.mark.parametrize("h", [-1.5, -1.0, -0.5, 0.0, 0.3])
     def test_coupling_lines(self, h):
         qs = np.round(np.arange(0.5, 3.0001, 0.05), 12)
         code, on_line = phase_codes(QuenchKind.COUPLING, base(h=h), qs)

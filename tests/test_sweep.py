@@ -11,11 +11,13 @@ import bellquench.sweep as sweep_mod
 from bellquench.bell import (bell_value, chsh_arrays, log_negativity,
                              reconstruct_rho12)
 from bellquench.errors import ThresholdUndefinedError
-from bellquench.model import ModelParams, QuenchKind, phase_codes, same_phase_area
+from bellquench.model import (WINDOW, ModelParams, QuenchKind, phase_codes,
+                              same_phase_area)
 from bellquench.momentum import (MEMORY_CAP, STEADY_DEGENERACY_TOL,
                                  check_footprint, mode_angles)
-from bellquench.sweep import (FIELD_GRID, MAX_GRID_VALUE, GridSpec, Quantifier,
-                              _cross_blocks, critical_threshold, cross_cell_count,
+from bellquench.sweep import (FIELD_GRID, KIND_DEFAULTS, MAX_GRID_VALUE, GridSpec,
+                              Quantifier, _cross_blocks, check_window,
+                              critical_threshold, cross_cell_count,
                               curve_workers, efficiency, steady_cell, sweep,
                               sweep_all, threshold_curve)
 from phase_reference import (PhaseLabel, classify_coupling_value,
@@ -215,6 +217,12 @@ class TestEfficiency:
         assert report.eta == pytest.approx(
             report.area_detected / report.area_same, rel=1e-12)
         assert 0.0 <= report.eta <= 1.0
+
+    @pytest.mark.parametrize("kind", list(QuenchKind))
+    def test_default_grid_spans_the_model_window(self, kind):
+        grid = KIND_DEFAULTS[kind].grid
+        assert (grid.q_min, grid.q_max) == WINDOW[kind]
+        check_window(kind, grid)
 
     @pytest.mark.parametrize("kind,fixed,grid", [
         (QuenchKind.FIELD, fixed_params(N=16, gamma=0.8, alpha=3.5),
@@ -537,7 +545,7 @@ def test_entanglement_map_bits_unchanged(kind, fixed, grid):
     mz, cxx, cyy, czz = kernel_maps(kind, fixed, grid)
     maps = sweep_all(kind, fixed, grid)
     assert np.array_equal(maps[Quantifier.BELL].values,
-                          chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3])
+                          chsh_arrays(cxx, cyy, czz, 0.0, 0.0))
     assert np.array_equal(maps[Quantifier.BELL].values,
                           readout_reference.bell(cxx, cyy, czz, 0.0, 0.0))
     assert np.array_equal(maps[Quantifier.CZZ].values, czz)
@@ -609,7 +617,7 @@ class TestLeanReadout:
         N, phis, b, u, order, blocks = case
         kernel = SteadyKernel(N, phis, b.shape[0])
         b_c = sweep_mod._cross_max(kernel, (b, u), order, blocks)
-        assert b_c == max(np.max(chsh_arrays(cxx, cyy, czz, 0.0, 0.0)[3])
+        assert b_c == max(np.max(chsh_arrays(cxx, cyy, czz, 0.0, 0.0))
                           for _, _, cxx, cyy, czz in kernel.maps(b, u, blocks, order))
         assert b_c == max(np.max(readout_reference.bell(cxx, cyy, czz, 0.0, 0.0))
                           for _, _, cxx, cyy, czz in readout_reference.steady_chunks(
@@ -630,7 +638,7 @@ class TestLeanReadout:
         cxy[:50] = cyx[:50] = 0.0
         for args in ((cxx, cyy, czz, cxy, cyx), (cxx, cyy, czz, cxy, cxy)):
             reference = readout_reference.bell(*args)
-            assert np.array_equal(chsh_arrays(*args)[3], reference)
+            assert np.array_equal(chsh_arrays(*args), reference)
             assert [bell_value(CorrelatorSet(0.0, *cell)) for cell in zip(*args)] == \
                 reference.tolist()
 
