@@ -36,11 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import _chsh_terms, chsh_arrays, xstate_log_negativity
-from .dynamics import SteadyKernel, _axes
+from .dynamics import ROW_CHUNK, SteadyKernel, _axes
 from .errors import ThresholdUndefinedError
 from .model import (HELD, WINDOW, ModelParams, QuenchKind, check_lines,
                     make_quench, phase_codes, same_phase_area)
-from .momentum import MEMORY_CAP, check_footprint
+from .momentum import MAP_BYTES, MEMORY_CAP, check_footprint
 from .output import forked, one_blas_thread, openblas, writer_cpus
 
 
@@ -298,16 +298,23 @@ def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str | None = None,
 CURVE_WORK = 2 ** 27
 
 
+def curve_footprint(N: int, grid: GridSpec) -> int:
+    """check_footprint's estimate of one curve process, which builds no
+    grid^2 map: the steady kernel's factor rows and its eight chunk
+    buffers of ROW_CHUNK x grid doubles, charged as MAP_BYTES cells."""
+    return check_footprint(N, grid.count, 8 * ROW_CHUNK * grid.count * 8 // MAP_BYTES)
+
+
 def curve_workers(count: int, grid: GridSpec, N: int) -> int:
     """Processes a threshold curve of `count` points on `grid` runs in:
     one per CPU (output.writer_cpus) and point, but none with under
     CURVE_WORK cell-sites, where the BLAS can be pinned to one thread
     (output.openblas); else 1.  Each process builds a kernel of its
-    own, so check_footprint's estimate for one process, taken once per
+    own, so curve_footprint's estimate for one process, taken once per
     worker, stays within MEMORY_CAP."""
     if openblas() is None:
         return 1
-    share = MEMORY_CAP // check_footprint(N, grid.count, grid.count ** 2)
+    share = MEMORY_CAP // curve_footprint(N, grid)
     return max(1, min(writer_cpus(), count, share,
                       count * grid.count ** 2 * N // CURVE_WORK))
 
@@ -352,7 +359,7 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
         raise ValueError("points must be nonempty")
     for fixed in params:
         same_phase_area(kind, getattr(fixed, held))  # coupling window
-    check_footprint(N, grid.count, grid.count ** 2)
+    curve_footprint(N, grid)
     qs = grid.values()
     cross = [_cross_blocks(kind, fixed, qs, boundary, cross_lines) for fixed in params]
     with one_blas_thread() as blas_threads:

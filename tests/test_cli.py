@@ -381,8 +381,8 @@ class TestCurveWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    # the estimate of one process for these curves (61^2 grid, N 16)
-    FOOTPRINT = momentum.check_footprint(16, 61, 61 ** 2)
+    # the estimate of one process for these curves (61-value grid, N 16)
+    FOOTPRINT = sweep_mod.curve_footprint(16, sweep_mod.GridSpec(-3, 3, 0.1))
 
     @pytest.mark.parametrize("points,cpus,cap,workers", [
         ("1", 2, momentum.MEMORY_CAP, 1), ("1,2,3", 2, momentum.MEMORY_CAP, 2),
@@ -622,6 +622,25 @@ class TestResourceCap:
         err = capsys.readouterr().err
         assert "resource cap" in err and len(err) < 160
         assert not (tmp_path / "cap").exists()
+
+    def test_curve_is_charged_its_kernel_not_a_map(self, tmp_path, monkeypatch):
+        # 6001 grid values at N 512: their grid^2 map would be estimated
+        # at 1.35e9 B, over the cap, but a curve builds none, so the run
+        # passes the cap and reaches the kernel (stopped here at its
+        # first array); ten times the values still exit 4
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(sweep_mod, "SteadyKernel", reached)
+        argv = ["threshold-curve", "--kind", "field", "--gamma", "1", "--points=3.5",
+                "--out", str(tmp_path / "c")]
+        with pytest.raises(Reached):
+            run(argv + ["--step", "0.001"])
+        assert run(argv + ["--step", "0.0001"]) == 4
+        assert not (tmp_path / "c").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):

@@ -166,7 +166,7 @@ class TestFootprint:
         import tracemalloc
 
         from bellquench.model import QuenchKind
-        from bellquench.sweep import KIND_DEFAULTS, threshold_curve
+        from bellquench.sweep import KIND_DEFAULTS, curve_footprint, threshold_curve
 
         kind = QuenchKind(kind)
         grid = KIND_DEFAULTS[kind].grid
@@ -176,7 +176,7 @@ class TestFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < check_footprint(512, grid.count, grid.count ** 2)
+        assert peak < curve_footprint(512, grid)
         assert peak < self.CURVE_PEAK_BOUNDS[kind.value]
 
 

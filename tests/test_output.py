@@ -1,5 +1,6 @@
 """output.write_csv: forked row-range writers give the bytes of the plain
-loop whatever the part count, and leave no child behind."""
+loop whatever the part count, and leave no child behind; the numpy
+kernel of float arrays (_format_cells) gives the bytes of "%.17g"."""
 
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import bellquench
 import bellquench.cli as cli
@@ -108,3 +111,64 @@ def test_blas_after_fork_keeps_bits(tmp_path, monkeypatch, forks):
         if name != "manifest.json":
             assert ((tmp_path / "here" / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes()), name
+
+
+def percent_bytes(cells):
+    line = ",".join(["%.17g"] * cells.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in cells.tolist()).encode()
+
+
+def assert_kernel_bytes(cells):
+    assert output._format_cells(cells) == percent_bytes(cells)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+              elements=st.floats(allow_nan=True, allow_infinity=True,
+                                 allow_subnormal=True)))
+def test_kernel_bytes_are_percent_format(cells):
+    assert_kernel_bytes(cells)
+
+
+def edge_values():
+    """Powers of ten and both neighbours, exact ties of the 17th digit
+    (M + j / 2^(17 - X) for X = floor(log10 M), j odd, which round half
+    to even), the domain bounds, subnormals and non-finite values."""
+    powers = 10.0 ** np.arange(-8, 19)
+    ties = [10.0 ** x + j / 2.0 ** (17 - x) for x in range(6, 16) for j in (1, 3, 5)]
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), ties,
+        [1e9 + 1 / 256, 0.5, 2.5, 0.1, 1 / 3, 2.0 ** -1074, 2.0 ** -1022,
+         np.nextafter(2.0 ** -1022, 0), np.finfo(float).max, 2.0 ** 53 + 2,
+         0.0, np.nan, np.inf, 9.9999999999999995e-7, 99999999999999984.0]])
+    return np.concatenate([values, -values])
+
+
+def test_kernel_edge_values():
+    values = edge_values()
+    assert_kernel_bytes(values[:, None])
+    assert_kernel_bytes(np.resize(values, (values.size // 3, 3)))
+    # a tie takes the even 17th digit, down and up
+    assert output._format_cells(np.array([[1e15 + 0.25, 1e15 + 0.75]])) == (
+        b"1000000000000000.2,1000000000000000.8\n")
+
+
+def test_kernel_random_bit_patterns():
+    # 2^20 doubles: half of every exponent, half of the kernel's domain
+    # (binary exponents -20 to 56, outside which every cell falls back)
+    rng = np.random.default_rng(25)
+    bits = rng.integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64)
+    exponent = rng.integers(1023 - 20, 1023 + 57, 2 ** 19, dtype=np.uint64)
+    bits[::2] = bits[::2] & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
+    assert_kernel_bytes(bits.view(np.float64).reshape(-1, 8))
+
+
+def test_fallback_alone_gives_the_same_bytes(monkeypatch):
+    # a zero scale puts every cell outside the exact range, so each
+    # takes the %-format of the fallback
+    scale, *rest = output._digit_tables()
+    monkeypatch.setattr(output, "_digit_tables", lambda: (0 * scale, *rest))
+    rng = np.random.default_rng(7)
+    cells = rng.standard_normal((500, 9)) * 10.0 ** rng.integers(-7, 5, (500, 9))
+    assert_kernel_bytes(cells)
+    monkeypatch.undo()
+    assert_kernel_bytes(cells)

@@ -10,14 +10,14 @@ import bellquench
 import bellquench.sweep as sweep_mod
 from bellquench.bell import (bell_value, chsh_arrays, log_negativity,
                              reconstruct_rho12)
-from bellquench.errors import ThresholdUndefinedError
+from bellquench.errors import ResourceCapError, ThresholdUndefinedError
 from bellquench.model import (WINDOW, ModelParams, QuenchKind, phase_codes,
                               same_phase_area)
 from bellquench.momentum import (MEMORY_CAP, STEADY_DEGENERACY_TOL,
                                  check_footprint, mode_angles)
 from bellquench.sweep import (FIELD_GRID, KIND_DEFAULTS, MAX_GRID_VALUE, GridSpec,
                               Quantifier, _cross_blocks, check_window,
-                              critical_threshold, cross_cell_count,
+                              critical_threshold, cross_cell_count, curve_footprint,
                               curve_workers, efficiency, steady_cell, sweep,
                               sweep_all, threshold_curve)
 from phase_reference import (PhaseLabel, classify_coupling_value,
@@ -307,8 +307,19 @@ class TestThresholdCurves:
         assert curve(points[::-1]) == alone[::-1]
         assert len(forks) == (0 if openblas() is None else 2)
 
+    def test_curve_footprint_charges_no_map(self):
+        # a curve builds no grid^2 map: at N 512 a 6001-value grid's map
+        # alone exceeds MEMORY_CAP while its kernel fits, and a kernel of
+        # 10x the values does not
+        grid = GridSpec(-3, 3, 0.001)
+        with pytest.raises(ResourceCapError):
+            check_footprint(512, grid.count, grid.count ** 2)
+        assert curve_footprint(512, grid) < MEMORY_CAP
+        with pytest.raises(ResourceCapError):
+            curve_footprint(512, GridSpec(-3, 3, 0.0001))
+
     @pytest.mark.parametrize("step,N", [(0.1, 16), (0.01, 512), (0.002, 512),
-                                        (0.0015, 512)])
+                                        (0.0015, 512), (0.0005, 512), (0.0004, 512)])
     def test_workers_fit_the_memory_cap(self, monkeypatch, step, N):
         # however many CPUs, the workers' kernels together stay within
         # MEMORY_CAP (the last two grids hold 2 and 1 footprints of 12)
@@ -316,7 +327,7 @@ class TestThresholdCurves:
         monkeypatch.setattr(sweep_mod, "CURVE_WORK", 1)
         grid = GridSpec(-3, 3, step)
         workers = curve_workers(12, grid, N)
-        need = check_footprint(N, grid.count, grid.count ** 2)
+        need = curve_footprint(N, grid)
         assert 1 <= workers <= 12
         assert workers * need <= MEMORY_CAP
         if openblas() is not None:
