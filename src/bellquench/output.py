@@ -8,6 +8,12 @@ so every JSON file parses.  Identical inputs therefore produce
 byte-identical artifacts, however many forked writers format a large
 CSV (write_csv).
 
+A float array's CSV cells get the bytes of "%.17g" from array operations
+(_format_cells), exactly: for 1e-6 <= |x| < 1e17, s = 10^(16 - X), X =
+floor(log10|x|), is a double, Dekker's TwoProduct gives p + e = |x| s and
+p + rint(e) (p is even) rounds it half to even; 10^17 carries to X + 1.
+Other cells, and any whose floor(p + e) is not 17 digits, take "%.17g".
+
 forked is the one fork, pipe, reap and kill frame: write_csv sends its
 row ranges through it, sweep.threshold_curve its ranges of points.
 
@@ -22,7 +28,6 @@ import contextlib
 import ctypes
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -60,11 +65,11 @@ def write_json(path, obj) -> None:
         fh.write(_json_value(obj) + "\n")
 
 
-# Cells formatted per pass, and held at a time: of 4096, 8192 and 16384,
-# 8192 writes evolve's 108,009 cells fastest; 16384 faults fresh pages.
+# Cells formatted (and held) at a time: 4096 is slower, 16384 faults fresh pages.
 CSV_BLOCK_CELLS = 8192
 # Fewest cells per forked writer: one process writes evolve's as fast as two.
 PART_CELLS = 65536
+SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter of a double into two halves
 
 
 def writer_cpus() -> int:
@@ -113,133 +118,68 @@ def one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(threads)
 
 
-# Tables of _format_cells, built once, in the first CSV write of a
-# process (x = 10^X, X = xi - 7 in -7..17): 10^(16 - X) and its
-# Veltkamp halves (0 for X = -7 and 17, which only a log10 rounded
-# across a power of ten gives); each 4-digit group as "d.d.d.d." and
-# its trailing zeros; "-0.000", the leading digit and "."; "e-XX" and
-# a separator, "," or "\n" (from xi + 25); the byte mask of a cell per
-# (sign, X, significant digits m).  Python bytes and numpy fills build
-# them: new numpy kernels would page in more of numpy than they take.
 @functools.cache
 def _digit_tables():
-    digits = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
-    zeros = np.zeros((10, 10, 10, 10), np.int8)
+    """_format_cells' tables (per X = xi - 7, leading digit, 4-digit group and
+    (sign, X, significant digits)), built without numpy kernels of their own."""
+    digits = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)  # "d.d.d.d."
+    zeros = np.zeros((10, 10, 10, 10), np.intp)  # trailing zeros, 4 for 0000
     for k in range(4):
-        digits[..., 2 * k] = np.frombuffer(b"0123456789", np.uint8).reshape(
-            (10,) + (1,) * (3 - k))
+        digits[..., 2 * k] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
         zeros[(...,) + (0,) * (k + 1)] = k + 1
+    # 10^(16 - X) and its halves; 0 for X = -7 and 17, a log10 one off
     scale = [float(10 ** (16 - x)) if -7 < x < 17 else 0.0 for x in range(-7, 18)]
     high = [s * SPLIT - (s * SPLIT - s) for s in scale]
-    masks = bytearray()
-    for sign, x, m in itertools.product((0, 1), range(-7, 18), range(18)):
-        # sign, "0.000", d0 "." d1 "." ... d16 ".", "e-XX", separator
-        fixed, keep = -4 <= x < 17, bytearray(48)
-        keep[0], keep[44] = 255 * sign, 255
-        if fixed and x < 0:
-            keep[1:2 - x] = b"\xff" * (1 - x)
-        count = max(m, x + 1) if fixed else m
-        keep[6:6 + 2 * count:2] = b"\xff" * count
-        point = x if fixed else 0  # the digit the "." follows
-        if 0 <= point < m - 1:
-            keep[7 + 2 * point] = 255
-        if not fixed:
-            keep[40:44] = b"\xff" * 4
-        masks += keep
-    return (np.array([scale, high, np.subtract(scale, high)]),
-            digits.view(np.uint64).ravel(), zeros.ravel(),
-            np.frombuffer(b"".join(b"-0.000%d." % (k % 10 + (k == 10))
-                                   for k in range(11)), np.uint64),
-            np.frombuffer(b"".join(b"e%+03d%c\0\0\0" % (x, sep) for sep in b",\n"
-                                   for x in range(-7, 18)), np.uint64),
-            np.frombuffer(masks, np.uint64).reshape(-1, 6))
-
-
-SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter of a double into two halves
-
-
-def _significands(x):
-    """(g, xi, ok) per cell: |x| rounded half to even to 17 significant
-    digits, d0 g1 g2 g3 g4 (g is the 5 x cells float array of d0 and
-    the four 4-digit groups) times 10^(X - 16), X = xi - 7, where ok;
-    d0 = 10 (and 0000s) where the rounding carries to 10^17."""
-    with np.errstate(all="ignore"):  # from cells the fallback formats
-        a = np.abs(x)
-        ok = (a >= 1e-6) & (a < 1e17)
-        a = np.where(ok, a, 1.0)
-        xi = np.log10(a)
-        np.floor(xi, out=xi)
-        xi += 7
-        s, s_hi, s_lo = np.take(_digit_tables()[0], xi.astype(np.intp), axis=1)
-    p = a * s
-    hi = a * SPLIT
-    hi -= hi - a
-    lo = a - hi
-    e = hi * s_hi - p  # Dekker's TwoProduct: p + e = a s exactly
-    e += hi * s_lo
-    e += lo * s_hi
-    e += lo * s_lo
-    # the exact range check on floor(p + e): p is an integer, |e| <= ulp(p) / 2
-    ok &= (p - 1e16) + e >= 0
-    ok &= (p - 1e17) + e < 0
-    # p + rint(e) = 10^8 u + l with 0 <= l < 10^8, in exact integers;
-    # each floor((n + 0.5) / 10^k) is the exact quotient of n and 10^k
-    u = np.floor(p * 1e-8)
-    low = (p - u * 1e8) + np.rint(e)
-    c = np.floor((low + 0.5) * 1e-8)  # -1, 0 or 1
-    u += c
-    low -= c * 1e8
-    g = np.empty((5, x.size))
-    np.floor((u + 0.5) * 1e-8, out=g[0])
-    u -= g[0] * 1e8
-    for k, n in ((1, u), (3, low)):
-        np.floor((n + 0.5) * 1e-4, out=g[k])
-        np.subtract(n, g[k] * 1e4, out=g[k + 1])
-    xi += np.floor(g[0] * 0.1)  # the carry
-    return g, xi, ok
+    # a cell's bytes: sign "0.000" d0 "." d1 "." ... d16 "." e-XX separator
+    sign, x, m, col = np.ix_(*map(np.arange, (2.0, 25.0, 18.0, 48.0)))
+    x, i, fixed = x - 7, col // 2 - 3, (x >= 3) & (x < 24)  # digit i at 6 + 2 i
+    keep = ((col == 0) & (sign == 1) | (col > 0) & (col < 2 - x) & (x < 0) & fixed
+            | (col >= 6) & (col < 40) & np.where(col % 2 == 0, i < np.where(
+                fixed, np.maximum(m, x + 1), m), (i == np.where(fixed, x, 0)) & (i < m - 1))
+            | (col >= 40) & (col < 44) & ~fixed | (col == 44))
+    words = [b"-0.000%d." % (k % 10 + k // 10) for k in range(11)]  # 10: the carry
+    words += [b"e%+03d%c\0\0\0" % (x, c) for c in b",\n" for x in range(-7, 18)]
+    return (np.array([scale, high, np.subtract(scale, high)]), digits.view(np.uint64), zeros,
+            np.frombuffer(b"".join(words), np.uint64), np.frombuffer(keep.tobytes().replace(
+                b"\1", b"\xff"), np.uint64).reshape(-1, 6))  # np.take flattens digits, zeros
 
 
 def _format_cells(block):
-    """The bytes of "%.17g" per cell of a 2-D float64 block, joined by ","
-    and "\n" (the module docstring gives why they are exact)."""
-    _, digits, zeros, lead, tail, masks = _digit_tables()
-    rows, cols = block.shape
+    """The "%.17g" bytes of a 2-D float64 block's cells, "," and "\n" joined."""
+    scale, digits, zeros, words, masks = _digit_tables()
     x = block.ravel()
-    g, xi, ok = _significands(x)
-    g = g.astype(np.intp)
-    m = 17 - np.take(zeros, g[4])  # significant digits, less trailing zeros
-    tens = np.flatnonzero(m == 13)
-    if tens.size:  # the last group is 0000
-        t1, t2, t3 = np.take(zeros, g[1:4, tens])
-        m[tens] -= t3 + (t3 == 4) * (t2 + (t2 == 4) * t1)
-    end = np.empty((2, x.size))  # rows of tail and masks
-    np.add(xi.reshape(rows, cols), [0] * (cols - 1) + [25], out=end[0].reshape(rows, cols))
-    np.add(np.where(x < 0, 450, 0), xi * 18 + m, out=end[1])
-    end = end.astype(np.intp)
+    with np.errstate(all="ignore"):  # from cells the fallback formats
+        ok = (np.abs(x) >= 1e-6) & (np.abs(x) < 1e17)
+        a = np.where(ok, np.abs(x), 1.0)
+        xi = (np.floor(np.log10(a)) + 7).astype(np.intp)
+    s, s_hi, s_lo = np.take(scale, xi, axis=1)
+    p, hi = a * s, a * SPLIT - (a * SPLIT - a)
+    e = ((hi * s_hi - p) + hi * s_lo + (a - hi) * s_hi) + (a - hi) * s_lo  # p + e = a s
+    ok &= ((p - 1e16) + e >= 0) & ((p - 1e17) + e < 0)  # not where log10 is one off
+    g = p.astype(np.int64) + np.rint(e).astype(np.int64)  # d0 (10: carry), 4-digit groups
+    del a, s, s_hi, s_lo, p, hi, e  # only a block's bytes are held
+    g = g // np.array([[10 ** 16], [10 ** 12], [10 ** 8], [10 ** 4], [1]])
+    g[1:] %= 10 ** 4
+    xi += g[0] // 10
+    t = np.take(zeros, g[1:])  # m: significant digits
+    m = 17 - t[3] - (t[3] == 4) * (t[2] + (t[2] == 4) * (t[1] + (t[1] == 4) * t[0]))
     text = np.empty((x.size, 6), np.uint64)
-    text[:, 0] = np.take(lead, g[0])
-    text[:, 1:5] = np.take(digits, g[1:]).T
-    text[:, 5] = np.take(tail, end[0])
-    text &= np.take(masks, end[1], axis=0)
-    bad = np.flatnonzero(~ok)
-    if bad.size:  # "%.17g" itself, padded with NUL bytes
-        chars = np.array(["%.17g" % v for v in x[bad].tolist()], "S44")
-        text.view(np.uint8)[bad, :44] = chars.view(np.uint8).reshape(bad.size, 44)
+    text[:, 0], text[:, 1:5] = np.take(words, g[0]), np.take(digits, g[1:]).T
+    text[:, 5] = np.take(words, xi.reshape(block.shape) + (
+        [11] * (block.shape[1] - 1) + [36])).ravel()  # "e-XX" and separator
+    text &= np.take(masks, np.where(x < 0, 450, 0) + 18 * xi + m, axis=0)
+    bad = np.flatnonzero(~ok)  # "%.17g" itself, padded with NUL bytes
+    text.view(np.uint8)[bad, :44] = np.array(["%.17g" % v for v in x[bad].tolist()],
+                                             "S44").view(np.uint8).reshape(bad.size, 44)
     return text.tobytes().translate(None, b"\0")
 
 
 def _blocks(rows, line, step):
-    """The bytes of rows, step at a time: a float array's by
-    _format_cells, other rows' by a %-format of line each."""
-    floats = isinstance(rows, np.ndarray) and rows.dtype.kind == "f"
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
-        if floats:
-            yield _format_cells(block.astype(np.float64, copy=False))
-        else:
-            if isinstance(block, np.ndarray):
-                block = block.tolist()
-            yield "".join([line % tuple(row) for row in block]).encode()
+        yield (_format_cells(block.astype(np.float64, copy=False))
+               if isinstance(block, np.ndarray)
+               else "".join([line % tuple(row) for row in block]).encode())
 
 
 def _child(task, out, reads):
@@ -299,23 +239,21 @@ def forked(tasks, what):
 
 
 def _send_rows(rows, line, step, out):
-    """Format rows whole, then send them, so a full pipe cannot stall the
-    formatting."""
+    """Format rows whole, then send them: a full pipe cannot stall that."""
     out.writelines(list(_blocks(rows, line, step)))
 
 
 def write_csv(path, header, rows) -> None:
     """Header plus rows of numbers, one value per header column.
 
-    rows is a 2-D array or a sequence of rows of floats and ints.  A
-    float array is formatted by _format_cells, other rows by one
-    %-format of 17-digit fields each: the same text as fmt_float either
-    way, in blocks of about CSV_BLOCK_CELLS values.  The rows are split
-    into contiguous ranges, one per writer CPU but none under PART_CELLS
-    cells: this process formats the first into the file while forked
-    children (forked) format the others, whose bytes it then copies in
-    row order.  So the bytes do not depend on the part count.  A failed
-    child raises BellquenchError; no child outlives the call.
+    rows is a 2-D array (formatted by _format_cells) or a sequence of
+    rows of floats and ints (by one %-format of 17-digit fields a row),
+    the same text as fmt_float, in blocks of about CSV_BLOCK_CELLS values.
+    The rows are split into contiguous ranges, one per writer CPU but
+    none under PART_CELLS cells: this process formats the first into the
+    file while forked children (forked) format the others, whose bytes
+    it then copies in row order.  So the bytes do not depend on the part
+    count.  A failed child raises BellquenchError; no child outlives it.
     """
     line = ",".join(["%.17g"] * len(header)) + "\n"
     step = max(1, CSV_BLOCK_CELLS // len(header))
@@ -338,8 +276,8 @@ def write_matrix_csv(path, matrix, axis, corner="q_i\\q_f") -> None:
 
 
 def sha256_file(path) -> str:
-    """Read through one 64 KiB buffer: a new 1 MiB bytes object per read
-    added about 1 MB to the peak RSS of a run that writes a large CSV."""
+    # one 64 KiB buffer: a new 1 MiB bytes object a read added 1 MB to the
+    # peak RSS of a run that writes a large CSV
     digest, buffer = hashlib.sha256(), bytearray(1 << 16)
     with open(path, "rb", buffering=0) as fh:
         while size := fh.readinto(buffer):

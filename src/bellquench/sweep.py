@@ -40,7 +40,7 @@ from .dynamics import ROW_CHUNK, SteadyKernel, _axes
 from .errors import ThresholdUndefinedError
 from .model import (HELD, WINDOW, ModelParams, QuenchKind, check_lines,
                     make_quench, phase_codes, same_phase_area)
-from .momentum import MAP_BYTES, MEMORY_CAP, check_footprint
+from .momentum import MEMORY_CAP, check_footprint
 from .output import forked, one_blas_thread, openblas, writer_cpus
 
 
@@ -298,23 +298,17 @@ def efficiency(diagram: PhaseDiagram, q_c: float, boundary: str | None = None,
 CURVE_WORK = 2 ** 27
 
 
-def curve_footprint(N: int, grid: GridSpec) -> int:
-    """check_footprint's estimate of one curve process, which builds no
-    grid^2 map: the steady kernel's factor rows and its eight chunk
-    buffers of ROW_CHUNK x grid doubles, charged as MAP_BYTES cells."""
-    return check_footprint(N, grid.count, 8 * ROW_CHUNK * grid.count * 8 // MAP_BYTES)
-
-
 def curve_workers(count: int, grid: GridSpec, N: int) -> int:
     """Processes a threshold curve of `count` points on `grid` runs in:
     one per CPU (output.writer_cpus) and point, but none with under
     CURVE_WORK cell-sites, where the BLAS can be pinned to one thread
     (output.openblas); else 1.  Each process builds a kernel of its
-    own, so curve_footprint's estimate for one process, taken once per
-    worker, stays within MEMORY_CAP."""
+    own, so check_footprint's estimate for one process, taken once per
+    worker, stays within MEMORY_CAP: no grid^2 map, but factor rows and
+    8 chunk buffers of ROW_CHUNK x grid doubles (2 MAP_BYTES cells a row)."""
+    share = MEMORY_CAP // check_footprint(N, grid.count, 2 * ROW_CHUNK * grid.count)
     if openblas() is None:
         return 1
-    share = MEMORY_CAP // curve_footprint(N, grid)
     return max(1, min(writer_cpus(), count, share,
                       count * grid.count ** 2 * N // CURVE_WORK))
 
@@ -359,7 +353,7 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
         raise ValueError("points must be nonempty")
     for fixed in params:
         same_phase_area(kind, getattr(fixed, held))  # coupling window
-    curve_footprint(N, grid)
+    workers = curve_workers(len(params), grid, N)
     qs = grid.values()
     cross = [_cross_blocks(kind, fixed, qs, boundary, cross_lines) for fixed in params]
     with one_blas_thread() as blas_threads:
@@ -373,7 +367,6 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
         def send(lo, hi, out):
             out.write(part(lo, hi).tobytes())
 
-        workers = curve_workers(len(params), grid, N)
         bounds = [len(params) * i // workers for i in range(workers + 1)]
         with forked([functools.partial(send, lo, hi)
                      for lo, hi in zip(bounds[1:], bounds[2:])],

@@ -381,8 +381,9 @@ class TestCurveWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    # the estimate of one process for these curves (61-value grid, N 16)
-    FOOTPRINT = sweep_mod.curve_footprint(16, sweep_mod.GridSpec(-3, 3, 0.1))
+    # the estimate of one process for these curves (a kernel of 61 grid
+    # values, N 16)
+    FOOTPRINT = momentum.check_footprint(16, 61, 2 * dynamics.ROW_CHUNK * 61)
 
     @pytest.mark.parametrize("points,cpus,cap,workers", [
         ("1", 2, momentum.MEMORY_CAP, 1), ("1,2,3", 2, momentum.MEMORY_CAP, 2),

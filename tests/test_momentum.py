@@ -165,8 +165,9 @@ class TestFootprint:
         # the steady kernel's arrays and its chunks on the default grids
         import tracemalloc
 
+        from bellquench.dynamics import ROW_CHUNK
         from bellquench.model import QuenchKind
-        from bellquench.sweep import KIND_DEFAULTS, curve_footprint, threshold_curve
+        from bellquench.sweep import KIND_DEFAULTS, threshold_curve
 
         kind = QuenchKind(kind)
         grid = KIND_DEFAULTS[kind].grid
@@ -176,7 +177,7 @@ class TestFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < curve_footprint(512, grid)
+        assert peak < check_footprint(512, grid.count, 2 * ROW_CHUNK * grid.count)
         assert peak < self.CURVE_PEAK_BOUNDS[kind.value]
 
 

@@ -17,7 +17,7 @@ from bellquench.momentum import (MEMORY_CAP, STEADY_DEGENERACY_TOL,
                                  check_footprint, mode_angles)
 from bellquench.sweep import (FIELD_GRID, KIND_DEFAULTS, MAX_GRID_VALUE, GridSpec,
                               Quantifier, _cross_blocks, check_window,
-                              critical_threshold, cross_cell_count, curve_footprint,
+                              critical_threshold, cross_cell_count,
                               curve_workers, efficiency, steady_cell, sweep,
                               sweep_all, threshold_curve)
 from phase_reference import (PhaseLabel, classify_coupling_value,
@@ -307,16 +307,16 @@ class TestThresholdCurves:
         assert curve(points[::-1]) == alone[::-1]
         assert len(forks) == (0 if openblas() is None else 2)
 
-    def test_curve_footprint_charges_no_map(self):
+    def test_curve_is_charged_its_kernel_not_a_map(self):
         # a curve builds no grid^2 map: at N 512 a 6001-value grid's map
         # alone exceeds MEMORY_CAP while its kernel fits, and a kernel of
         # 10x the values does not
         grid = GridSpec(-3, 3, 0.001)
         with pytest.raises(ResourceCapError):
             check_footprint(512, grid.count, grid.count ** 2)
-        assert curve_footprint(512, grid) < MEMORY_CAP
+        assert curve_workers(1, grid, 512) == 1
         with pytest.raises(ResourceCapError):
-            curve_footprint(512, GridSpec(-3, 3, 0.0001))
+            curve_workers(1, GridSpec(-3, 3, 0.0001), 512)
 
     @pytest.mark.parametrize("step,N", [(0.1, 16), (0.01, 512), (0.002, 512),
                                         (0.0015, 512), (0.0005, 512), (0.0004, 512)])
@@ -327,7 +327,7 @@ class TestThresholdCurves:
         monkeypatch.setattr(sweep_mod, "CURVE_WORK", 1)
         grid = GridSpec(-3, 3, step)
         workers = curve_workers(12, grid, N)
-        need = curve_footprint(N, grid)
+        need = check_footprint(N, grid.count, 2 * ROW_CHUNK * grid.count)  # a curve kernel
         assert 1 <= workers <= 12
         assert workers * need <= MEMORY_CAP
         if openblas() is not None:
