@@ -10,9 +10,9 @@ CSV (write_csv).
 
 A float array's CSV cells get the bytes of "%.17g" from array operations
 (_format_cells), exactly: for 1e-6 <= |x| < 1e17, s = 10^(16 - X), X =
-floor(log10|x|), is a double, Dekker's TwoProduct gives p + e = |x| s and
-p + rint(e) (p is even) rounds it half to even; 10^17 carries to X + 1.
-Other cells, and any whose floor(p + e) is not 17 digits, take "%.17g".
+floor(log10|x|), is an exact double, Dekker's TwoProduct gives p + e =
+|x| s and p + rint(e) (p is even) rounds it half to even.  Other cells,
+and any whose p + e is not in [10^16, 10^17 - 1/2), take "%.17g".
 
 forked is the one fork, pipe, reap and kill frame: write_csv sends its
 row ranges through it, sweep.threshold_curve its ranges of points.
@@ -120,8 +120,8 @@ def one_blas_thread():
 
 @functools.cache
 def _digit_tables():
-    """_format_cells' tables (per X = xi - 7, leading digit, 4-digit group and
-    (sign, X, significant digits)), built without numpy kernels of their own."""
+    """_format_cells' tables per X = xi - 7, leading digit d0, 4-digit group
+    and (sign, X, significant digits m), built once a process."""
     digits = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)  # "d.d.d.d."
     zeros = np.zeros((10, 10, 10, 10), np.intp)  # trailing zeros, 4 for 0000
     for k in range(4):
@@ -137,7 +137,7 @@ def _digit_tables():
             | (col >= 6) & (col < 40) & np.where(col % 2 == 0, i < np.where(
                 fixed, np.maximum(m, x + 1), m), (i == np.where(fixed, x, 0)) & (i < m - 1))
             | (col >= 40) & (col < 44) & ~fixed | (col == 44))
-    words = [b"-0.000%d." % (k % 10 + k // 10) for k in range(11)]  # 10: the carry
+    words = [b"-0.000%d." % d for d in range(10)]
     words += [b"e%+03d%c\0\0\0" % (x, c) for c in b",\n" for x in range(-7, 18)]
     return (np.array([scale, high, np.subtract(scale, high)]), digits.view(np.uint64), zeros,
             np.frombuffer(b"".join(words), np.uint64), np.frombuffer(keep.tobytes().replace(
@@ -155,18 +155,18 @@ def _format_cells(block):
     s, s_hi, s_lo = np.take(scale, xi, axis=1)
     p, hi = a * s, a * SPLIT - (a * SPLIT - a)
     e = ((hi * s_hi - p) + hi * s_lo + (a - hi) * s_hi) + (a - hi) * s_lo  # p + e = a s
-    ok &= ((p - 1e16) + e >= 0) & ((p - 1e17) + e < 0)  # not where log10 is one off
-    g = p.astype(np.int64) + np.rint(e).astype(np.int64)  # d0 (10: carry), 4-digit groups
+    # 10^16 <= p + e < 10^17 - 1/2: log10 was not one off; no domain double rounds up
+    ok &= ((p - 1e16) + e >= 0) & ((p - 1e17) + e < -0.5)
+    g = p.astype(np.int64) + np.rint(e).astype(np.int64)  # d0 and 4-digit groups
     del a, s, s_hi, s_lo, p, hi, e  # only a block's bytes are held
     g = g // np.array([[10 ** 16], [10 ** 12], [10 ** 8], [10 ** 4], [1]])
     g[1:] %= 10 ** 4
-    xi += g[0] // 10
     t = np.take(zeros, g[1:])  # m: significant digits
     m = 17 - t[3] - (t[3] == 4) * (t[2] + (t[2] == 4) * (t[1] + (t[1] == 4) * t[0]))
     text = np.empty((x.size, 6), np.uint64)
     text[:, 0], text[:, 1:5] = np.take(words, g[0]), np.take(digits, g[1:]).T
     text[:, 5] = np.take(words, xi.reshape(block.shape) + (
-        [11] * (block.shape[1] - 1) + [36])).ravel()  # "e-XX" and separator
+        [10] * (block.shape[1] - 1) + [35])).ravel()  # "e-XX" and separator
     text &= np.take(masks, np.where(x < 0, 450, 0) + 18 * xi + m, axis=0)
     bad = np.flatnonzero(~ok)  # "%.17g" itself, padded with NUL bytes
     text.view(np.uint8)[bad, :44] = np.array(["%.17g" % v for v in x[bad].tolist()],
