@@ -131,8 +131,8 @@ def _digit_tables():
     scale = [float(10 ** (16 - x)) if -7 < x < 17 else 0.0 for x in range(-7, 18)]
     high = [s * SPLIT - (s * SPLIT - s) for s in scale]
     # a cell's bytes: sign "0.000" d0 "." d1 "." ... d16 "." e-XX separator
-    sign, x, m, col = np.ix_(*map(np.arange, (2.0, 25.0, 18.0, 48.0)))
-    x, i, fixed = x - 7, col // 2 - 3, (x >= 3) & (x < 24)  # digit i at 6 + 2 i
+    sign, x, m, col = np.ix_([0, 1], np.arange(-7.0, 18), np.arange(18.0), np.arange(48.0))
+    fixed, i = (x >= -4) & (x < 17), col // 2 - 3  # digit i at column 6 + 2 i
     keep = ((col == 0) & (sign == 1) | (col > 0) & (col < 2 - x) & (x < 0) & fixed
             | (col >= 6) & (col < 40) & np.where(col % 2 == 0, i < np.where(
                 fixed, np.maximum(m, x + 1), m), (i == np.where(fixed, x, 0)) & (i < m - 1))
@@ -148,10 +148,9 @@ def _format_cells(block):
     """The "%.17g" bytes of a 2-D float64 block's cells, "," and "\n" joined."""
     scale, digits, zeros, words, masks = _digit_tables()
     x = block.ravel()
-    with np.errstate(all="ignore"):  # from cells the fallback formats
-        ok = (np.abs(x) >= 1e-6) & (np.abs(x) < 1e17)
-        a = np.where(ok, np.abs(x), 1.0)
-        xi = (np.floor(np.log10(a)) + 7).astype(np.intp)
+    ok = (np.abs(x) >= 1e-6) & (np.abs(x) < 1e17)  # else (0, NaN, ...) the fallback's
+    a = np.where(ok, np.abs(x), 1.0)
+    xi = (np.floor(np.log10(a)) + 7).astype(np.intp)
     s, s_hi, s_lo = np.take(scale, xi, axis=1)
     p, hi = a * s, a * SPLIT - (a * SPLIT - a)
     e = ((hi * s_hi - p) + hi * s_lo + (a - hi) * s_hi) + (a - hi) * s_lo  # p + e = a s
@@ -239,7 +238,7 @@ def forked(tasks, what):
 
 
 def _send_rows(rows, line, step, out):
-    """Format rows whole, then send them: a full pipe cannot stall that."""
+    """Format every row before sending, so a full pipe cannot stall formatting."""
     out.writelines(list(_blocks(rows, line, step)))
 
 

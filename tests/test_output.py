@@ -122,6 +122,7 @@ def assert_kernel_bytes(cells):
     assert output._format_cells(cells) == percent_bytes(cells)
 
 
+@pytest.mark.filterwarnings("error")
 @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
               elements=st.floats(allow_nan=True, allow_infinity=True,
                                  allow_subnormal=True)))
@@ -143,6 +144,7 @@ def edge_values():
     return np.concatenate([values, -values])
 
 
+@pytest.mark.filterwarnings("error")
 def test_kernel_edge_values():
     values = edge_values()
     assert_kernel_bytes(values[:, None])
@@ -152,6 +154,7 @@ def test_kernel_edge_values():
         b"1000000000000000.2,1000000000000000.8\n")
 
 
+@pytest.mark.filterwarnings("error")
 def test_kernel_random_bit_patterns():
     # 2^20 doubles: half of every exponent, half of the kernel's domain
     # (binary exponents -20 to 56, outside which every cell falls back)
@@ -162,6 +165,7 @@ def test_kernel_random_bit_patterns():
     assert_kernel_bytes(bits.view(np.float64).reshape(-1, 8))
 
 
+@pytest.mark.filterwarnings("error")
 def test_fallback_alone_gives_the_same_bytes(monkeypatch):
     # a zero scale puts every cell outside the exact range, so each
     # takes the %-format of the fallback
