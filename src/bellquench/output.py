@@ -65,8 +65,8 @@ def write_json(path, obj) -> None:
         fh.write(_json_value(obj) + "\n")
 
 
-# Cells formatted (and held) at a time: 4096 is slower, 16384 faults fresh pages.
-CSV_BLOCK_CELLS = 8192
+# Cells formatted (and held) at a time: 8192 writes no faster, with twice the memory.
+CSV_BLOCK_CELLS = 4096
 # Fewest cells per forked writer: one process writes evolve's as fast as two.
 PART_CELLS = 65536
 SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter of a double into two halves
@@ -159,7 +159,7 @@ def _format_cells(block):
     g = p.astype(np.int64) + np.rint(e).astype(np.int64)  # d0 and 4-digit groups
     del a, s, s_hi, s_lo, p, hi, e  # only a block's bytes are held
     g = g // np.array([[10 ** 16], [10 ** 12], [10 ** 8], [10 ** 4], [1]])
-    g[1:] %= 10 ** 4
+    g[1:] -= g[:-1] * 10 ** 4
     t = np.take(zeros, g[1:])  # m: significant digits
     m = 17 - t[3] - (t[3] == 4) * (t[2] + (t[2] == 4) * (t[1] + (t[1] == 4) * t[0]))
     text = np.empty((x.size, 6), np.uint64)
