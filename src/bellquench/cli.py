@@ -14,7 +14,9 @@ and the files to write, {name: (writer, *data)}.  run_command, the one
 run frame, calls it, refuses a NaN or infinite number bound for a CSV
 or JSON file (but a failed oracle report), and only then makes the
 output directory, writes each file and a manifest.json
-(_write_manifest).  So a refused run writes no file.
+(_write_manifest), after removing an older manifest.json there.  So a
+refused run writes no file, and a run stopped while writing leaves no
+manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract
 violation (undefined threshold, non-positive state, a non-finite CSV
@@ -232,6 +234,12 @@ def run_command(args) -> int:
         if not finite:
             raise NonFiniteResultError(f"{name} would hold NaN or infinite values")
     os.makedirs(out_dir, exist_ok=True)
+    # a run stopped between here and its own manifest leaves none
+    # beside files an older manifest does not describe
+    try:
+        os.unlink(os.path.join(out_dir, "manifest.json"))
+    except FileNotFoundError:
+        pass
     for name, (writer, *data) in files.items():
         writer(os.path.join(out_dir, name), *data)
     _write_manifest(out_dir, args.command, config, results, files, started,
@@ -278,9 +286,9 @@ def _resolve_quench(config):
 
 
 def cmd_sweep(config):
-    from .momentum import check_footprint
     from .sweep import (Quantifier, check_window, critical_threshold,
-                        cross_cell_count, efficiency, sweep_all)
+                        cross_cell_count, efficiency, kernel_footprint,
+                        sweep_all)
     _require(config, "gamma")
     kind, grid = _resolve_quench(config)
     fixed = _base_params(config, kind, "sweep")
@@ -292,7 +300,7 @@ def cmd_sweep(config):
     # what the memory cap (exit 4), the coupling window (exit 2, as
     # threshold-curve), the cross set (none: exit 3) and the efficiency's
     # grid window (exit 2) would refuse stops the run before any map
-    check_footprint(fixed.N, grid.count, grid.count ** 2)
+    kernel_footprint(fixed.N, grid, grid.count ** 2)
     same_phase_area(kind, getattr(fixed, HELD[kind]))
     cross_cell_count(kind, fixed, grid, boundary, lines)
     check_window(kind, grid)

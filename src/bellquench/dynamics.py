@@ -38,7 +38,10 @@ initial-side and final-side factors,
 
 so every mode sum needed by the correlators factorizes into a few
 (grid x modes) @ (modes x grid) matrix products, over any block of
-contiguous kernel rows and columns.  Timed values come from one
+contiguous kernel rows and columns.  The kernel holds only L and the
+final-side factors per grid value; a row chunk's gy_i, gz_i =
+(b, u)/L are formed when its products run, from rows of b and u that
+_axes forms on demand.  Timed values come from one
 kernel, _timed_mode_sums.  Its entries refuse a NaN, infinite or
 negative time and an overflowing angle (_check_angles) with ValueError,
 and correlator_arrays an oversized run with ResourceCapError, before
@@ -123,21 +126,45 @@ class CorrelatorSet:
 # ---------------------------------------------------------------------------
 # Bloch-vector engine (arrays over modes, optionally broadcast over time)
 
+class _Rows:
+    """One kernel input over n grid values, formed row by row on
+    demand: row r is base[r] + shift[r], base an (n, modes) array or one
+    (modes,) row that every value shares, shift an (n, 1) column or
+    None.  Indexed by grid indices, it gives those rows as an array, as
+    an (n, modes) array would."""
+
+    def __init__(self, base, n, shift=None):
+        self.base, self.shift, self.shape = base, shift, (n, base.shape[-1])
+
+    def rows(self, take, out):
+        """Rows `take`, an index array: a shared row without a shift as
+        it is, else in `out`, of shape (len(take), modes)."""
+        rows = self.base
+        if rows.ndim == 2:  # "clip": under "raise" numpy buffers `out`
+            rows = np.take(rows, take, axis=0, out=out, mode="clip")
+        return rows if self.shift is None else np.add(rows, self.shift[take], out=out)
+
+    def __getitem__(self, take):
+        shape = (len(take), self.shape[1])
+        return np.broadcast_to(self.rows(take, np.empty(shape)), shape)
+
+
 def _axes(kind: QuenchKind, qs: np.ndarray, params):
     """(phis, axis): the mode angles and axis(k), the inputs (b, u) of
-    both kernels for params[k], one row of b and of u = a + h per grid
-    value.  The params differ only in the parameter the kind holds
-    fixed, and one dispersion call serves them all: a field grid's over
-    the params' alphas, a coupling grid's over its alpha axis qs, to
-    which each entry adds its own h.
+    both kernels for params[k] as _Rows, one row of b and of u = a + h
+    per grid value.  The params differ only in the parameter the kind
+    holds fixed, and one dispersion call serves them all: a field
+    grid's over the params' alphas, whose b row every grid value
+    shares, a coupling grid's over its alpha axis qs, to which each
+    entry adds its own h.  No point holds a (grid x modes) array of its
+    own.
     """
-    phis = mode_angles(params[0].N)
+    phis, n = mode_angles(params[0].N), qs.size
     if kind is QuenchKind.FIELD:
         a, b = dispersion(params[0], phis, alphas=[p.alpha for p in params])
-        shape = (qs.size, phis.size)
-        return phis, lambda k: (np.broadcast_to(b[k], shape), a[k] + qs[:, None])
+        return phis, lambda k: (_Rows(b[k], n), _Rows(a[k], n, qs[:, None]))
     a, b = dispersion(params[0], phis, alphas=qs)
-    return phis, lambda k: (b, a + params[k].h)
+    return phis, lambda k: (_Rows(b, n), _Rows(a, n, np.full((n, 1), params[k].h)))
 
 
 def _quench_axis(quench: QuenchSpec):
@@ -146,7 +173,7 @@ def _quench_axis(quench: QuenchSpec):
     name = QUENCHED[quench.kind]
     qs = np.array([getattr(quench.initial, name), getattr(quench.final, name)])
     phis, axis = _axes(quench.kind, qs, [quench.initial])
-    return (phis, *axis(0))
+    return (phis, *(x[[0, 1]] for x in axis(0)))
 
 
 def _timed_mode_sums(phis, gy, gz, b_f, u_f, starts, offsets=(0.0,)):
@@ -229,18 +256,22 @@ def _correlators_from_sums(sum_cos, sums, N, out):
 class SteadyKernel:
     """Steady mz, cxx, cyy, czz over slice blocks of a grid of n values.
 
-    It owns the per-value arrays of the grid (gy, gz and six final-side
-    factors) and eight chunk buffers, so a threshold curve allocates
-    them once for all of its points, and builds each chunk's
-    correlators in place by the operations of a fresh-array
-    evaluation, in its order.  One maps pass runs at a time.
+    It owns the per-value arrays of the grid (the gaps Lambda and six
+    final-side factors), two row buffers and eight chunk buffers, so a
+    threshold curve allocates them once for all of its points, and
+    builds each chunk's correlators in place by the operations of a
+    fresh-array evaluation, in its order.  The initial-side gy, gz of a
+    row chunk are formed in the row buffers when its turn comes.  One
+    maps pass runs at a time.
     """
 
     def __init__(self, N: int, phis, n: int):
         self.N, self.cos_p, self.sin_p = N, np.cos(phis), np.sin(phis)
         self.sum_cos = float(np.sum(self.cos_p))
-        self.gy, self.gz = np.empty((n, phis.size)), np.empty((n, phis.size))
+        self.lam = np.empty((n, phis.size))
         self.final = np.empty((6, n, phis.size))
+        # per row chunk: the b and u rows, then gy and gz over them
+        self.rows = np.empty((2, ROW_CHUNK, phis.size))
         # per chunk: mz, czz, cxx, cyy, and four spares, the first for sum cos n_z
         self.chunk = np.empty((8, ROW_CHUNK * n))
 
@@ -251,20 +282,24 @@ class SteadyKernel:
         """Four chunk buffers that no yielded array uses, until the next."""
         return self._buffers(shape)[4:]
 
+    def _take(self, b, u, take):
+        """Rows `take` of b and u in the row buffers (a shared b row as it is)."""
+        b_out, u_out = self.rows[:, :len(take)]
+        return b.rows(take, b_out), u.rows(take, u_out)
+
     def _fill(self, b, u, order):
-        """The per-value factors of b and u (from _axes), row r from grid
-        value order[r] (value r when order is None)."""
-        for start in range(0, self.gy.shape[0], ROW_CHUNK):
+        """The per-value arrays of b and u, row r from grid value order[r]."""
+        for start in range(0, self.lam.shape[0], ROW_CHUNK):
             part = slice(start, start + ROW_CHUNK)
-            take = part if order is None else order[part]
-            u_c, b_c = u[take], b[take]
-            lam, self.gy[part], self.gz[part] = ground_bloch(u_c, b_c)
+            b_c, u_c = self._take(b, u, order[part])
+            lam = np.hypot(u_c, b_c, out=self.lam[part])
             degen_f = lam < STEADY_DEGENERACY_TOL
-            safe2 = np.square(lam, out=lam)
-            safe2[degen_f] = 1.0
             # j-side factors ub, u^2 and b^2 over L^2 (0, 1, 1 for a block that
-            # does not dephase), weighted for sum nz, sum cos*nz, sum sin*ny
+            # does not dephase), weighted for sum nz, sum cos*nz, sum sin*ny;
+            # L^2 is held in f[5] until its own factor is written
             f = self.final[:, part]
+            safe2 = np.square(lam, out=f[5])
+            safe2[degen_f] = 1.0
             for k, x, y, held in ((0, u_c, b_c, 0.0), (1, u_c, u_c, 1.0),
                                   (4, b_c, b_c, 1.0)):
                 np.divide(np.multiply(x, y, out=f[k]), safe2, out=f[k])
@@ -276,15 +311,21 @@ class SteadyKernel:
     def maps(self, b, u, blocks=((slice(None), slice(None)),), order=None):
         """Yields (rows, mz, cxx, cyy, czz) per ROW_CHUNK rows of each
         (rows, cols) block, a pair of slices of the kernel's rows: row r
-        holds grid value order[r], or r when order is None.  The yielded
-        arrays are chunk buffers, which the next chunk overwrites."""
+        holds grid value order[r], or r when order is None.  b and u are
+        _Rows (from _axes) or (n, modes) arrays.  The yielded arrays are
+        chunk buffers, which the next chunk overwrites."""
+        n = self.lam.shape[0]
+        b, u = (x if isinstance(x, _Rows) else _Rows(x, n) for x in (b, u))
+        order = np.arange(n) if order is None else order
         self._fill(b, u, order)
         for rows, cols in blocks:
             final = [f.T for f in self.final[:, cols]]
-            start, stop, _ = rows.indices(self.gy.shape[0])
+            start, stop, _ = rows.indices(n)
             for lo in range(start, stop, ROW_CHUNK):
                 part = slice(lo, min(lo + ROW_CHUNK, stop))
-                gy_c, gz_c = self.gy[part], self.gz[part]
+                b_c, u_c = self._take(b, u, order[part])
+                _, gy_c, gz_c = ground_bloch(u_c, b_c, self.lam[part],
+                                             self.rows[:, :u_c.shape[0]])
                 s_z, m_sin, cxx, cyy, m_cos, *_ = self._buffers(
                     (gy_c.shape[0], final[0].shape[1]))
                 # cxx holds each mode sum's second product until the correlators

@@ -62,10 +62,13 @@ TIMED_DEGENERACY_TOL = 1e-30
 MEMORY_CAP = 2 ** 30
 # Peak bytes per (phi, r) entry of the dispersion tables, per (grid value,
 # mode) entry of a kernel, per cell of the maps a sweep holds and per sample
-# of an evolve time grid: traced at N = 512 on 601 x 601 as 24, 124, 28 and
-# 124 B with tracemalloc, and rounded up.
+# of an evolve time grid: traced at N = 512 on 601 x 601 as 24, 81, 28 and
+# 124 B with tracemalloc, and rounded up.  A kernel entry holds its gap
+# Lambda and six final-side factors (56 B), a coupling grid's also its
+# dispersion rows (16 B); 81 B is a coupling sweep's peak less 32 B per
+# cell charged (its maps and sweep.kernel_footprint's chunk cells).
 TABLE_BYTES = 32
-FACTOR_BYTES = 128
+FACTOR_BYTES = 96
 MAP_BYTES = 32
 SAMPLE_BYTES = 256
 
@@ -118,20 +121,31 @@ def dispersion(params: ModelParams, phis: np.ndarray,
     return a, b
 
 
-def ground_bloch(u, b):
+def ground_bloch(u, b, lam=None, out=None):
     """(Lambda, n_y, n_z) of the ground state of each block's even doublet.
 
-    u = a + h and b are arrays of any one shape.  The even 2x2 block is
-    a*I - b*sigma_y - u*sigma_z in the {|0>, |pair>} basis, so its
-    levels are a -+ Lambda with Lambda = hypot(u, b) and the ground
+    u = a + h and b are arrays that broadcast together.  The even 2x2
+    block is a*I - b*sigma_y - u*sigma_z in the {|0>, |pair>} basis, so
+    its levels are a -+ Lambda with Lambda = hypot(u, b) and the ground
     state points along (0, b, u)/Lambda.  Below DEGENERACY_TOL the
     doublet counts as degenerate and the state is |pair>, (0, -1): the
     one continuous with the h - eps limit.
+
+    `lam`, the gaps when already taken, and `out`, two arrays of lam's
+    shape for n_y and n_z (they may be b and u), spare the fresh arrays:
+    dynamics.SteadyKernel forms each row chunk so.  Only an array that
+    holds a degenerate doublet pays for the select.
     """
-    lam = np.hypot(u, b)
+    lam = np.hypot(u, b) if lam is None else lam
+    n_y, n_z = (np.empty(np.shape(lam)), np.empty(np.shape(lam))) if out is None else out
+    # fmin skips NaN, so a NaN gap does not hide a degenerate one
+    if not np.fmin.reduce(lam, axis=None) < DEGENERACY_TOL:
+        return lam, np.divide(b, lam, out=n_y), np.divide(u, lam, out=n_z)
     degen = lam < DEGENERACY_TOL
-    safe = np.where(degen, 1.0, lam)
-    return lam, np.where(degen, 0.0, b / safe), np.where(degen, -1.0, u / safe)
+    np.divide(b, lam, out=n_y, where=~degen)
+    np.divide(u, lam, out=n_z, where=~degen)
+    n_y[degen], n_z[degen] = 0.0, -1.0
+    return lam, n_y, n_z
 
 
 def check_footprint(N: int, rows: int = 0, cells: int = 0,

@@ -219,6 +219,14 @@ def cross_cell_count(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
                for rows, cols in blocks)
 
 
+def kernel_footprint(N: int, grid: GridSpec, cells: int = 0) -> int:
+    """check_footprint of a steady kernel on grid and `cells` map cells:
+    its factor rows, and its 8 chunk buffers of ROW_CHUNK x grid doubles
+    with the quantifiers' chunk temporaries, charged as 2 MAP_BYTES
+    cells a row."""
+    return check_footprint(N, grid.count, cells + 2 * ROW_CHUNK * grid.count)
+
+
 def sweep(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
           quantifier: Quantifier) -> PhaseDiagram:
     """Steady-state phase diagram of one quantifier over a quench grid."""
@@ -232,7 +240,7 @@ def sweep_all(kind: QuenchKind, fixed: ModelParams,
     whole.  A coupling field outside the window of model.same_phase_area
     is refused with ValueError before any map, as by threshold_curve."""
     same_phase_area(kind, getattr(fixed, HELD[kind]))
-    check_footprint(fixed.N, grid.count, grid.count ** 2)
+    kernel_footprint(fixed.N, grid, grid.count ** 2)
     qs = grid.values()
     phis, axis = _axes(kind, qs, [fixed])
     maps = np.empty((len(Quantifier), qs.size, qs.size))
@@ -303,10 +311,9 @@ def curve_workers(count: int, grid: GridSpec, N: int) -> int:
     one per CPU (output.writer_cpus) and point, but none with under
     CURVE_WORK cell-sites, where the BLAS can be pinned to one thread
     (output.openblas); else 1.  Each process builds a kernel of its
-    own, so check_footprint's estimate for one process, taken once per
-    worker, stays within MEMORY_CAP: no grid^2 map, but factor rows and
-    8 chunk buffers of ROW_CHUNK x grid doubles (2 MAP_BYTES cells a row)."""
-    share = MEMORY_CAP // check_footprint(N, grid.count, 2 * ROW_CHUNK * grid.count)
+    own, so its estimate for one process (kernel_footprint, no grid^2
+    map), taken once per worker, stays within MEMORY_CAP."""
+    share = MEMORY_CAP // kernel_footprint(N, grid)
     if openblas() is None:
         return 1
     return max(1, min(writer_cpus(), count, share,
@@ -355,13 +362,18 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
         same_phase_area(kind, getattr(fixed, held))  # coupling window
     workers = curve_workers(len(params), grid, N)
     qs = grid.values()
-    cross = [_cross_blocks(kind, fixed, qs, boundary, cross_lines) for fixed in params]
+
+    def cross(k):  # built when point k's turn comes, never held for all
+        return _cross_blocks(kind, params[k], qs, boundary, cross_lines)
+
+    for k in range(len(params)):  # a point without cross cells, before any fork
+        cross(k)
     with one_blas_thread() as blas_threads:
         phis, axis = _axes(kind, qs, params)  # one point's axis at a time
 
         def part(lo, hi):
             kernel = SteadyKernel(N, phis, qs.size)
-            return np.array([_cross_max(kernel, axis(k), *cross[k])
+            return np.array([_cross_max(kernel, axis(k), *cross(k))
                              for k in range(lo, hi)])
 
         def send(lo, hi, out):

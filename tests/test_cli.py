@@ -76,6 +76,28 @@ class TestEvolve:
             assert abs(vals[1] - reference.mz) < 1e-6
             assert abs(vals[7] - bell_value(reference)) < 1e-6
 
+    def test_stopped_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # a re-run into the same directory whose writer fails once
+        # timeseries.csv is written leaves no manifest of the first run
+        # beside the new file
+        from bellquench.errors import BellquenchError
+        from bellquench.output import write_csv
+        out = tmp_path / "e"
+        argv = ["evolve", "--gamma", "1.0", "--alpha", "10", "--kind",
+                "field", "--q-initial", "0.5", "--q-final", "2.5",
+                "--t-max", "2", "--dt", "0.5", "--n", "16", "--out", str(out)]
+        assert run(argv) == 0 and (out / "manifest.json").exists()
+
+        def failing(path, *data):
+            write_csv(path, *data)
+            raise BellquenchError("a CSV writer process failed")
+
+        monkeypatch.setattr(cli, "write_csv", failing)
+        argv[2] = "0.5"
+        assert run(argv) == 1
+        assert (out / "timeseries.csv").exists()
+        assert not (out / "manifest.json").exists()
+
 
 class TestSweepCommand:
     def test_artifacts_and_manifest(self, tmp_path):

@@ -131,19 +131,21 @@ class TestFootprint:
         with pytest.raises(ResourceCapError):
             check_footprint(512, 60_000_001, 60_000_001 ** 2)
 
-    # traced peak of the sweep below: 8.2 MB; one that held the four
-    # (n, n) correlator maps before taking the quantifiers traced 11.7 MB
-    SWEEP_PEAK_BOUND = 10e6
-    # traced peaks of the curves below: 14.8 MB (field) and 7.9 MB
-    # (coupling); a kernel that gathered its columns into a copy of its
-    # factor arrays traced 22.8 MB and 10.1 MB
-    CURVE_PEAK_BOUNDS = {"field": 18e6, "coupling": 9e6}
+    # traced peak of the sweep below: 7.7 MB; 8.2 MB with a kernel that
+    # held gy and gz per grid value, and 11.7 MB with one that held the
+    # four (n, n) correlator maps before taking the quantifiers
+    SWEEP_PEAK_BOUND = 9.4e6
+    # traced peaks of the curves below: 11.5 MB (field) and 6.0 MB
+    # (coupling); a kernel that held gy and gz per grid value and a u
+    # array per point traced 14.8 MB and 7.9 MB, and one that gathered
+    # its columns into a copy of its factor arrays 22.8 MB and 10.1 MB
+    CURVE_PEAK_BOUNDS = {"field": 14e6, "coupling": 6.9e6}
 
     def test_bounds_the_traced_sweep_peak(self):
         import tracemalloc
 
         from bellquench.model import QuenchKind
-        from bellquench.sweep import GridSpec, sweep_all
+        from bellquench.sweep import GridSpec, kernel_footprint, sweep_all
 
         fixed = params(N=256, gamma=0.2, alpha=10.0, h=0.0)
         grid = GridSpec(-3.0, 3.0, 0.02)
@@ -153,7 +155,7 @@ class TestFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < check_footprint(256, grid.count, grid.count ** 2)
+        assert peak < kernel_footprint(256, grid, grid.count ** 2)
         assert peak < self.SWEEP_PEAK_BOUND
 
     @pytest.mark.parametrize("kind,gamma,points", [
@@ -179,6 +181,29 @@ class TestFootprint:
             tracemalloc.stop()
         assert peak < check_footprint(512, grid.count, 2 * ROW_CHUNK * grid.count)
         assert peak < self.CURVE_PEAK_BOUNDS[kind.value]
+
+    def test_curve_peak_does_not_grow_with_points(self):
+        # each point's cross blocks, an order array of the grid's length,
+        # are built when its turn comes: built up front, the 100 more
+        # points here held 0.55 MB more at the peak
+        import tracemalloc
+
+        from bellquench.model import QuenchKind
+        from bellquench.sweep import GridSpec, threshold_curve
+
+        grid = GridSpec(-3.0, 3.0, 0.01)
+
+        def peak(count):
+            points = [0.6 + 0.001 * k for k in range(count)]
+            tracemalloc.start()
+            try:
+                threshold_curve(QuenchKind.FIELD, 0.5, points, grid, N=4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)
+        assert peak(102) - peak(2) < 100 * grid.count * 8 / 4
 
 
 class TestGroundEnergy:

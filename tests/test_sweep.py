@@ -322,7 +322,7 @@ class TestThresholdCurves:
                                         (0.0015, 512), (0.0005, 512), (0.0004, 512)])
     def test_workers_fit_the_memory_cap(self, monkeypatch, step, N):
         # however many CPUs, the workers' kernels together stay within
-        # MEMORY_CAP (the last two grids hold 2 and 1 footprints of 12)
+        # MEMORY_CAP (the last two grids hold 3 and 2 footprints of 12)
         monkeypatch.setattr(sweep_mod, "writer_cpus", lambda: 64)
         monkeypatch.setattr(sweep_mod, "CURVE_WORK", 1)
         grid = GridSpec(-3, 3, step)
