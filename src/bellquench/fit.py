@@ -149,13 +149,18 @@ def _polish(objective, starts):
 
 
 def _curve(points, minimum):
-    """x, y sorted by x; a short, non-finite or repeated-x curve is
-    refused here, before any start spends its evaluations."""
+    """x, y sorted by x; a short or repeated-x curve, or one with a value
+    that is not finite or above sqrt(DBL_MAX / n) / 2 in size for n
+    points, is refused here, before any start spends its evaluations.
+    The bound keeps the objectives finite: a model within the data's
+    range misses a point by at most twice the largest size, so the n
+    squared residuals (and each x^2) stay below DBL_MAX."""
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[0] < minimum:
         raise ValueError(f"need at least {minimum} (x, y) points")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("curve points must be finite")
+    bound = np.sqrt(np.finfo(float).max / pts.shape[0]) / 2
+    if not np.all(np.abs(pts) <= bound):  # NaN too
+        raise ValueError(f"curve points must be finite and at most {bound:.3g} in size")
     pts = pts[np.argsort(pts[:, 0])]
     x, y = pts[:, 0], pts[:, 1]
     if (x[1:] == x[:-1]).any():  # sorted; np.unique would load numpy.ma

@@ -133,14 +133,10 @@ def ground_bloch(u, b, lam=None, out=None):
 
     `lam`, the gaps when already taken, and `out`, two arrays of lam's
     shape for n_y and n_z (they may be b and u), spare the fresh arrays:
-    dynamics.SteadyKernel forms each row chunk so.  Only an array that
-    holds a degenerate doublet pays for the select.
+    dynamics.SteadyKernel forms each row chunk so.
     """
     lam = np.hypot(u, b) if lam is None else lam
     n_y, n_z = (np.empty(np.shape(lam)), np.empty(np.shape(lam))) if out is None else out
-    # fmin skips NaN, so a NaN gap does not hide a degenerate one
-    if not np.fmin.reduce(lam, axis=None) < DEGENERACY_TOL:
-        return lam, np.divide(b, lam, out=n_y), np.divide(u, lam, out=n_z)
     degen = lam < DEGENERACY_TOL
     np.divide(b, lam, out=n_y, where=~degen)
     np.divide(u, lam, out=n_z, where=~degen)

@@ -8,14 +8,17 @@ so every JSON file parses.  Identical inputs therefore produce
 byte-identical artifacts, however many forked writers format a large
 CSV (write_csv).
 
-A float array's CSV cells get the bytes of "%.17g" from array operations
-(_format_cells), exactly: for 1e-6 <= |x| < 1e17, s = 10^(16 - X), X =
-floor(log10|x|), is an exact double, Dekker's TwoProduct gives p + e =
-|x| s and p + rint(e) (p is even) rounds it half to even.  Other cells,
-and any whose p + e is not in [10^16, 10^17 - 1/2), take "%.17g".
+Every CSV cell, as a float64, gets the bytes of "%.17g" from array
+operations (_format_cells), exactly: for 1e-6 <= |x| < 1e17, s =
+10^(16 - X), X = floor(log10|x|), is an exact double, Dekker's
+TwoProduct gives p + e = |x| s and p + rint(e) (p is even) rounds it
+half to even.  Other cells, and any whose p + e is not in [10^16,
+10^17 - 1/2), take "%.17g".
 
-forked is the one fork, pipe, reap and kill frame: write_csv sends its
-row ranges through it, sweep.threshold_curve its ranges of points.
+forked is the one fork, pipe, reap and kill frame, and the one place
+that splits a range into parts and runs the first in this process:
+write_csv formats its row ranges through it, sweep.threshold_curve its
+ranges of points.
 
 What a process may use: writer_cpus is how many processes either may
 fork; openblas finds numpy's scipy-openblas for the manifest's runtime
@@ -173,30 +176,28 @@ def _format_cells(block):
     return text.tobytes().translate(None, b"\0")
 
 
-def _blocks(rows, line, step):
+def _blocks(rows, step):
     for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        yield (_format_cells(block.astype(np.float64, copy=False))
-               if isinstance(block, np.ndarray)
-               else "".join([line % tuple(row) for row in block]).encode())
+        yield _format_cells(rows[start:start + step])
 
 
-def _child(task, out, reads):
-    """Run task(out), then leave by os._exit only, so no inherited buffer
-    is flushed twice, and with status 0 only once task has returned and
-    its output is sent."""
+def _child(produce, lo, hi, out, reads):
+    """Send produce(lo, hi), formed whole first so a full pipe cannot
+    stall it, then leave by os._exit only, so no inherited buffer is
+    flushed twice, and with status 0 only once all of it is sent."""
     code = 1
     try:
         for fd in reads:
             os.close(fd)
-        task(out)
+        out.writelines(list(produce(lo, hi)))
         out.close()
         code = 0
     finally:
         os._exit(code)
 
 
-def _collect(children, what):
+def _collect(first, children, what):
+    yield from first
     for child in children:
         while chunk := os.read(child[1], 1 << 16):
             yield chunk
@@ -206,29 +207,32 @@ def _collect(children, what):
 
 
 @contextlib.contextmanager
-def forked(tasks, what):
-    """Run each task in a forked child while the with block runs.
+def forked(count, parts, produce, what):
+    """Produce range(count) in `parts` contiguous ranges while the with
+    block runs.
 
-    A task is a function of one argument, the binary write end of a
-    pipe, down which it sends its whole result.  The block receives an
-    iterator over the children's output, 64 KiB at a time, each child's
-    in task order: once a child's output ends, it is reaped, and a
-    child that failed raises BellquenchError ("<what> failed").  The
-    child holds the BLAS state of the parent at the fork (OpenBLAS
-    stops its thread pool at a fork and restarts it on demand).
-    Leaving the block kills (SIGKILL) and reaps every child not yet
-    reaped, so no child outlives it.
+    produce(lo, hi) returns an iterable of bytes for range(lo, hi).
+    This process produces the first range, as the block reads it, while
+    a forked child per other range produces that one whole and sends it
+    down a pipe.  The block receives one iterator over all the bytes in
+    range order, a child's 64 KiB at a time: once a child's output
+    ends, it is reaped, and a child that failed raises BellquenchError
+    ("<what> failed").  The child holds the BLAS state of the parent at
+    the fork (OpenBLAS stops its thread pool at a fork and restarts it
+    on demand).  Leaving the block kills (SIGKILL) and reaps every
+    child not yet reaped, so no child outlives it.
     """
+    bounds = [count * i // parts for i in range(parts + 1)]
     children = []  # [pid, pipe read end] per child; pid 0 once reaped
     try:
-        for task in tasks:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
             read, write = os.pipe()
             children.append([0, read])
             with open(write, "wb") as out:
                 pid = children[-1][0] = os.fork()
                 if pid == 0:
-                    _child(task, out, [r for _, r in children])
-        yield _collect(children, what)
+                    _child(produce, lo, hi, out, [r for _, r in children])
+        yield _collect(produce(0, bounds[1]), children, what)
     finally:
         for pid, read in children:
             os.close(read)
@@ -237,33 +241,25 @@ def forked(tasks, what):
                 os.waitpid(pid, 0)
 
 
-def _send_rows(rows, line, step, out):
-    """Format every row before sending, so a full pipe cannot stall formatting."""
-    out.writelines(list(_blocks(rows, line, step)))
-
-
 def write_csv(path, header, rows) -> None:
     """Header plus rows of numbers, one value per header column.
 
-    rows is a 2-D array (formatted by _format_cells) or a sequence of
-    rows of floats and ints (by one %-format of 17-digit fields a row),
-    the same text as fmt_float, in blocks of about CSV_BLOCK_CELLS values.
-    The rows are split into contiguous ranges, one per writer CPU but
-    none under PART_CELLS cells: this process formats the first into the
-    file while forked children (forked) format the others, whose bytes
-    it then copies in row order.  So the bytes do not depend on the part
-    count.  A failed child raises BellquenchError; no child outlives it.
+    rows, converted once to a 2-D float64 array, are formatted by
+    _format_cells, the text of fmt_float, in blocks of about
+    CSV_BLOCK_CELLS values.  They are split into contiguous ranges, one
+    per writer CPU but none under PART_CELLS cells: this process formats
+    the first into the file while forked children (forked) format the
+    others, whose bytes it then copies in row order.  So the bytes do
+    not depend on the part count.  A failed child raises
+    BellquenchError; no child outlives it.
     """
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = np.asarray(rows, dtype=np.float64)
     step = max(1, CSV_BLOCK_CELLS // len(header))
     parts = max(1, min(writer_cpus(), len(rows) * len(header) // PART_CELLS))
-    bounds = [len(rows) * i // parts for i in range(parts + 1)]
     with open(path, "wb") as fh:
         fh.write((",".join(str(h) for h in header) + "\n").encode())
-        with forked([functools.partial(_send_rows, rows[lo:hi], line, step)
-                     for lo, hi in zip(bounds[1:], bounds[2:])],
+        with forked(len(rows), parts, lambda lo, hi: _blocks(rows[lo:hi], step),
                     f"a writer process of {path}") as chunks:
-            fh.writelines(_blocks(rows[:bounds[1]], line, step))
             fh.writelines(chunks)
 
 

@@ -29,7 +29,6 @@ OpenBLAS thread (threshold_curve).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -221,10 +220,13 @@ def cross_cell_count(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
 
 def kernel_footprint(N: int, grid: GridSpec, cells: int = 0) -> int:
     """check_footprint of a steady kernel on grid and `cells` map cells:
-    its factor rows, and its 8 chunk buffers of ROW_CHUNK x grid doubles
-    with the quantifiers' chunk temporaries, charged as 2 MAP_BYTES
-    cells a row."""
-    return check_footprint(N, grid.count, cells + 2 * ROW_CHUNK * grid.count)
+    its factor rows, and its 8 chunk buffers of ROW_CHUNK x grid doubles,
+    charged as 2 MAP_BYTES cells a chunk cell.  With map cells (a sweep)
+    it also charges the quantifier pass (sweep_all): at most 13 chunk
+    arrays at once, the Bell chunk and xstate_log_negativity's 12,
+    charged as 4 cells a chunk cell."""
+    chunk = ROW_CHUNK * grid.count
+    return check_footprint(N, grid.count, cells + (6 if cells else 2) * chunk)
 
 
 def sweep(kind: QuenchKind, fixed: ModelParams, grid: GridSpec,
@@ -373,18 +375,11 @@ def threshold_curve(kind: QuenchKind, gamma: float, points,
 
         def part(lo, hi):
             kernel = SteadyKernel(N, phis, qs.size)
-            return np.array([_cross_max(kernel, axis(k), *cross(k))
-                             for k in range(lo, hi)])
+            yield np.array([_cross_max(kernel, axis(k), *cross(k))
+                            for k in range(lo, hi)]).tobytes()
 
-        def send(lo, hi, out):
-            out.write(part(lo, hi).tobytes())
-
-        bounds = [len(params) * i // workers for i in range(workers + 1)]
-        with forked([functools.partial(send, lo, hi)
-                     for lo, hi in zip(bounds[1:], bounds[2:])],
-                    "a curve worker process") as rest:
-            values = np.concatenate([part(0, bounds[1]),
-                                     np.frombuffer(b"".join(rest))])
+        with forked(len(params), workers, part, "a curve worker process") as chunks:
+            values = np.frombuffer(b"".join(chunks))
     return Curve([(getattr(fixed, held), float(b_c))
                   for fixed, b_c in zip(params, values)], workers, blas_threads)
 

@@ -1,11 +1,14 @@
+import contextlib
 import gc
 import json
+import math
 import os
 import re
 import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -18,6 +21,7 @@ import bellquench.sweep as sweep_mod
 from bellquench import dynamics, momentum
 from bellquench.cli import main
 from bellquench.dynamics import MAX_TIME_SAMPLES
+from bellquench.oracle import BUILD_CAP
 from bellquench.output import openblas, sha256_file, write_json, writer_cpus
 
 
@@ -603,11 +607,13 @@ class TestNonFiniteInput:
         assert not out.exists()
 
     def test_failed_oracle_report_parses(self, tmp_path):
-        # a huge final field makes two deviations NaN; the failed report
-        # is written with null in their place
+        # a huge final field makes two deviations NaN, through overflows
+        # of the timed kernel and the dense build; the failed report is
+        # written with null in their place
         out = tmp_path / "o"
-        assert run(["oracle", "--n", "8", "--h-final", "1e308",
-                    "--out", str(out)]) == 3
+        with pytest.warns(RuntimeWarning):
+            assert run(["oracle", "--n", "8", "--h-final", "1e308",
+                        "--out", str(out)]) == 3
         report = read_json(out / "report.json")
         assert report["pass"] is False and report["correlator_max_dev"] is None
         assert read_json(out / "manifest.json")["results"] == report
@@ -1123,3 +1129,46 @@ def test_cli_contract_fuzz(tmp_path, capsys, argv):
             numbers = json_numbers(read_json(path))
             assert all(x is None or np.isfinite(x) for x in numbers)
             assert name == "manifest.json" or None not in numbers
+
+
+# A 23-point field curve, and the curve files of the contract table:
+# each fit refuses them before any start (exit 2)
+CONTRACT_CURVE = [(0.5 * k, 1.6 + 0.3 * math.exp(-0.0125 * k * k)) for k in range(1, 24)]
+CONTRACT_CURVES = {
+    "header": [], "one-row": CONTRACT_CURVE[:1],
+    **{name: [(x, bad if k == 11 else y) for k, (x, y) in enumerate(CONTRACT_CURVE)]
+       for name, bad in [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+                         ("y-1e308", 1e308)]},
+    "x-1e300": [(x * 1e300, y) for x, y in CONTRACT_CURVE],
+}
+CONTRACT_SECONDS = 2.0
+
+
+@pytest.mark.parametrize("argv, code, warns", [
+    *(pytest.param(["fit", "--model", model, "--curve", name], 2, False,
+                   id=f"fit-{model}-{name}")
+      for model in ("gaussian", "trigaussian") for name in CONTRACT_CURVES),
+    pytest.param(["oracle", "--n", str(BUILD_CAP + 1)], 2, False, id="oracle-n-odd"),
+    pytest.param(["oracle", "--n", str(BUILD_CAP + 2)], 4, False, id="oracle-n-capped"),
+    # an overflow the oracle does not yet refuse up front: the dense
+    # eigensolver fails (2), or the report fails with NaN deviations (3)
+    pytest.param(["oracle", "--h-initial", "1e308"], 2, True, id="oracle-h-initial"),
+    pytest.param(["oracle", "--h-final", "1e308"], 3, True, id="oracle-h-final"),
+    pytest.param(["oracle", "--t", "1e308"], 3, True, id="oracle-t-huge"),
+    pytest.param(["oracle", "--t", "-1"], 2, False, id="oracle-t-negative"),
+])
+def test_contract_table(tmp_path, capsys, argv, code, warns):
+    # the documented exit code within CONTRACT_SECONDS, and no file from
+    # a refused run (a failed oracle report is written)
+    if argv[0] == "fit":
+        curve = tmp_path / "curve.csv"
+        curve.write_text("alpha,b_c\n" + "".join(
+            f"{x!r},{y!r}\n" for x, y in CONTRACT_CURVES[argv[-1]]))
+        argv = [*argv[:-1], str(curve)]
+    out = tmp_path / "o"
+    started = time.perf_counter()
+    with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
+        assert run([*argv, "--out", str(out)]) == code
+    assert time.perf_counter() - started < CONTRACT_SECONDS
+    assert code == 3 or not out.exists()
+    capsys.readouterr()

@@ -77,7 +77,7 @@ class TestFitGaussian:
         fit = fit_gaussian(points)
         assert fit.B > 0.0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -1e308])
     @pytest.mark.parametrize("column", [0, 1])
     def test_nonfinite_refused_before_any_start(self, monkeypatch, bad, column):
         monkeypatch.setattr(fit_module, "minimize", never_minimize)
@@ -157,7 +157,7 @@ class TestFitTriGaussian:
             fit_trigaussian(trigaussian_points(self.COMPONENTS,
                                                np.linspace(-0.7, 0.4, 9)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -1e308])
     @pytest.mark.parametrize("column", [0, 1])
     def test_nonfinite_refused_before_any_start(self, monkeypatch, bad, column):
         monkeypatch.setattr(fit_module, "minimize", never_minimize)

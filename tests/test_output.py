@@ -1,6 +1,7 @@
-"""output.write_csv: forked row-range writers give the bytes of the plain
-loop whatever the part count, and leave no child behind; the numpy
-kernel of float arrays (_format_cells) gives the bytes of "%.17g"."""
+"""output.forked joins its ranges in order and leaves no child behind;
+write_csv's forked row-range writers give the bytes of the plain loop
+whatever the part count; the numpy kernel of float arrays
+(_format_cells) gives the bytes of "%.17g"."""
 
 import os
 import subprocess
@@ -62,14 +63,55 @@ def test_bytes_do_not_depend_on_part_count(tmp_path, monkeypatch, forks, cpus,
     assert len(forks) == min(cpus, count * len(HEADER)) - 1
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+@pytest.mark.parametrize("count", [0, 1, 5, 12001])
+def test_forked_joins_ranges_in_order(forks, count, parts):
+    # parts > count leaves some ranges empty; each still takes a child
+    def produce(lo, hi):
+        return [b"%d," % i for i in range(lo, hi)]
+
+    with output.forked(count, parts, produce, "a part") as chunks:
+        assert b"".join(chunks) == b"".join(produce(0, count))
+    assert len(forks) == parts - 1 and no_child_left()
+
+
+@pytest.mark.parametrize("bad, error", [(0, KeyError), (2, BellquenchError),
+                                        (4, BellquenchError)],
+                         ids=["parent", "middle", "last"])
+def test_forked_failed_range_raises_and_reaps(forks, bad, error):
+    # ranges [0, 1), [1, 3) and [3, 5): the parent's, a middle and the last
+    def produce(lo, hi):
+        for i in range(lo, hi):
+            if i == bad:
+                raise KeyError(i)
+            yield b"%d," % i
+
+    with pytest.raises(error), output.forked(5, 3, produce, "a part") as chunks:
+        b"".join(chunks)
+    assert len(forks) == 2 and no_child_left()
+
+
+def fail_on_row(monkeypatch, bad_row):
+    """_format_cells raising TypeError on the block that holds row
+    bad_row (its first cell), in the parent's part or a child's."""
+    format_cells = output._format_cells
+
+    def failing(block):
+        if bad_row in block[:, 0]:
+            raise TypeError(f"row {bad_row}")
+        return format_cells(block)
+
+    monkeypatch.setattr(output, "_format_cells", failing)
+
+
 @pytest.mark.parametrize("bad_row, error", [(0, TypeError), (15, BellquenchError),
                                             (29, BellquenchError)],
                          ids=["parent", "middle", "last"])
 def test_failed_part_raises_and_reaps(tmp_path, monkeypatch, forks, bad_row, error):
-    # a value that %-format rejects, in the parent's part or a child's
+    # a block that fails to format, in the parent's part or a child's
     monkeypatch.setattr(output, "writer_cpus", lambda: 3)
     rows = [[i, 0.5, 1.5] for i in range(30)]
-    rows[bad_row][1] = "x"
+    fail_on_row(monkeypatch, bad_row)
     with pytest.raises(error):
         output.write_csv(tmp_path / "f.csv", HEADER, rows)
     assert len(forks) == 2 and no_child_left()
@@ -78,7 +120,7 @@ def test_failed_part_raises_and_reaps(tmp_path, monkeypatch, forks, bad_row, err
 def test_failed_writer_exits_nonzero(tmp_path, monkeypatch, forks, capsys):
     monkeypatch.setattr(output, "writer_cpus", lambda: 2)
     rows = [[i, 0.5, 1.5] for i in range(30)]
-    rows[-1][2] = "x"
+    fail_on_row(monkeypatch, 29)
     monkeypatch.setattr(cli, "cmd_evolve", lambda config: (
         {}, {"f.csv": (output.write_csv, HEADER, rows)}))
     out = tmp_path / "o"
